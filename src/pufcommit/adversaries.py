@@ -9,16 +9,18 @@ and is unconstructible against the revised one; the equivocating openers
 probe binding; the substituting returner trips the return check; the
 stateful probe is refused outright under the zero-state regime; the
 chatty token probes the outgoing-bit budget.
+
+Revised-flow members are written once, against the collective core; the
+single-string protocol runs the same classes with one string.  The names
+of the former single-string and collective twins remain as aliases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bits import BitString
-from .functionality import Budgets
-from .fuzzy import HelperData
 from .puf import chatty_program, replay_on_marker_program, silent_program
 from .session import PartyHandle, ProtocolAbort
 from .protocols.compiler import (
@@ -26,9 +28,8 @@ from .protocols.compiler import (
     HonestCompilerSender,
     share_index,
 )
-from .protocols.collective import CollectiveSender
+from .protocols.collective import CollectiveReceiver, CollectiveSender
 from .protocols.cpuf import CpufSender
-from .protocols.extpuf import ExtPufReceiver, ExtPufSender
 from .protocols.original import OriginalSender
 
 __all__ = [
@@ -97,12 +98,6 @@ class EquivocatingCpufSender(CpufSender):
         return s_fake, ~self.x
 
 
-class EquivocatingExtPufSender(ExtPufSender):
-    def opening(self):
-        s_fake = BitString.random(self.params.n, self.api.rng)
-        return s_fake, ~self.x, self.st_e, self.p_e.concat()
-
-
 class EquivocatingCollectiveSender(CollectiveSender):
     def opening(self, index):
         s_fake = BitString.random(self.params.n, self.api.rng)
@@ -110,23 +105,28 @@ class EquivocatingCollectiveSender(CollectiveSender):
                 self.st_e[index], self.p_e[index].concat())
 
 
-class CollectiveNeverQuerySender(CollectiveSender):
-    """Collective variant of the sender that skips the probe."""
-
-    def query_probe(self):
-        p = self.params
-        self.probe_sid = self.api.take_handover()
-        if self.probe_sid is None:
-            raise ProtocolAbort("await-probe")
-        self.st_e = [BitString.zeros(p.probe.fe.out_len)] * self.n_strings
-        self.p_e = [HelperData(
-            BitString.zeros(p.probe.fe.source_len),
-            BitString.zeros(p.probe.fe.seed_bits),
-        )] * self.n_strings
+EquivocatingExtPufSender = EquivocatingCollectiveSender
 
 
-class CollectiveSubstitutingReturner(CollectiveSender):
-    """Collective variant of the token swap at return time."""
+# ---------------------------------------------------------------------------
+# Return-check and budget probes (revised flow)
+# ---------------------------------------------------------------------------
+
+class NeverQuerySender(CollectiveSender):
+    """Skips the probe entirely and commits with all-zero probe outputs;
+    can never open, and extraction has nothing to work with."""
+
+    def ask_probe(self, st_i):
+        return None
+
+
+CollectiveNeverQuerySender = NeverQuerySender
+
+
+class SubstitutingReturnSender(CollectiveSender):
+    """Returns a fresh token of the probe family instead of the probe and
+    keeps the real probe; the receiver's fingerprint check should catch
+    the swap before any mask is revealed."""
 
     DECOY_SID = "coll/decoy"
 
@@ -135,77 +135,42 @@ class CollectiveSubstitutingReturner(CollectiveSender):
         self.api.handover(self.DECOY_SID, receiver)
 
 
-# ---------------------------------------------------------------------------
-# Return-check and budget probes (revised flow)
-# ---------------------------------------------------------------------------
-
-class SubstitutingReturnSender(ExtPufSender):
-    """Returns a fresh token of the probe family instead of the probe and
-    keeps the real probe; the receiver's fingerprint check should catch
-    the swap before any mask is revealed."""
-
-    DECOY_SID = "extpuf/decoy"
-
-    def return_probe(self, receiver):
-        self.api.create_honest(self.DECOY_SID, self.params.probe.puf)
-        self.api.handover(self.DECOY_SID, receiver)
+CollectiveSubstitutingReturner = SubstitutingReturnSender
 
 
-class LateQuerySender(ExtPufSender):
-    """Honest except for one probe query aimed at the masked secret after
-    r arrives; by then the probe is back with the receiver and the router
-    stays silent, so the attempt is a no-op."""
+class LateQuerySender(CollectiveSender):
+    """Honest except for one probe query per string aimed at the masked
+    secret after the masks arrive; by then the probe is back with the
+    receiver and the router stays silent, so the attempts are no-ops."""
 
-    def commitment(self, r):
-        self.late_answer = self.api.eval(self.probe_sid, self.params.code.enc(self.st ^ r))
-        return super().commitment(r)
-
-
-class NeverQuerySender(ExtPufSender):
-    """Skips the probe entirely and commits with all-zero probe outputs;
-    can never open, and extraction has nothing to work with."""
-
-    def query_probe(self):
-        p = self.params
-        self.probe_sid = self.api.take_handover()
-        if self.probe_sid is None:
-            raise ProtocolAbort("await-probe")
-        self.st_e = BitString.zeros(p.probe.fe.out_len)
-        self.p_e = HelperData(
-            BitString.zeros(p.probe.fe.source_len),
-            BitString.zeros(p.probe.fe.seed_bits),
-        )
+    def commitments(self, masks):
+        self.late_answers = [
+            self.api.eval(self.probe_sid, self.params.code.enc(st_i ^ r_i))
+            for st_i, r_i in zip(self.st, masks)
+        ]
+        return super().commitments(masks)
 
 
-class ChattyTokenSender(ExtPufSender):
+class ChattyTokenSender(CollectiveSender):
     """Creates its own token as a malicious machine that answers honestly
     but tries to send every incoming challenge back to its creator,
     probing the outgoing-bit budget."""
 
-    def setup(self):
-        api, p = self.api, self.params
-        api.create_malicious(self.sid, p.main.puf, chatty_program(p.main.puf.rg))
-        self.s = BitString.random(p.n, api.rng)
-        self.st, self.helper = p.main.fe.gen(api.eval(self.sid, self.s), api.rng)
-        return self.helper.concat()
+    def create_token(self):
+        p = self.params
+        self.api.create_malicious(self.sid, p.main.puf, chatty_program(p.main.puf.rg))
 
     def leaked_messages(self) -> list:
         return [m for m in self.api.inbox() if m[0] == "outmsg"]
 
 
-class StatefulProbeReceiver(ExtPufReceiver):
-    """Tries to field a probe that records what it is queried on, so the
-    receiver could learn the committed string after the probe returns.
-    Under the zero-state regime the router refuses the machine at
-    creation time; this class exists to prove that refusal fires."""
+class _UncheckedProbeReceiver(CollectiveReceiver):
+    """Fields a malicious probe running the subclass's probe_program() and
+    takes back whatever token returns without a fingerprint check."""
 
     def create_probe(self):
-        p = self.params
-        marker = BitString.zeros(p.probe.puf.n)
-        self.api.create_malicious(
-            self.probe_sid, p.probe.puf,
-            replay_on_marker_program(p.probe.fe.source_len, marker),
-        )
+        self.api.create_malicious(self.probe_sid, self.params.probe.puf,
+                                  self.probe_program())
         self.tq = None
 
     def verify_return(self):
@@ -213,6 +178,18 @@ class StatefulProbeReceiver(ExtPufReceiver):
         if returned is None:
             raise ProtocolAbort("await-probe-return")
         self.returned_probe = returned
+
+
+class StatefulProbeReceiver(_UncheckedProbeReceiver):
+    """Tries to field a probe that records what it is queried on, so the
+    receiver could learn the committed string after the probe returns.
+    Under the zero-state regime the router refuses the machine at creation
+    time; this class exists to prove that refusal fires."""
+
+    def probe_program(self):
+        p = self.params
+        return replay_on_marker_program(p.probe.fe.source_len,
+                                        BitString.zeros(p.probe.puf.n))
 
     def read_probe_memory(self) -> Optional[BitString]:
         """After the return, ask the stateful probe to replay the last
@@ -221,21 +198,12 @@ class StatefulProbeReceiver(ExtPufReceiver):
         return self.api.eval(self.returned_probe, marker)
 
 
-class AbortingProbeReceiver(ExtPufReceiver):
+class AbortingProbeReceiver(_UncheckedProbeReceiver):
     """Fields a probe that refuses every query; the sender must complete
     the commit phase with all-zero probe outputs rather than abort."""
 
-    def create_probe(self):
-        p = self.params
-        self.api.create_malicious(self.probe_sid, p.probe.puf,
-                                  silent_program(p.probe.fe.source_len))
-        self.tq = None
-
-    def verify_return(self):
-        returned = self.api.take_handover()
-        if returned is None:
-            raise ProtocolAbort("await-probe-return")
-        self.returned_probe = returned
+    def probe_program(self):
+        return silent_program(self.params.probe.fe.source_len)
 
     def check_opening(self, *args):
         return None  # nothing this receiver accepts is meaningful
@@ -406,16 +374,15 @@ class AdversaryStrategy:
     protocol: str              # cpuf | extpuf | collextpuf | original-extpuf | uccompiler
     factory: Callable
     expect: str                # what a run against the honest peer should yield
-    budgets: Budgets = field(default_factory=lambda: Budgets(k_state=0, k_in=None, k_out=0))
     notes: str = ""
 
 
 def zoo() -> list[AdversaryStrategy]:
     return [
         AdversaryStrategy("honest-sender", "sender", "extpuf",
-                          ExtPufSender, expect="accept"),
+                          CollectiveSender, expect="accept"),
         AdversaryStrategy("honest-receiver", "receiver", "extpuf",
-                          ExtPufReceiver, expect="accept"),
+                          CollectiveReceiver, expect="accept"),
         AdversaryStrategy("ambiguous-query-attacker", "sender", "original-extpuf",
                           AmbiguousQuerySender, expect="accept",
                           notes="extraction yields no unique candidate while the "
@@ -423,15 +390,15 @@ def zoo() -> list[AdversaryStrategy]:
         AdversaryStrategy("equivocating-open-cpuf", "sender", "cpuf",
                           EquivocatingCpufSender, expect="reject"),
         AdversaryStrategy("equivocating-open-extpuf", "sender", "extpuf",
-                          EquivocatingExtPufSender, expect="reject"),
+                          EquivocatingCollectiveSender, expect="reject"),
         AdversaryStrategy("equivocating-open-collective", "sender", "collextpuf",
                           EquivocatingCollectiveSender, expect="reject"),
         AdversaryStrategy("honest-collective-sender", "sender", "collextpuf",
                           CollectiveSender, expect="accept"),
         AdversaryStrategy("never-query-collective", "sender", "collextpuf",
-                          CollectiveNeverQuerySender, expect="reject"),
+                          NeverQuerySender, expect="reject"),
         AdversaryStrategy("substituting-returner-collective", "sender", "collextpuf",
-                          CollectiveSubstitutingReturner, expect="abort:TQ_FAIL"),
+                          SubstitutingReturnSender, expect="abort:TQ_FAIL"),
         AdversaryStrategy("substituting-returner", "sender", "extpuf",
                           SubstitutingReturnSender, expect="abort:TQ_FAIL"),
         AdversaryStrategy("late-query-sender", "sender", "extpuf",

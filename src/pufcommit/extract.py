@@ -15,6 +15,10 @@ Candidates are deduplicated by value; a retried query that decodes to
 the same string must not spoil extraction.  Exactly one distinct
 candidate is the committed string; zero or several mean the sender is
 bound to nothing it can open.
+
+Every extractor takes the same inputs: the commitment strings ``cs`` and
+masks ``masks`` of all committed strings, one for the single-string
+flows, plus the log tap.
 """
 
 from __future__ import annotations
@@ -76,39 +80,27 @@ def probe_queries(log: EventLog, probe_sid: str, sender: str,
     return out
 
 
-def _candidates(queries, code, c, r, k) -> set[BitString]:
-    found = set()
-    for q in queries:
-        candidate = extract_from_query(code.dec(q), c, r, k)
-        if candidate is not None:
-            found.add(candidate)
-    return found
-
-
 def run_extractor_modified(inputs: dict) -> Optional[BitString]:
-    """Extraction for the revised single-string protocol."""
-    queries = probe_queries(inputs["log"], inputs["probe_sid"], inputs["sender"],
-                            inputs["commit_end"])
-    found = _candidates(queries, inputs["code"], inputs["c"], inputs["r"], inputs["k"])
-    if len(found) == 1:
-        return found.pop()
-    return None
+    """Extraction for the revised single-string protocol: the collective
+    extractor on one string."""
+    return _extract(inputs)[0]
 
 
 def run_extractor_original(inputs: dict) -> Optional[BitString]:
     """Extraction for the original flow; bit commitments only."""
     if inputs["k"] != 1:
         raise ValueError("the original extraction procedure is defined for k = 1")
-    queries = probe_queries(inputs["log"], inputs["probe_sid"], inputs["sender"],
-                            inputs["commit_end"])
-    found = _candidates(queries, inputs["code"], inputs["c"], inputs["r"], 1)
-    if len(found) == 1:
-        return found.pop()
-    return None
+    return _extract(inputs)[0]
 
 
 def run_extractor_collective(inputs: dict) -> list[Optional[BitString]]:
     """Componentwise extraction: every query is tried against every index."""
+    return _extract(inputs)
+
+
+def _extract(inputs: dict) -> list[Optional[BitString]]:
+    """The candidate search behind all three entry points; they share it
+    rather than call each other, so one extraction is one entry-point call."""
     queries = probe_queries(inputs["log"], inputs["probe_sid"], inputs["sender"],
                             inputs["commit_end"])
     k = inputs["k"]

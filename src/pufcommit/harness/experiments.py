@@ -23,11 +23,7 @@ from ..adversaries import (
 )
 from ..bits import BitString, hamming_distance
 from ..entropy import check_entropy_lemmas, histogram_distance
-from ..extract import (
-    run_extractor_collective,
-    run_extractor_modified,
-    run_extractor_original,
-)
+from ..extract import run_extractor_collective, run_extractor_original
 from ..fuzzy import FuzzyExtractor
 from ..prf import derive_seed
 from ..puf import (
@@ -46,7 +42,6 @@ from ..protocols import (
     run_blob_equalities,
     run_collective,
     run_cpuf,
-    run_extpuf,
     run_original_extpuf,
     run_uccompiler,
 )
@@ -86,6 +81,11 @@ def _tseed(cfg: ExperimentConfig, label: str, i: int) -> int:
     return derive_seed(cfg.seed, label, i)
 
 
+def _n_strings(cfg: ExperimentConfig) -> int:
+    """Strings per run of the commitment core: extpuf is collextpuf with one."""
+    return 1 if cfg.protocol == "extpuf" else cfg.n_strings
+
+
 # ---------------------------------------------------------------------------
 # Per-trial counters
 # ---------------------------------------------------------------------------
@@ -97,15 +97,11 @@ def _completeness_trial(cfg: ExperimentConfig, i: int) -> Counter:
         x = BitString.random(cfg.k, rng)
         out = run_cpuf(_cpuf_params(cfg.n, cfg.k, cfg.d_noise), x, seed)
         ok = bool(out.accepted) and out.value == x
-    elif cfg.protocol == "extpuf":
-        x = BitString.random(cfg.k, rng)
-        out = run_extpuf(_extpuf_params(cfg.n, cfg.k, cfg.d_noise), x, seed)
-        ok = bool(out.accepted) and out.value == x
-    elif cfg.protocol == "collextpuf":
-        values = [BitString.random(cfg.k, rng) for _ in range(cfg.n_strings)]
+    elif cfg.protocol in ("extpuf", "collextpuf"):
+        values = [BitString.random(cfg.k, rng) for _ in range(_n_strings(cfg))]
         out = run_collective(_extpuf_params(cfg.n, cfg.k, cfg.d_noise), values, seed)
         ok = out.committed and all(out.opened.get(j) == values[j]
-                                   for j in range(cfg.n_strings))
+                                   for j in range(len(values)))
     elif cfg.protocol == "original-extpuf":
         x = BitString.random(cfg.k, rng)
         out = run_original_extpuf(_original_params(cfg.n, cfg.k, cfg.d_noise), x, seed)
@@ -178,9 +174,9 @@ def _neutralized_trial(cfg: ExperimentConfig, i: int) -> Counter:
     for j, strategy in enumerate(senders):
         rng = _trial_rng(cfg, f"x/{strategy.strategy_id}", i)
         x = BitString.random(cfg.k, rng)
-        out = run_extpuf(params, x, derive_seed(cfg.seed, strategy.strategy_id, i),
-                         sender_factory=strategy.factory)
-        probe = out.probe_sid or "extpuf/probe"
+        out = run_collective(params, [x], derive_seed(cfg.seed, strategy.strategy_id, i),
+                             sender_factory=strategy.factory)
+        probe = out.probe_sid or "coll/probe"
         if not check_order_discipline(out.session.log, probe, "S"):
             ok = False
     return Counter(success=int(ok), **({} if ok else {"abort:order-violated": 1}))
@@ -195,12 +191,9 @@ def _binding_trial(cfg: ExperimentConfig, i: int) -> Counter:
         out = run_cpuf(_cpuf_params(cfg.n, cfg.k, cfg.d_noise), x, seed,
                        sender_factory=strategy.factory)
         broke = bool(out.accepted)
-    elif cfg.protocol == "extpuf":
-        out = run_extpuf(_extpuf_params(cfg.n, cfg.k, cfg.d_noise), x, seed,
-                         sender_factory=strategy.factory)
-        broke = bool(out.accepted)
-    elif cfg.protocol == "collextpuf":
-        values = [BitString.random(cfg.k, rng) for _ in range(cfg.n_strings)]
+    elif cfg.protocol in ("extpuf", "collextpuf"):
+        values = ([x] if cfg.protocol == "extpuf"
+                  else [BitString.random(cfg.k, rng) for _ in range(cfg.n_strings)])
         out = run_collective(_extpuf_params(cfg.n, cfg.k, cfg.d_noise), values, seed,
                              sender_factory=strategy.factory)
         broke = out.committed and any(v is not None for v in out.opened.values())
@@ -222,31 +215,20 @@ def _extraction_trial(cfg: ExperimentConfig, i: int) -> Counter:
     for strategy in _extraction_senders(cfg):
         rng = _trial_rng(cfg, f"input/{strategy.strategy_id}", i)
         seed = derive_seed(cfg.seed, "run", strategy.strategy_id, i)
-        if cfg.protocol == "extpuf":
-            x = BitString.random(cfg.k, rng)
-            out = run_extpuf(params, x, seed, sender_factory=strategy.factory)
-            if out.commit_end < 0:
-                counter[f"commit-abort:{strategy.strategy_id}"] += 1
-                continue
-            extracted = run_extractor_modified(out.extraction_inputs())
-            violated = bool(out.accepted) and out.value != extracted
-            if strategy.strategy_id.startswith("honest") and extracted != x:
-                violated = True
-        elif cfg.protocol == "collextpuf":
-            values = [BitString.random(cfg.k, rng) for _ in range(cfg.n_strings)]
-            out = run_collective(params, values, seed, sender_factory=strategy.factory)
-            if not out.committed:
-                counter[f"commit-abort:{strategy.strategy_id}"] += 1
-                continue
-            extracted = run_extractor_collective(out.extraction_inputs())
-            violated = any(
-                out.opened.get(j) is not None and out.opened[j] != extracted[j]
-                for j in range(cfg.n_strings)
-            )
-            if strategy.strategy_id.startswith("honest") and extracted != values:
-                violated = True
-        else:
+        if cfg.protocol not in ("extpuf", "collextpuf"):
             raise ConfigError("protocol", f"extraction undefined for {cfg.protocol!r}")
+        values = [BitString.random(cfg.k, rng) for _ in range(_n_strings(cfg))]
+        out = run_collective(params, values, seed, sender_factory=strategy.factory)
+        if not out.committed:
+            counter[f"commit-abort:{strategy.strategy_id}"] += 1
+            continue
+        extracted = run_extractor_collective(out.extraction_inputs())
+        violated = any(
+            out.opened.get(j) is not None and out.opened[j] != extracted[j]
+            for j in range(len(values))
+        )
+        if strategy.strategy_id.startswith("honest") and extracted != values:
+            violated = True
         if violated:
             counter["success"] = 0
             counter[f"violation:{strategy.strategy_id}"] += 1
@@ -266,14 +248,8 @@ def _commit_view(cfg: ExperimentConfig, b: int, seed: int):
                     fe=params.pair.fe, width=params.l)
         return view
     params = _extpuf_params(cfg.n, cfg.k, cfg.d_noise)
-    if cfg.protocol == "extpuf":
-        out = run_extpuf(params, x, seed, open_phase=False)
-        view = dict(out.receiver_view)
-        view.update(token=out.receiver.token_sid, api=out.receiver.api,
-                    fe=params.main.fe, width=params.n)
-        return view
-    if cfg.protocol == "collextpuf":
-        values = [x for _ in range(cfg.n_strings)]
+    if cfg.protocol in ("extpuf", "collextpuf"):
+        values = [x for _ in range(_n_strings(cfg))]
         out = run_collective(params, values, seed, open_indices=[])
         view = {
             "c": out.receiver_view["cs"][0],
@@ -320,18 +296,12 @@ def _costs_run(cfg: ExperimentConfig) -> ExperimentReport:
         log = out.session.log
         expected = (4, 4) if cfg.mode == "collective" else (8 * cfg.n + 2, 8 * cfg.n + 2)
         ok = bool(out.accepted)
-    elif cfg.protocol == "extpuf":
-        out = run_extpuf(_extpuf_params(cfg.n, cfg.k, cfg.d_noise),
-                         BitString.random(cfg.k, rng), seed)
-        log = out.session.log
-        expected = (2, 2)
-        ok = bool(out.accepted)
-    elif cfg.protocol == "collextpuf":
-        values = [BitString.random(cfg.k, rng) for _ in range(cfg.n_strings)]
+    elif cfg.protocol in ("extpuf", "collextpuf"):
+        values = [BitString.random(cfg.k, rng) for _ in range(_n_strings(cfg))]
         out = run_collective(_extpuf_params(cfg.n, cfg.k, cfg.d_noise), values, seed)
         log = out.session.log
         expected = (2, 2)
-        ok = out.committed
+        ok = out.committed and None not in out.opened.values()
     elif cfg.protocol == "cpuf":
         out = run_cpuf(_cpuf_params(cfg.n, cfg.k, cfg.d_noise),
                        BitString.random(cfg.k, rng), seed)

@@ -1,6 +1,6 @@
 from .params import CommitPair, CpufParams, ExtPufParams, OriginalExtPufParams
 from .cpuf import CpufOutcome, CpufReceiver, CpufSender, run_cpuf
-from .extpuf import ExtPufOutcome, ExtPufReceiver, ExtPufSender, run_extpuf
+from .extpuf import ExtPufOutcome, run_extpuf
 from .original import (
     OriginalOutcome,
     OriginalReceiver,
@@ -32,8 +32,6 @@ __all__ = [
     "CpufReceiver",
     "run_cpuf",
     "ExtPufOutcome",
-    "ExtPufSender",
-    "ExtPufReceiver",
     "run_extpuf",
     "OriginalOutcome",
     "OriginalSender",

@@ -1,13 +1,29 @@
-"""Collective extractable commitment: N strings under one token pair.
+"""Extractable token commitment, revised flow, over N strings at once.
 
-The revised single-string flow, vectorized: one sender token serves all
-N strings (one challenge s^i per string), one probe token answers all N
-codeword queries while the sender holds it, and each string gets its own
-mask r^i and commitment string c^i.  Decommitments are per index and can
-happen at any later time, in any order, repeatedly.
+This is the one commitment core: the single-string protocol (extpuf.py)
+is this flow with N = 1, and the compiler's channels run it too.
 
-Token traffic stays at two tokens and two exchange phases total no
-matter how many strings are committed.
+Commit: the receiver fingerprints its probe token; the sender draws one
+challenge s^i per string from its own token and extracts (st^i, p^i).
+Tokens swap (the sender's token plus every p^i one way, the probe the
+other).  Holding the probe, the sender queries it on Enc(st^i) for every
+string to get (st_E^i, p_E^i), substituting all-zero strings if the
+probe refuses, then returns the probe.  Only after the probe passes the
+return check does the receiver reveal one mask r^i per string, upon
+which the sender publishes c^i = st^i XOR (x_i^n AND r^i).
+
+Open, per index, at any later time, in any order, repeatedly: the sender
+reveals (i, s^i, x_i, st_E^i, p_E^i); the receiver re-derives st^i from
+the sender's token, checks the masking equation, and re-queries the
+probe on Enc(st^i) to check st_E^i.
+
+The probe crosses the sender's hands before any mask exists and never
+comes back, which is the whole point: a sender can no longer aim a probe
+query at a masked secret, and the query it must make to pass the st_E
+check pins the string it can open.  The probe runs with zero state and
+zero outgoing budget; its creator may still send it bits.  Token traffic
+stays at two tokens and two exchange phases no matter how many strings
+are committed.
 """
 
 from __future__ import annotations
@@ -19,12 +35,14 @@ from ..bits import BitString
 from ..functionality import Budgets
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import TestQuery, mask_commitment, record_test_query
-from .extpuf import EXTPUF_BUDGETS
+from .common import TestQuery, mask_commitment, probe_outputs, record_test_query
 from .params import ExtPufParams
 
 __all__ = ["CollectiveSender", "CollectiveReceiver", "CollectiveOutcome",
-           "run_collective"]
+           "run_collective", "run_collective_commit", "open_index", "EXTPUF_BUDGETS"]
+
+# stateless probes, no outgoing channel, unbounded incoming
+EXTPUF_BUDGETS = Budgets(k_state=0, k_in=None, k_out=0)
 
 
 class CollectiveSender:
@@ -42,9 +60,12 @@ class CollectiveSender:
         self.sid = f"{label}{self.SID}"
         self.probe_sid: Optional[str] = None
 
+    def create_token(self) -> None:
+        self.api.create_honest(self.sid, self.params.main.puf)
+
     def setup(self) -> list[BitString]:
         api, p = self.api, self.params
-        api.create_honest(self.sid, p.main.puf)
+        self.create_token()
         self.s = []
         self.st = []
         self.helpers = []
@@ -59,25 +80,21 @@ class CollectiveSender:
     def send_token(self, receiver: str) -> None:
         self.api.handover(self.sid, receiver)
 
+    def ask_probe(self, st_i: BitString) -> Optional[BitString]:
+        return self.api.eval(self.probe_sid, self.params.code.enc(st_i))
+
     def query_probe(self) -> None:
-        p = self.params
+        """Query the probe on the codeword of every st^i; zeros where it refuses."""
         self.probe_sid = self.api.take_handover()
         if self.probe_sid is None:
             raise ProtocolAbort("await-probe")
         self.st_e = []
         self.p_e = []
         for st_i in self.st:
-            response = self.api.eval(self.probe_sid, p.code.enc(st_i))
-            if response is None or response.n != p.probe.fe.source_len:
-                self.st_e.append(BitString.zeros(p.probe.fe.out_len))
-                self.p_e.append(HelperData(
-                    BitString.zeros(p.probe.fe.source_len),
-                    BitString.zeros(p.probe.fe.seed_bits),
-                ))
-            else:
-                st_e_i, p_e_i = p.probe.fe.gen(response, self.api.rng)
-                self.st_e.append(st_e_i)
-                self.p_e.append(p_e_i)
+            st_e_i, p_e_i = probe_outputs(self.ask_probe(st_i),
+                                          self.params.probe.fe, self.api.rng)
+            self.st_e.append(st_e_i)
+            self.p_e.append(p_e_i)
 
     def return_probe(self, receiver: str) -> None:
         self.api.handover(self.probe_sid, receiver)
@@ -123,6 +140,7 @@ class CollectiveReceiver:
         ]
 
     def verify_return(self) -> None:
+        """Accept whatever token came back, then hold it to the fingerprint."""
         returned = self.api.take_handover()
         if returned is None:
             raise ProtocolAbort("await-probe-return")
@@ -238,12 +256,19 @@ def run_collective_commit(params: ExtPufParams, values: list[BitString],
 
 def open_index(outcome: CollectiveOutcome, index: int,
                receiver_name: str = "R") -> Optional[BitString]:
-    """One decommitment; may be called at any time after commit, repeatedly."""
+    """One decommitment; may be called at any time after commit, repeatedly.
+    A party giving up during the opening rejects it and records the step."""
     session = outcome.session
     S, R = outcome.sender, outcome.receiver
-    opening = S.opening(index)
-    session.msg(outcome.sender_name, receiver_name, "opening", opening)
-    value = R.check_opening(*opening)
+    try:
+        opening = S.opening(index)
+        session.msg(outcome.sender_name, receiver_name, "opening", opening)
+        value = R.check_opening(*opening)
+    except ProtocolAbort as abort:
+        session.mark(f"abort:{abort.step}")
+        outcome.abort_step = abort.step
+        outcome.opened[index] = None
+        return None
     outcome.opened[index] = value
     session.outcome(receiver_name, index=index, accepted=value is not None,
                     value=value.to01() if value is not None else None)

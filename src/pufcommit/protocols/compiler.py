@@ -18,9 +18,10 @@ Decommit: the sender picks l_t in {2t, 2t+1} per pair and opens both
 shares of blob l_t; the receiver accepts if some single bit b explains
 every opened pair.
 
-Channels: the commitments ride either on one collective instance per
-direction (two tokens, two exchange phases each) or, in the per-string
-compatibility mode, on one single-string instance per committed string.
+Channels: the commitments ride on the collective commitment core,
+either as one instance per direction over all its strings (two tokens,
+two exchange phases each) or, in the per-string compatibility mode, as
+one single-string instance (N = 1) per committed string.
 """
 
 from __future__ import annotations
@@ -31,17 +32,10 @@ from typing import Callable, Optional
 from ..bits import BitString
 from ..session import ProtocolAbort, Session
 from .collective import (
+    EXTPUF_BUDGETS,
     CollectiveOutcome,
-    CollectiveReceiver,
-    CollectiveSender,
     open_index,
     run_collective_commit,
-)
-from .extpuf import (
-    EXTPUF_BUDGETS,
-    ExtPufOutcome,
-    open_extpuf,
-    run_extpuf_commit,
 )
 from .params import ExtPufParams
 
@@ -72,23 +66,17 @@ class CollectiveChannel:
     """All strings of one direction under a single collective instance."""
 
     def __init__(self, session: Session, params: ExtPufParams,
-                 sender_name: str, receiver_name: str, label: str,
-                 sender_factory: Callable = CollectiveSender,
-                 receiver_factory: Callable = CollectiveReceiver):
+                 sender_name: str, receiver_name: str, label: str):
         self.session = session
         self.params = params
         self.sender_name = sender_name
         self.receiver_name = receiver_name
         self.label = label
-        self.sender_factory = sender_factory
-        self.receiver_factory = receiver_factory
         self.outcome: Optional[CollectiveOutcome] = None
 
     def commit(self, values: list[BitString]) -> bool:
         self.outcome = run_collective_commit(
             self.params, values, self.session,
-            sender_factory=self.sender_factory,
-            receiver_factory=self.receiver_factory,
             sender_name=self.sender_name, receiver_name=self.receiver_name,
             label=self.label,
         )
@@ -102,7 +90,8 @@ class CollectiveChannel:
 
 
 class PerStringChannel:
-    """Compatibility mode: one single-string instance per committed string."""
+    """Compatibility mode: one single-string (N = 1) instance per committed
+    string."""
 
     def __init__(self, session: Session, params: ExtPufParams,
                  sender_name: str, receiver_name: str, label: str):
@@ -111,22 +100,19 @@ class PerStringChannel:
         self.sender_name = sender_name
         self.receiver_name = receiver_name
         self.label = label
-        self.instances: list[ExtPufOutcome] = []
+        self.instances: list[CollectiveChannel] = []
 
     def commit(self, values: list[BitString]) -> bool:
         for i, value in enumerate(values):
-            outcome = run_extpuf_commit(
-                self.params, value, self.session,
-                sender_name=self.sender_name, receiver_name=self.receiver_name,
-                label=f"{self.label}{i}/",
-            )
-            self.instances.append(outcome)
-            if outcome.abort_step is not None:
+            instance = CollectiveChannel(self.session, self.params, self.sender_name,
+                                         self.receiver_name, f"{self.label}{i}/")
+            self.instances.append(instance)
+            if not instance.commit([value]):
                 return False
         return True
 
     def open(self, index: int) -> Optional[BitString]:
-        return open_extpuf(self.instances[index], receiver_name=self.receiver_name)
+        return self.instances[index].open(0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +178,9 @@ class HonestCompilerReceiver:
         return self.e_bits
 
     def check_equalities(self, y_bits: list[int], opened: dict) -> bool:
-        if len(y_bits) != self.n:
-            return False
-        for t, e_t in enumerate(self.e_bits):
-            a = opened.get(share_index(2 * t, e_t))
-            b = opened.get(share_index(2 * t + 1, e_t))
-            if a is None or b is None or y_bits[t] != a.value ^ b.value:
-                return False
-        return True
+        """opened: share index -> opened share, None where the opening failed."""
+        bits = {idx: share.value for idx, share in opened.items() if share is not None}
+        return len(y_bits) == self.n and blob_equalities_check(y_bits, self.e_bits, bits)
 
     def after_commit(self) -> str:
         return "accept"

@@ -1,253 +1,82 @@
-"""Extractable token commitment, revised flow.
+"""Extractable token commitment, revised flow, for a single string.
 
-Commit: the sender extracts (st, p) from its own token and swaps tokens
-with the receiver (its token plus p one way, the receiver's probe token
-the other).  Holding the probe, the sender queries it on Enc(st) to get
-(st_E, p_E), substituting all-zero strings if the probe refuses, then
-returns the probe.  Only after the probe passes the return check does
-the receiver reveal the mask r, upon which the sender publishes
-c = st XOR (x^n AND r).
-
-Open: the sender reveals (s, x, st_E, p_E); the receiver re-derives st
-from the sender's token, checks the masking equation, and re-queries the
-probe on Enc(st) to check st_E.
-
-The probe crosses the sender's hands before r exists and never comes
-back, which is the whole point: a sender can no longer aim a probe query
-at the masked secret, and the query it must make to pass the st_E check
-pins the string it can open.  The probe runs with zero state and zero
-outgoing budget; its creator may still send it bits.
+The single-string protocol is the collective flow (collective.py) with
+N = 1: run_extpuf commits the one string through run_collective and, when
+asked, opens index 0.  ExtPufOutcome is a read-only one-string view of
+that run; it holds no protocol logic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..bits import BitString
 from ..functionality import Budgets
-from ..fuzzy import HelperData
-from ..session import PartyHandle, ProtocolAbort, Session
-from .common import TestQuery, mask_commitment, record_test_query
+from .collective import (
+    EXTPUF_BUDGETS,
+    CollectiveOutcome,
+    CollectiveReceiver,
+    CollectiveSender,
+    run_collective,
+)
 from .params import ExtPufParams
 
-__all__ = ["ExtPufSender", "ExtPufReceiver", "ExtPufOutcome", "run_extpuf",
-           "run_extpuf_commit", "open_extpuf", "EXTPUF_BUDGETS"]
-
-# stateless probes, no outgoing channel, unbounded incoming
-EXTPUF_BUDGETS = Budgets(k_state=0, k_in=None, k_out=0)
+__all__ = ["ExtPufOutcome", "run_extpuf", "EXTPUF_BUDGETS"]
 
 
-class ExtPufSender:
-    SID = "extpuf/token"
-
-    def __init__(self, params: ExtPufParams, x: BitString, api: PartyHandle,
-                 label: str = ""):
-        if x.n != params.k:
-            raise ValueError(f"LEN_MISMATCH: value of {x.n} bits, expected {params.k}")
-        self.params = params
-        self.x = x
-        self.api = api
-        self.sid = f"{label}{self.SID}"
-        self.probe_sid: Optional[str] = None
-
-    def setup(self) -> BitString:
-        api, p = self.api, self.params
-        api.create_honest(self.sid, p.main.puf)
-        self.s = BitString.random(p.n, api.rng)
-        self.st, self.helper = p.main.fe.gen(api.eval(self.sid, self.s), api.rng)
-        return self.helper.concat()
-
-    def send_token(self, receiver: str) -> None:
-        self.api.handover(self.sid, receiver)
-
-    def query_probe(self) -> None:
-        """Query the probe on the codeword of st; zeros if the probe aborts."""
-        p = self.params
-        self.probe_sid = self.api.take_handover()
-        if self.probe_sid is None:
-            raise ProtocolAbort("await-probe")
-        response = self.api.eval(self.probe_sid, p.code.enc(self.st))
-        if response is None or response.n != p.probe.fe.source_len:
-            self.st_e = BitString.zeros(p.probe.fe.out_len)
-            self.p_e = HelperData(
-                BitString.zeros(p.probe.fe.source_len),
-                BitString.zeros(p.probe.fe.seed_bits),
-            )
-        else:
-            self.st_e, self.p_e = p.probe.fe.gen(response, self.api.rng)
-
-    def return_probe(self, receiver: str) -> None:
-        self.api.handover(self.probe_sid, receiver)
-
-    def commitment(self, r: BitString) -> BitString:
-        self.r = r
-        return mask_commitment(self.st, self.x, r, self.params.n)
-
-    def opening(self):
-        return self.s, self.x, self.st_e, self.p_e.concat()
+def _from_core(name: str) -> property:
+    return property(lambda self: getattr(self.core, name))
 
 
-class ExtPufReceiver:
-    PROBE_SID = "extpuf/probe"
-
-    def __init__(self, params: ExtPufParams, api: PartyHandle, label: str = ""):
-        self.params = params
-        self.api = api
-        self.probe_sid = f"{label}{self.PROBE_SID}"
-        self.token_sid: Optional[str] = None
-        self.tq: Optional[TestQuery] = None
-
-    def create_probe(self) -> None:
-        p = self.params
-        self.api.create_honest(self.probe_sid, p.probe.puf)
-        self.tq = record_test_query(self.api, self.probe_sid, p.probe.puf.n, p.probe.fe)
-
-    def send_probe(self, sender: str) -> None:
-        self.api.handover(self.probe_sid, sender)
-
-    def receive_token_and_helper(self, helper: BitString) -> None:
-        self.token_sid = self.api.take_handover()
-        if self.token_sid is None:
-            raise ProtocolAbort("await-token")
-        self.helper = HelperData.from_concat(helper, self.params.main.fe.source_len)
-
-    def verify_return(self) -> None:
-        """Accept whatever token came back, then hold it to the fingerprint."""
-        returned = self.api.take_handover()
-        if returned is None:
-            raise ProtocolAbort("await-probe-return")
-        self.returned_probe = returned
-        if not self.tq.verify(self.api, returned, self.params.probe.fe):
-            raise ProtocolAbort("TQ_FAIL")
-
-    def draw_mask(self) -> BitString:
-        self.r = BitString.random(self.params.mask_len, self.api.rng)
-        return self.r
-
-    def receive_commitment(self, c: BitString) -> None:
-        if c is None or c.n != self.params.mask_len:
-            raise ProtocolAbort("await-c")
-        self.c = c
-
-    def check_opening(self, s, x, st_e, p_e_cat) -> Optional[BitString]:
-        p = self.params
-        if s is None or x is None or s.n != p.n or x.n != p.k:
-            return None
-        if st_e is None or st_e.n != p.probe.fe.out_len:
-            return None
-        if p_e_cat is None or p_e_cat.n != p.probe.fe.helper_len:
-            return None
-        st = p.main.fe.rep(self.api.eval(self.token_sid, s), self.helper)
-        if self.c != mask_commitment(st, x, self.r, p.n):
-            return None
-        probe_response = self.api.eval(self.returned_probe, p.code.enc(st))
-        p_e = HelperData.from_concat(p_e_cat, p.probe.fe.source_len)
-        if st_e != p.probe.fe.rep(probe_response, p_e):
-            return None
-        return x
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExtPufOutcome:
-    session: Session
-    accepted: Optional[bool]
-    value: Optional[BitString]
-    abort_step: Optional[str] = None
-    commit_end: int = -1
-    receiver_view: dict = field(default_factory=dict)
-    probe_sid: Optional[str] = None
-    sender_name: str = "S"
-    sender: object = None
-    receiver: object = None
+    """One-string view of a collective run over [x]."""
+
+    core: CollectiveOutcome
+
+    session = _from_core("session")
+    abort_step = _from_core("abort_step")
+    commit_end = _from_core("commit_end")
+    probe_sid = _from_core("probe_sid")
+    sender_name = _from_core("sender_name")
+    sender = _from_core("sender")
+    receiver = _from_core("receiver")
+
+    @property
+    def accepted(self) -> Optional[bool]:
+        """False after an abort or a rejected opening, None while unopened."""
+        if not self.core.committed:
+            return False
+        if 0 not in self.core.opened:
+            return None
+        return self.core.opened[0] is not None
+
+    @property
+    def value(self) -> Optional[BitString]:
+        return self.core.opened.get(0)
+
+    @property
+    def receiver_view(self) -> dict:
+        """The receiver's commit-phase view of the one string; empty after
+        a commit abort."""
+        view = self.core.receiver_view
+        if not view:
+            return {}
+        return {"c": view["cs"][0], "r": view["masks"][0], "k": view["k"],
+                "code": view["code"]}
 
     def extraction_inputs(self) -> dict:
         """Everything the straight-line extractor needs from this session."""
-        return {
-            "c": self.receiver_view["c"],
-            "r": self.receiver_view["r"],
-            "k": self.receiver_view["k"],
-            "code": self.receiver_view["code"],
-            "probe_sid": self.probe_sid,
-            "sender": self.sender_name,
-            "commit_end": self.commit_end,
-            "log": self.session.log,
-        }
-
-
-def run_extpuf_commit(params: ExtPufParams, x: BitString, session: Session,
-                      sender_factory: Callable = ExtPufSender,
-                      receiver_factory: Callable = ExtPufReceiver,
-                      sender_name: str = "S", receiver_name: str = "R",
-                      label: str = "") -> ExtPufOutcome:
-    """Commit phase inside a caller-owned session; open via open_extpuf."""
-    S = sender_factory(params, x, session.handle_for(sender_name), label=label)
-    R = receiver_factory(params, session.handle_for(receiver_name), label=label)
-    outcome = ExtPufOutcome(session, accepted=False, value=None,
-                            sender_name=sender_name, sender=S, receiver=R)
-    try:
-        session.phase(receiver_name, f"{label}probe-setup")
-        R.create_probe()
-        session.phase(sender_name, f"{label}setup")
-        helper = S.setup()
-        session.begin_exchange_phase(f"{label}token-swap")
-        S.send_token(receiver_name)
-        R.receive_token_and_helper(
-            session.msg(sender_name, receiver_name, "helper", helper))
-        R.send_probe(sender_name)
-        session.phase(sender_name, f"{label}probe-query")
-        S.query_probe()
-        session.begin_exchange_phase(f"{label}probe-return")
-        S.return_probe(receiver_name)
-        session.phase(receiver_name, f"{label}verify-return")
-        R.verify_return()
-        r = session.msg(receiver_name, sender_name, "mask", R.draw_mask())
-        session.phase(sender_name, f"{label}commit")
-        R.receive_commitment(
-            session.msg(sender_name, receiver_name, "c", S.commitment(r)))
-        outcome.commit_end = session.mark(f"{label}commit-complete")
-    except ProtocolAbort as abort:
-        session.mark(f"abort:{label}{abort.step}")
-        outcome.abort_step = abort.step
-        return outcome
-    outcome.receiver_view = {
-        "r": R.r, "c": R.c, "helper": R.helper, "k": params.k, "code": params.code,
-    }
-    outcome.probe_sid = R.returned_probe
-    outcome.accepted = None
-    return outcome
-
-
-def open_extpuf(outcome: ExtPufOutcome, receiver_name: str = "R") -> Optional[BitString]:
-    session = outcome.session
-    S, R = outcome.sender, outcome.receiver
-    session.phase(outcome.sender_name, "open")
-    try:
-        s_open, x_open, st_e, p_e_cat = S.opening()
-        session.msg(outcome.sender_name, receiver_name, "opening",
-                    (s_open, x_open, st_e, p_e_cat))
-        value = R.check_opening(s_open, x_open, st_e, p_e_cat)
-    except ProtocolAbort as abort:
-        session.mark(f"abort:{abort.step}")
-        outcome.accepted, outcome.abort_step = False, abort.step
-        return None
-    outcome.accepted = value is not None
-    outcome.value = value
-    session.outcome(receiver_name, accepted=outcome.accepted,
-                    value=value.to01() if value is not None else None)
-    return value
+        return self.core.extraction_inputs()
 
 
 def run_extpuf(params: ExtPufParams, x: BitString, seed: int,
-               sender_factory: Callable = ExtPufSender,
-               receiver_factory: Callable = ExtPufReceiver,
+               sender_factory: Callable = CollectiveSender,
+               receiver_factory: Callable = CollectiveReceiver,
                open_phase: bool = True,
                budgets: Budgets = EXTPUF_BUDGETS) -> ExtPufOutcome:
-    session = Session(seed, comm=True, budgets=budgets)
-    outcome = run_extpuf_commit(params, x, session, sender_factory, receiver_factory)
-    if outcome.abort_step is not None:
-        outcome.accepted = False
-        return outcome
-    if open_phase:
-        open_extpuf(outcome)
-    return outcome
+    return ExtPufOutcome(run_collective(params, [x], seed, sender_factory,
+                                        receiver_factory,
+                                        open_indices=None if open_phase else [],
+                                        budgets=budgets))

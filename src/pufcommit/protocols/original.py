@@ -25,7 +25,7 @@ from ..bits import BitString
 from ..functionality import Budgets
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import TestQuery, mask_commitment, record_test_query
+from .common import TestQuery, mask_commitment, probe_outputs, record_test_query
 from .params import OriginalExtPufParams
 
 __all__ = ["OriginalSender", "OriginalReceiver", "OriginalOutcome",
@@ -58,14 +58,7 @@ class OriginalSender:
         self.st1, self.p1 = p.first.fe.gen(api.eval(self.SID_FIRST, self.s1), api.rng)
         self.st2, self.p2 = p.second.fe.gen(api.eval(self.SID_SECOND, self.s2), api.rng)
         response = api.eval(self.probe_sid, p.code.enc(self.st1))
-        if response is None or response.n != p.probe.fe.source_len:
-            self.st_e = BitString.zeros(p.probe.fe.out_len)
-            self.p_e = HelperData(
-                BitString.zeros(p.probe.fe.source_len),
-                BitString.zeros(p.probe.fe.seed_bits),
-            )
-        else:
-            self.st_e, self.p_e = p.probe.fe.gen(response, api.rng)
+        self.st_e, self.p_e = probe_outputs(response, p.probe.fe, api.rng)
         return self.p1.concat(), self.p2.concat()
 
     def send_tokens(self, receiver: str) -> None:
@@ -171,9 +164,10 @@ class OriginalOutcome:
     receiver: object = None
 
     def extraction_inputs(self) -> dict:
+        """The collective extractor's inputs for the one string c_1."""
         return {
-            "c": self.receiver_view["c"],
-            "r": self.receiver_view["r"],
+            "cs": [self.receiver_view["c"]],
+            "masks": [self.receiver_view["r"]],
             "k": self.receiver_view["k"],
             "code": self.receiver_view["code"],
             "probe_sid": self.probe_sid,

@@ -174,10 +174,9 @@ class MaliciousPufMachine:
 
         response, new_state, outgoing = self.program.fn(kind, payload, self.state, oracle)
         if new_state is not None:
-            limit = self.k_state if self.k_state is not None else None
-            if limit is not None and new_state.n > limit:
+            if self.k_state is not None and new_state.n > self.k_state:
                 raise ValueError(
-                    f"STATE_BUDGET: write of {new_state.n} bits exceeds {limit}"
+                    f"STATE_BUDGET: write of {new_state.n} bits exceeds {self.k_state}"
                 )
             self.state = new_state
         return response, outgoing

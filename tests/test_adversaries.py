@@ -121,7 +121,7 @@ def test_stateful_probe_leaks_when_state_is_allowed():
     receiver = out.receiver
     replayed = receiver.read_probe_memory()
     sender = out.sender
-    codeword = EP.code.enc(sender.st)
+    codeword = EP.code.enc(sender.st[0])
     assert replayed.slice(0, codeword.n) == codeword  # the codeword leaked
 
 

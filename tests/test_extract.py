@@ -4,7 +4,9 @@ from random import Random
 import pytest
 
 from pufcommit.bits import BitString, stride_indices
+from pufcommit.ecc import RepetitionCode
 from pufcommit.adversaries import AmbiguousQuerySender, NeverQuerySender
+from pufcommit.functionality import EventLog
 from pufcommit.extract import (
     extract_from_query,
     probe_queries,
@@ -107,6 +109,28 @@ def test_collective_extraction_componentwise():
     assert run_extractor_collective(out.extraction_inputs()) == values
     empty = run_collective(EP, [], seed=23001)
     assert run_extractor_collective(empty.extraction_inputs()) == []
+
+
+def test_bit_shortcut_matches_per_query_extraction_exhaustive():
+    # k = 1 goes through the indexed shortcut; it must agree with the
+    # deduplicated per-query search for every 4-bit (st, c, r), zero masks
+    # and a repeated query included
+    code = RepetitionCode(4, 3)
+    cs = [BitString(v, 4) for v in range(16)]
+    for r_v, q1, q2 in product(range(16), repeat=3):
+        r = BitString(r_v, 4)
+        queries = [BitString(q1, 4), BitString(q2, 4), BitString(q1, 4)]
+        log = EventLog()
+        for st in queries:
+            log.append("eval", sid="probe", sender="S", payload=code.enc(st))
+        inputs = {"cs": cs, "masks": [r] * len(cs), "k": 1, "code": code,
+                  "probe_sid": "probe", "sender": "S", "commit_end": len(log),
+                  "log": log}
+        expected = []
+        for c in cs:
+            found = {extract_from_query(st, c, r, 1) for st in queries} - {None}
+            expected.append(found.pop() if len(found) == 1 else None)
+        assert run_extractor_collective(inputs) == expected
 
 
 def test_original_extractor_honest_and_dedup():

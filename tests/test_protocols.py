@@ -12,6 +12,7 @@ from pufcommit.adversaries import (
 )
 from pufcommit.protocols import (
     CollectiveOutcome,
+    CollectiveSender,
     CpufParams,
     ExtPufParams,
     OriginalExtPufParams,
@@ -24,7 +25,7 @@ from pufcommit.protocols import (
     run_uccompiler,
 )
 from pufcommit.protocols.compiler import blob_equalities_check, share_index
-from pufcommit.session import count_resources
+from pufcommit.session import ProtocolAbort, count_resources
 
 CP = CpufParams.standard(16, 4)
 EP = ExtPufParams.standard(16, 4)
@@ -114,7 +115,7 @@ def test_extpuf_probe_abort_does_not_stop_the_sender():
     assert out.commit_end > 0
     assert out.abort_step is None
     sender = out.sender
-    assert sender.st_e == BitString.zeros(EP.probe.fe.out_len)
+    assert sender.st_e[0] == BitString.zeros(EP.probe.fe.out_len)
 
 
 def test_collective_completeness_and_reopening():
@@ -125,6 +126,19 @@ def test_collective_completeness_and_reopening():
     assert all(out.opened[i] == values[i] for i in range(5))
     # decommitments may repeat at a later time
     assert open_index(out, 3) == values[3]
+
+
+def test_abort_during_opening_rejects_and_records_the_step():
+    class WithdrawingSender(CollectiveSender):
+        def opening(self, index):
+            raise ProtocolAbort("withdrawn")
+
+    out = run_extpuf(EP2, BitString.from01("10"), seed=7300,
+                     sender_factory=WithdrawingSender)
+    assert out.commit_end > 0
+    assert out.accepted is False and out.value is None
+    assert out.abort_step == "withdrawn"
+    assert out.session.log.records[-1].payload == "abort:withdrawn"
 
 
 def test_collective_wrong_value_rejected():
