@@ -17,6 +17,9 @@ from .bits import BitString, hamming_distance
 __all__ = ["RepetitionCode", "measured_min_distance"]
 
 
+_DEC_LOOKUPS = 48  # table lookups per slice of the word in RepetitionCode.dec
+
+
 @lru_cache(maxsize=8)
 def _majority_table(repeat: int, chunk: int) -> list[int]:
     """Majority votes for `chunk` blocks at once, indexed by their raw bits.
@@ -85,15 +88,23 @@ class RepetitionCode:
         table = _majority_table(r, chunk)
         span = r * chunk
         span_mask = (1 << span) - 1
-        value = 0
+        # The word is cut into slices of _DEC_LOOKUPS lookups each, and each
+        # slice's votes are combined before being shifted into place, so no
+        # shift per lookup spans the whole word: linear in the code length.
+        # Blocks past the message read zero bits and vote 0.
+        slice_bits = span * _DEC_LOOKUPS
+        slice_mask = (1 << slice_bits) - 1
+        slice_votes = chunk * _DEC_LOOKUPS
         cv = c.value
-        out = 0
-        while out < self.msg_len:
-            value |= table[cv & span_mask] << out
-            cv >>= span
-            out += chunk
-        if out > self.msg_len:  # drop vote bits beyond the message
-            value &= (1 << self.msg_len) - 1
+        value = 0
+        for out in range(0, self.msg_len, slice_votes):
+            word = cv & slice_mask
+            cv >>= slice_bits
+            votes = 0
+            for shift in range(0, min(slice_votes, self.msg_len - out), chunk):
+                votes |= table[word & span_mask] << shift
+                word >>= span
+            value |= votes << out
         return BitString(value, self.msg_len)
 
 

@@ -91,7 +91,7 @@ def _finish(report: ExperimentReport, out: str | None) -> int:
 
 
 def _demo(args) -> int:
-    from .experiments import run_experiment
+    from .experiments import PROTOCOL_TABLE, run_experiment
 
     n = args.n or 16
     cfg = ExperimentConfig(
@@ -102,18 +102,10 @@ def _demo(args) -> int:
     report = run_experiment(cfg)
 
     # show one annotated transcript alongside the tally
-    from ..protocols import CpufParams, run_cpuf, run_extpuf, ExtPufParams
-    if args.protocol == "extpuf":
-        out = run_extpuf(ExtPufParams.standard(n, cfg.k), BitString.zeros(cfg.k),
-                         args.seed)
-        log = out.session.log
-    elif args.protocol == "cpuf":
-        out = run_cpuf(CpufParams.standard(n, cfg.k), BitString.zeros(cfg.k),
-                       args.seed)
-        log = out.session.log
-    else:
-        log = None
-    if log is not None:
+    entry = PROTOCOL_TABLE[args.protocol]
+    if entry.transcript:
+        values = [BitString.zeros(cfg.k)] * entry.strings(cfg)
+        log = entry.run(entry.params(cfg), values, args.seed).session.log
         print("\ntranscript:")
         for rec in log.records:
             if rec.kind in ("phase", "protocol-msg", "exchange-phase", "outcome"):

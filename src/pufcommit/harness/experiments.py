@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from multiprocessing import get_context
 from random import Random
+from typing import Callable, Optional
 
 from ..adversaries import (
     AmbiguousQuerySender,
@@ -52,7 +54,7 @@ from .ucsim import (
     run_real_world,
 )
 
-__all__ = ["run_experiment", "check_order_discipline"]
+__all__ = ["run_experiment", "check_order_discipline", "PROTOCOL_TABLE"]
 
 HIDING_BOUND = 0.02
 SD_BOUND = 0.02
@@ -81,9 +83,110 @@ def _tseed(cfg: ExperimentConfig, label: str, i: int) -> int:
     return derive_seed(cfg.seed, label, i)
 
 
-def _n_strings(cfg: ExperimentConfig) -> int:
-    """Strings per run of the commitment core: extpuf is collextpuf with one."""
-    return 1 if cfg.protocol == "extpuf" else cfg.n_strings
+# ---------------------------------------------------------------------------
+# Protocol table
+# ---------------------------------------------------------------------------
+
+def _opened_as_sampled(values: list, out) -> bool:
+    return out.committed and all(out.opened.get(j) == v for j, v in enumerate(values))
+
+
+@dataclass(frozen=True)
+class ProtocolEntry:
+    """What the experiments need to know about one protocol.
+
+    run(params, values, seed, open_phase=True, sender_factory=...) runs it
+    on the sampled values and returns its Outcome."""
+
+    params: Callable                   # cfg -> parameter bundle
+    run: Callable
+    experiments: frozenset             # the experiments defined for it
+    strings: Optional[Callable] = lambda cfg: 1   # cfg -> k-bit strings; None: one bit
+    honest_ok: Callable = _opened_as_sampled      # (values, outcome) -> honest run worked
+    cost: Callable = lambda cfg: None  # cfg -> expected (tokens, exchange phases)
+    commit_view: Optional[Callable] = None        # (params, outcome) -> hiding view
+    transcript: bool = False           # the demo prints an honest transcript
+
+    def sample(self, cfg: ExperimentConfig, rng: Random) -> list:
+        if self.strings is None:
+            return [rng.getrandbits(1)]
+        return [BitString.random(cfg.k, rng) for _ in range(self.strings(cfg))]
+
+
+def _run_collective(params, values, seed, open_phase=True, **parties):
+    return run_collective(params, values, seed,
+                          open_indices=None if open_phase else [], **parties)
+
+
+_EXTPUF = ProtocolEntry(
+    params=lambda cfg: _extpuf_params(cfg.n, cfg.k, cfg.d_noise),
+    run=_run_collective,
+    experiments=frozenset({"completeness", "binding", "hiding", "extraction", "costs"}),
+    cost=lambda cfg: (2, 2),
+    commit_view=lambda p, out: {"c": out.receiver_view["cs"][0],
+                                "r": out.receiver_view["masks"][0],
+                                "helper": out.receiver.helpers[0], "fe": p.main.fe},
+    transcript=True,
+)
+
+PROTOCOL_TABLE = {
+    "cpuf": ProtocolEntry(
+        params=lambda cfg: _cpuf_params(cfg.n, cfg.k, cfg.d_noise),
+        run=lambda p, values, seed, **kw: run_cpuf(p, values[0], seed, **kw),
+        experiments=frozenset({"completeness", "binding", "hiding", "costs"}),
+        commit_view=lambda p, out: dict(out.receiver_view, fe=p.pair.fe),
+        transcript=True,
+    ),
+    "extpuf": _EXTPUF,
+    "collextpuf": replace(_EXTPUF, strings=lambda cfg: cfg.n_strings, transcript=False),
+    "original-extpuf": ProtocolEntry(
+        params=lambda cfg: _original_params(cfg.n, cfg.k, cfg.d_noise),
+        run=lambda p, values, seed, **kw: run_original_extpuf(p, values[0], seed, **kw),
+        experiments=frozenset({"completeness", "costs"}),
+    ),
+    # the compiler derives its channel bundles from n itself
+    "uccompiler": ProtocolEntry(
+        params=lambda cfg: cfg,
+        run=lambda cfg, values, seed, **kw: run_uccompiler(
+            cfg.n, values[0], seed, mode=cfg.mode, d_noise=cfg.d_noise, **kw),
+        experiments=frozenset({"completeness", "costs"}),
+        strings=None,
+        cost=lambda cfg: ((4, 4) if cfg.mode == "collective"
+                          else (8 * cfg.n + 2, 8 * cfg.n + 2)),
+    ),
+    "blob-equalities": ProtocolEntry(
+        params=lambda cfg: cfg,
+        run=lambda cfg, values, seed: run_blob_equalities(cfg.n, values[0], seed,
+                                                          d_noise=cfg.d_noise),
+        experiments=frozenset({"completeness"}),
+        strings=None,
+        honest_ok=lambda values, out: out.committed,
+    ),
+}
+
+
+def _entry(cfg: ExperimentConfig) -> ProtocolEntry:
+    entry = PROTOCOL_TABLE.get(cfg.protocol)
+    if entry is None or cfg.experiment not in entry.experiments:
+        raise ConfigError("protocol", f"{cfg.experiment} undefined for {cfg.protocol!r}")
+    return entry
+
+
+def _run(entry: ProtocolEntry, cfg: ExperimentConfig, values: list, seed: int, **kw):
+    return entry.run(entry.params(cfg), values, seed, **kw)
+
+
+def _senders(cfg: ExperimentConfig) -> list:
+    """The zoo senders written for cfg.protocol that cfg.adversary names:
+    one strategy, or all of them under all-senders (extraction only)."""
+    senders = [s for s in zoo() if s.role == "sender" and s.protocol == cfg.protocol]
+    if cfg.experiment == "extraction" and cfg.adversary == "all-senders":
+        return senders
+    named = [s for s in senders if s.strategy_id == cfg.adversary]
+    if not named:
+        raise ConfigError("adversary", f"{cfg.experiment} on {cfg.protocol!r} needs "
+                                       f"a zoo sender for it, not {cfg.adversary!r}")
+    return named
 
 
 # ---------------------------------------------------------------------------
@@ -91,34 +194,13 @@ def _n_strings(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _completeness_trial(cfg: ExperimentConfig, i: int) -> Counter:
-    rng = _trial_rng(cfg, "input", i)
-    seed = _tseed(cfg, "run", i)
-    if cfg.protocol == "cpuf":
-        x = BitString.random(cfg.k, rng)
-        out = run_cpuf(_cpuf_params(cfg.n, cfg.k, cfg.d_noise), x, seed)
-        ok = bool(out.accepted) and out.value == x
-    elif cfg.protocol in ("extpuf", "collextpuf"):
-        values = [BitString.random(cfg.k, rng) for _ in range(_n_strings(cfg))]
-        out = run_collective(_extpuf_params(cfg.n, cfg.k, cfg.d_noise), values, seed)
-        ok = out.committed and all(out.opened.get(j) == values[j]
-                                   for j in range(len(values)))
-    elif cfg.protocol == "original-extpuf":
-        x = BitString.random(cfg.k, rng)
-        out = run_original_extpuf(_original_params(cfg.n, cfg.k, cfg.d_noise), x, seed)
-        ok = bool(out.accepted) and out.value == x
-    elif cfg.protocol == "uccompiler":
-        b = rng.getrandbits(1)
-        out = run_uccompiler(cfg.n, b, seed, mode=cfg.mode, d_noise=cfg.d_noise)
-        ok = bool(out.accepted) and out.value == b
-    elif cfg.protocol == "blob-equalities":
-        b = rng.getrandbits(1)
-        out = run_blob_equalities(cfg.n, b, seed, d_noise=cfg.d_noise)
-        ok = out.committed
-    else:
-        raise ConfigError("protocol", f"completeness undefined for {cfg.protocol!r}")
+    entry = _entry(cfg)
+    values = entry.sample(cfg, _trial_rng(cfg, "input", i))
+    out = _run(entry, cfg, values, _tseed(cfg, "run", i))
+    ok = entry.honest_ok(values, out)
     counter = Counter(success=int(ok))
     if not ok:
-        counter[f"abort:{getattr(out, 'abort_step', None) or 'reject'}"] += 1
+        counter[f"abort:{out.abort_step or 'reject'}"] += 1
     return counter
 
 
@@ -183,42 +265,23 @@ def _neutralized_trial(cfg: ExperimentConfig, i: int) -> Counter:
 
 
 def _binding_trial(cfg: ExperimentConfig, i: int) -> Counter:
-    rng = _trial_rng(cfg, "input", i)
-    seed = _tseed(cfg, "run", i)
-    strategy = strategy_by_id(cfg.adversary)
-    x = BitString.random(cfg.k, rng)
-    if cfg.protocol == "cpuf":
-        out = run_cpuf(_cpuf_params(cfg.n, cfg.k, cfg.d_noise), x, seed,
-                       sender_factory=strategy.factory)
-        broke = bool(out.accepted)
-    elif cfg.protocol in ("extpuf", "collextpuf"):
-        values = ([x] if cfg.protocol == "extpuf"
-                  else [BitString.random(cfg.k, rng) for _ in range(cfg.n_strings)])
-        out = run_collective(_extpuf_params(cfg.n, cfg.k, cfg.d_noise), values, seed,
-                             sender_factory=strategy.factory)
-        broke = out.committed and any(v is not None for v in out.opened.values())
-    else:
-        raise ConfigError("protocol", f"binding undefined for {cfg.protocol!r}")
+    entry = _entry(cfg)
+    (strategy,) = _senders(cfg)
+    values = entry.sample(cfg, _trial_rng(cfg, "input", i))
+    out = _run(entry, cfg, values, _tseed(cfg, "run", i),
+               sender_factory=strategy.factory)
+    broke = any(v is not None for v in out.opened.values())
     return Counter(success=int(not broke), bound_broken=int(broke))
 
 
-def _extraction_senders(cfg: ExperimentConfig) -> list:
-    if cfg.adversary != "all-senders":
-        return [strategy_by_id(cfg.adversary)]
-    protocol = cfg.protocol
-    return [s for s in zoo() if s.protocol == protocol and s.role == "sender"]
-
-
 def _extraction_trial(cfg: ExperimentConfig, i: int) -> Counter:
+    entry = _entry(cfg)
     counter: Counter = Counter(success=1)
-    if cfg.protocol not in ("extpuf", "collextpuf"):
-        raise ConfigError("protocol", f"extraction undefined for {cfg.protocol!r}")
-    params = _extpuf_params(cfg.n, cfg.k, cfg.d_noise)
-    for strategy in _extraction_senders(cfg):
+    for strategy in _senders(cfg):
         rng = _trial_rng(cfg, f"input/{strategy.strategy_id}", i)
         seed = derive_seed(cfg.seed, "run", strategy.strategy_id, i)
-        values = [BitString.random(cfg.k, rng) for _ in range(_n_strings(cfg))]
-        out = run_collective(params, values, seed, sender_factory=strategy.factory)
+        values = entry.sample(cfg, rng)
+        out = _run(entry, cfg, values, seed, sender_factory=strategy.factory)
         if not out.committed:
             counter[f"commit-abort:{strategy.strategy_id}"] += 1
             continue
@@ -237,31 +300,14 @@ def _extraction_trial(cfg: ExperimentConfig, i: int) -> Counter:
     return counter
 
 
-def _commit_view(cfg: ExperimentConfig, b: int, seed: int):
+def _commit_view(cfg: ExperimentConfig, b: int, seed: int) -> dict:
     """Commit-phase-only run returning what the distinguisher may touch."""
+    entry = _entry(cfg)
+    params = entry.params(cfg)
     x = BitString.ones(cfg.k) if b else BitString.zeros(cfg.k)
-    if cfg.protocol == "cpuf":
-        params = _cpuf_params(cfg.n, cfg.k, cfg.d_noise)
-        out = run_cpuf(params, x, seed, open_phase=False)
-        view = dict(out.receiver_view)
-        view.update(token=out.receiver.token_sid, api=out.receiver.api,
-                    fe=params.pair.fe, width=params.l)
-        return view
-    params = _extpuf_params(cfg.n, cfg.k, cfg.d_noise)
-    if cfg.protocol in ("extpuf", "collextpuf"):
-        values = [x for _ in range(_n_strings(cfg))]
-        out = run_collective(params, values, seed, open_indices=[])
-        view = {
-            "c": out.receiver_view["cs"][0],
-            "r": out.receiver_view["masks"][0],
-            "helper": out.receiver.helpers[0],
-            "token": out.receiver.token_sid,
-            "api": out.receiver.api,
-            "fe": params.main.fe,
-            "width": params.n,
-        }
-        return view
-    raise ConfigError("protocol", f"hiding undefined for {cfg.protocol!r}")
+    out = entry.run(params, [x] * entry.strings(cfg), seed, open_phase=False)
+    return dict(entry.commit_view(params, out), token=out.receiver.token_sid,
+                api=out.receiver.api, width=params.mask_len // params.k)
 
 
 def _hiding_trial(cfg: ExperimentConfig, i: int) -> Counter:
@@ -288,35 +334,12 @@ def _hiding_trial(cfg: ExperimentConfig, i: int) -> Counter:
 
 
 def _costs_run(cfg: ExperimentConfig) -> ExperimentReport:
-    seed = _tseed(cfg, "run", 0)
-    rng = _trial_rng(cfg, "input", 0)
-    if cfg.protocol == "uccompiler":
-        out = run_uccompiler(cfg.n, rng.getrandbits(1), seed, mode=cfg.mode,
-                             d_noise=cfg.d_noise)
-        log = out.session.log
-        expected = (4, 4) if cfg.mode == "collective" else (8 * cfg.n + 2, 8 * cfg.n + 2)
-        ok = bool(out.accepted)
-    elif cfg.protocol in ("extpuf", "collextpuf"):
-        values = [BitString.random(cfg.k, rng) for _ in range(_n_strings(cfg))]
-        out = run_collective(_extpuf_params(cfg.n, cfg.k, cfg.d_noise), values, seed)
-        log = out.session.log
-        expected = (2, 2)
-        ok = out.committed and None not in out.opened.values()
-    elif cfg.protocol == "cpuf":
-        out = run_cpuf(_cpuf_params(cfg.n, cfg.k, cfg.d_noise),
-                       BitString.random(cfg.k, rng), seed)
-        log = out.session.log
-        expected = None
-        ok = bool(out.accepted)
-    elif cfg.protocol == "original-extpuf":
-        out = run_original_extpuf(_original_params(cfg.n, cfg.k, cfg.d_noise),
-                                  BitString.random(cfg.k, rng), seed)
-        log = out.session.log
-        expected = None
-        ok = bool(out.accepted)
-    else:
-        raise ConfigError("protocol", f"costs undefined for {cfg.protocol!r}")
-    resources = count_resources(log)
+    entry = _entry(cfg)
+    values = entry.sample(cfg, _trial_rng(cfg, "input", 0))
+    out = _run(entry, cfg, values, _tseed(cfg, "run", 0))
+    ok = entry.honest_ok(values, out)
+    expected = entry.cost(cfg)
+    resources = count_resources(out.session.log)
     measured = (resources["pufs_created"], resources["exchange_phases"])
     passed = ok and (expected is None or measured == expected)
     return ExperimentReport(

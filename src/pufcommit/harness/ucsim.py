@@ -13,7 +13,6 @@ strong under independent randomness.
 from __future__ import annotations
 
 from ..adversaries import SimulatorCompilerReceiver, SimulatorCompilerSender
-from ..bits import BitString
 from ..functionality import ADVERSARY, BitCommitmentFunctionality, EventLog
 from ..protocols.compiler import (
     CompilerOutcome,
@@ -22,6 +21,7 @@ from ..protocols.compiler import (
     open_uccompiler,
     run_uccompiler,
 )
+from ..session import message_shapes
 
 __all__ = [
     "world_features",
@@ -38,25 +38,15 @@ def world_features(outcome: CompilerOutcome, final_output) -> tuple:
     uniform in both worlds by construction; folding them in would only add
     multinomial noise, so the opened values enter through the outcome
     records (which value each decommitment revealed as accepted)."""
-    msgs = []
     abort_step = None
     accepts = []
     for rec in outcome.session.log.records:
-        if rec.kind == "protocol-msg":
-            payload = rec.payload
-            if isinstance(payload, BitString):
-                bits = payload.n
-            elif isinstance(payload, (list, tuple)):
-                bits = sum(p.n for p in payload if isinstance(p, BitString))
-            else:
-                bits = 0
-            msgs.append((rec.note, bits))
-        elif rec.kind == "outcome":
+        if rec.kind == "outcome":
             accepts.append(bool(rec.payload.get("accepted")))
         elif rec.kind == "mark" and str(rec.payload).startswith("abort"):
             abort_step = rec.payload
     return (
-        tuple(msgs),
+        tuple(message_shapes(outcome.session.log)),
         all(accepts) if accepts else None,
         abort_step,
         final_output,

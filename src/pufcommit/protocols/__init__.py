@@ -1,19 +1,14 @@
 from .params import CommitPair, CpufParams, ExtPufParams, OriginalExtPufParams
-from .cpuf import CpufOutcome, CpufReceiver, CpufSender, run_cpuf
-from .extpuf import ExtPufOutcome, run_extpuf
-from .original import (
-    OriginalOutcome,
-    OriginalReceiver,
-    OriginalSender,
-    run_original_extpuf,
-)
+from .common import Outcome, open_step
+from .cpuf import CpufReceiver, CpufSender, run_cpuf
+from .original import OriginalReceiver, OriginalSender, run_original_extpuf
 from .collective import (
-    CollectiveOutcome,
     CollectiveReceiver,
     CollectiveSender,
     open_index,
     run_collective,
     run_collective_commit,
+    run_extpuf,
 )
 from .compiler import (
     CompilerOutcome,
@@ -27,17 +22,15 @@ __all__ = [
     "CpufParams",
     "ExtPufParams",
     "OriginalExtPufParams",
-    "CpufOutcome",
+    "Outcome",
+    "open_step",
     "CpufSender",
     "CpufReceiver",
     "run_cpuf",
-    "ExtPufOutcome",
     "run_extpuf",
-    "OriginalOutcome",
     "OriginalSender",
     "OriginalReceiver",
     "run_original_extpuf",
-    "CollectiveOutcome",
     "CollectiveSender",
     "CollectiveReceiver",
     "run_collective",

@@ -1,6 +1,6 @@
 """Extractable token commitment, revised flow, over N strings at once.
 
-This is the one commitment core: the single-string protocol (extpuf.py)
+This is the one commitment core: the single-string protocol (run_extpuf)
 is this flow with N = 1, and the compiler's channels run it too.
 
 Commit: the receiver fingerprints its probe token; the sender draws one
@@ -28,18 +28,18 @@ are committed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..bits import BitString
 from ..functionality import Budgets
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import TestQuery, mask_commitment, probe_outputs, record_test_query
+from .common import (Outcome, TestQuery, mask_commitment, open_step, probe_outputs,
+                     record_test_query)
 from .params import ExtPufParams
 
-__all__ = ["CollectiveSender", "CollectiveReceiver", "CollectiveOutcome",
-           "run_collective", "run_collective_commit", "open_index", "EXTPUF_BUDGETS"]
+__all__ = ["CollectiveSender", "CollectiveReceiver", "run_collective",
+           "run_collective_commit", "open_index", "run_extpuf", "EXTPUF_BUDGETS"]
 
 # stateless probes, no outgoing channel, unbounded incoming
 EXTPUF_BUDGETS = Budgets(k_state=0, k_in=None, k_out=0)
@@ -182,45 +182,18 @@ class CollectiveReceiver:
         return x
 
 
-@dataclass
-class CollectiveOutcome:
-    session: Session
-    committed: bool
-    abort_step: Optional[str] = None
-    commit_end: int = -1
-    opened: dict = field(default_factory=dict)     # index -> accepted value or None
-    receiver_view: dict = field(default_factory=dict)
-    probe_sid: Optional[str] = None
-    sender_name: str = "S"
-    sender: object = None
-    receiver: object = None
-
-    def extraction_inputs(self) -> dict:
-        return {
-            "cs": self.receiver_view["cs"],
-            "masks": self.receiver_view["masks"],
-            "k": self.receiver_view["k"],
-            "code": self.receiver_view["code"],
-            "probe_sid": self.probe_sid,
-            "sender": self.sender_name,
-            "commit_end": self.commit_end,
-            "log": self.session.log,
-        }
-
-
 def run_collective_commit(params: ExtPufParams, values: list[BitString],
                           session: Session,
                           sender_factory: Callable = CollectiveSender,
                           receiver_factory: Callable = CollectiveReceiver,
                           sender_name: str = "S", receiver_name: str = "R",
-                          label: str = "") -> CollectiveOutcome:
+                          label: str = "") -> Outcome:
     """Commit phase only, inside a caller-owned session; decommits go
     through open_index afterwards."""
     S = sender_factory(params, values, session.handle_for(sender_name), label=label)
     R = receiver_factory(params, len(values), session.handle_for(receiver_name),
                          label=label)
-    outcome = CollectiveOutcome(session, committed=False, sender_name=sender_name,
-                                sender=S, receiver=R)
+    outcome = Outcome(session, sender_name=sender_name, sender=S, receiver=R)
     try:
         session.phase(receiver_name, f"{label}probe-setup")
         R.create_probe()
@@ -254,32 +227,22 @@ def run_collective_commit(params: ExtPufParams, values: list[BitString],
     return outcome
 
 
-def open_index(outcome: CollectiveOutcome, index: int,
+def open_index(outcome: Outcome, index: int,
                receiver_name: str = "R") -> Optional[BitString]:
-    """One decommitment; may be called at any time after commit, repeatedly.
-    A party giving up during the opening rejects it and records the step."""
-    session = outcome.session
-    S, R = outcome.sender, outcome.receiver
-    try:
-        opening = S.opening(index)
-        session.msg(outcome.sender_name, receiver_name, "opening", opening)
-        value = R.check_opening(*opening)
-    except ProtocolAbort as abort:
-        session.mark(f"abort:{abort.step}")
-        outcome.abort_step = abort.step
-        outcome.opened[index] = None
-        return None
-    outcome.opened[index] = value
-    session.outcome(receiver_name, index=index, accepted=value is not None,
-                    value=value.to01() if value is not None else None)
-    return value
+    """One decommitment; may be called at any time after commit, repeatedly."""
+    def decommit():
+        opening = outcome.sender.opening(index)
+        outcome.session.msg(outcome.sender_name, receiver_name, "opening", opening)
+        return outcome.receiver.check_opening(*opening)
+
+    return open_step(outcome, index, decommit, receiver_name, index=index)
 
 
 def run_collective(params: ExtPufParams, values: list[BitString], seed: int,
                    sender_factory: Callable = CollectiveSender,
                    receiver_factory: Callable = CollectiveReceiver,
                    open_indices: Optional[list[int]] = None,
-                   budgets: Budgets = EXTPUF_BUDGETS) -> CollectiveOutcome:
+                   budgets: Budgets = EXTPUF_BUDGETS) -> Outcome:
     """Whole-protocol convenience runner: commit, then open the given
     indices (all of them by default)."""
     session = Session(seed, comm=True, budgets=budgets)
@@ -290,4 +253,19 @@ def run_collective(params: ExtPufParams, values: list[BitString], seed: int,
     indices = list(range(len(values))) if open_indices is None else open_indices
     for i in indices:
         open_index(outcome, i)
+    return outcome
+
+
+def run_extpuf(params: ExtPufParams, x: BitString, seed: int,
+               sender_factory: Callable = CollectiveSender,
+               receiver_factory: Callable = CollectiveReceiver,
+               open_phase: bool = True,
+               budgets: Budgets = EXTPUF_BUDGETS) -> Outcome:
+    """The single-string protocol: the collective flow over [x]; the
+    receiver's view also names that string's c and r."""
+    outcome = run_collective(params, [x], seed, sender_factory, receiver_factory,
+                             open_indices=None if open_phase else [], budgets=budgets)
+    if outcome.committed:
+        view = outcome.receiver_view
+        view.update(c=view["cs"][0], r=view["masks"][0])
     return outcome

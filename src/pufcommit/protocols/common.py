@@ -1,17 +1,84 @@
-"""Shared protocol pieces: stride masking, the return check and the
-probe-refused fallback."""
+"""Shared protocol pieces: the run outcome and its opening step, stride
+masking, the return check and the probe-refused fallback."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
-from typing import Optional
+from typing import Callable, Optional
 
 from ..bits import BitString, spread
 from ..fuzzy import FuzzyExtractor, HelperData
-from ..session import PartyHandle
+from ..session import PartyHandle, ProtocolAbort, Session
 
-__all__ = ["mask_commitment", "probe_outputs", "TestQuery", "record_test_query"]
+__all__ = ["Outcome", "open_step", "mask_commitment", "probe_outputs", "TestQuery",
+           "record_test_query"]
+
+
+@dataclass
+class Outcome:
+    """One run of a commitment protocol: how its commit phase ended and
+    every opening the receiver has checked since."""
+
+    session: Session
+    committed: bool = False
+    abort_step: Optional[str] = None
+    commit_end: int = -1
+    opened: dict = field(default_factory=dict)     # index -> accepted value or None
+    receiver_view: dict = field(default_factory=dict)
+    probe_sid: Optional[str] = None
+    sender_name: str = "S"
+    sender: object = None
+    receiver: object = None
+
+    @property
+    def accepted(self) -> Optional[bool]:
+        """False after a commit abort or any rejected opening, None while
+        nothing has been opened."""
+        if not self.committed:
+            return False
+        if not self.opened:
+            return None
+        return all(v is not None for v in self.opened.values())
+
+    @property
+    def value(self):
+        return self.opened.get(0)
+
+    def extraction_inputs(self) -> dict:
+        """Everything the straight-line extractor needs from this session."""
+        return {
+            "cs": self.receiver_view["cs"],
+            "masks": self.receiver_view["masks"],
+            "k": self.receiver_view["k"],
+            "code": self.receiver_view["code"],
+            "probe_sid": self.probe_sid,
+            "sender": self.sender_name,
+            "commit_end": self.commit_end,
+            "log": self.session.log,
+        }
+
+
+def open_step(outcome: Outcome, slot: int, decommit: Callable[[], object],
+              receiver_name: str = "R", **record):
+    """Run one decommitment and record the receiver's verdict on `slot`.
+
+    decommit() carries the opening and returns the accepted value or None.
+    A party giving up during it (ProtocolAbort) rejects the slot and marks
+    the step; otherwise the verdict, plus `record`, goes to the log."""
+    session = outcome.session
+    try:
+        value = decommit()
+    except ProtocolAbort as abort:
+        session.mark(f"abort:{abort.step}")
+        outcome.abort_step = abort.step
+        outcome.opened[slot] = None
+        return None
+    outcome.opened[slot] = value
+    session.outcome(receiver_name, accepted=value is not None,
+                    value=value.to01() if isinstance(value, BitString) else value,
+                    **record)
+    return value
 
 
 def mask_commitment(st: BitString, x: BitString, r: BitString, width: int) -> BitString:

@@ -26,17 +26,13 @@ one single-string instance (N = 1) per committed string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..bits import BitString
 from ..session import ProtocolAbort, Session
-from .collective import (
-    EXTPUF_BUDGETS,
-    CollectiveOutcome,
-    open_index,
-    run_collective_commit,
-)
+from .collective import EXTPUF_BUDGETS, open_index, run_collective_commit
+from .common import Outcome, open_step
 from .params import ExtPufParams
 
 __all__ = [
@@ -72,7 +68,7 @@ class CollectiveChannel:
         self.sender_name = sender_name
         self.receiver_name = receiver_name
         self.label = label
-        self.outcome: Optional[CollectiveOutcome] = None
+        self.outcome: Optional[Outcome] = None
 
     def commit(self, values: list[BitString]) -> bool:
         self.outcome = run_collective_commit(
@@ -209,18 +205,11 @@ class HonestCompilerReceiver:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CompilerOutcome:
-    session: Session
-    committed: bool = False
-    accepted: Optional[bool] = None
-    value: Optional[int] = None
-    abort_step: Optional[str] = None
-    commit_end: int = -1
+class CompilerOutcome(Outcome):
+    """A compiled run; its value is the opened bit."""
+
     e_channel: object = None
     blob_channel: object = None
-    sender: object = None
-    receiver: object = None
-    details: dict = field(default_factory=dict)
 
 
 def _make_channel(mode, session, params_bits, params_string, sender, receiver, label):
@@ -315,12 +304,11 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
         if decision != "accept":
             raise ProtocolAbort(decision)
         outcome.commit_end = session.mark("commit-complete")
-        outcome.committed = True
     except ProtocolAbort as abort:
         session.mark(f"abort:{abort.step}")
         outcome.abort_step = abort.step
         return outcome
-
+    outcome.committed = True
     if open_phase:
         open_uccompiler(outcome, open_bit_hint=open_bit_hint)
     return outcome
@@ -330,24 +318,19 @@ def open_uccompiler(outcome: CompilerOutcome,
                     open_bit_hint: Optional[int] = None) -> Optional[int]:
     """Decommit phase; callable later, e.g. once an ideal commitment opens."""
     session, S, R = outcome.session, outcome.sender, outcome.receiver
-    session.phase("S", "open")
-    try:
+
+    def decommit():
         chosen = S.decommit_choice(b_hint=open_bit_hint)
-    except ProtocolAbort as abort:
-        session.mark(f"abort:{abort.step}")
-        outcome.accepted, outcome.abort_step = False, abort.step
-        return None
-    session.msg("S", "R", "open-choice", list(chosen))
-    opened_pairs: dict[int, tuple] = {}
-    for blob in chosen:
-        s0 = outcome.blob_channel.open(share_index(blob, 0))
-        s1 = outcome.blob_channel.open(share_index(blob, 1))
-        opened_pairs[blob] = (s0, s1)
-    value = R.check_decommit(opened_pairs)
-    outcome.accepted = value is not None
-    outcome.value = value
-    session.outcome("R", accepted=outcome.accepted, value=value)
-    return value
+        session.msg("S", "R", "open-choice", list(chosen))
+        opened_pairs: dict[int, tuple] = {}
+        for blob in chosen:
+            s0 = outcome.blob_channel.open(share_index(blob, 0))
+            s1 = outcome.blob_channel.open(share_index(blob, 1))
+            opened_pairs[blob] = (s0, s1)
+        return R.check_decommit(opened_pairs)
+
+    session.phase("S", "open")
+    return open_step(outcome, 0, decommit)
 
 
 # ---------------------------------------------------------------------------

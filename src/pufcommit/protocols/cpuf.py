@@ -12,16 +12,15 @@ state, which is why the mask is l = 3n bits per committed bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..bits import BitString
 from ..functionality import Budgets
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import mask_commitment
+from .common import Outcome, mask_commitment, open_step
 from .params import CpufParams
 
-__all__ = ["CpufSender", "CpufReceiver", "CpufOutcome", "run_cpuf"]
+__all__ = ["CpufSender", "CpufReceiver", "run_cpuf"]
 
 
 class CpufSender:
@@ -87,27 +86,16 @@ class CpufReceiver:
         return None
 
 
-@dataclass
-class CpufOutcome:
-    session: Session
-    accepted: Optional[bool]      # None when decommit never ran
-    value: Optional[BitString]
-    abort_step: Optional[str] = None
-    commit_end: int = -1
-    receiver_view: dict = field(default_factory=dict)
-    sender: object = None
-    receiver: object = None
-
-
 def run_cpuf(params: CpufParams, x: BitString, seed: int,
              sender_factory: Callable = CpufSender,
              receiver_factory: Callable = CpufReceiver,
              open_phase: bool = True,
-             budgets: Budgets | None = None) -> CpufOutcome:
+             budgets: Budgets | None = None) -> Outcome:
     session = Session(seed, comm=False,
                       budgets=budgets if budgets is not None else Budgets(k_state=None))
     S = sender_factory(params, x, session.handle_for("S"))
     R = receiver_factory(params, session.handle_for("R"))
+    outcome = Outcome(session, sender=S, receiver=R)
     try:
         session.phase("S", "setup")
         helper = S.setup()
@@ -118,31 +106,21 @@ def run_cpuf(params: CpufParams, x: BitString, seed: int,
         r = session.msg("R", "S", "mask", R.draw_mask())
         session.phase("S", "commit")
         R.receive_commitment(session.msg("S", "R", "c", S.commitment(r)))
-        commit_end = session.mark("commit-complete")
+        outcome.commit_end = session.mark("commit-complete")
     except ProtocolAbort as abort:
         session.mark(f"abort:{abort.step}")
-        return CpufOutcome(session, accepted=False, value=None,
-                           abort_step=abort.step, sender=S, receiver=R)
-
-    outcome = CpufOutcome(
-        session, accepted=None, value=None, commit_end=commit_end,
-        receiver_view={"r": R.r, "c": R.c, "helper": R.helper},
-        sender=S, receiver=R,
-    )
+        outcome.abort_step = abort.step
+        return outcome
+    outcome.committed = True
+    outcome.receiver_view = {"r": R.r, "c": R.c, "helper": R.helper}
     if not open_phase:
         return outcome
 
-    session.phase("S", "open")
-    try:
+    def decommit():
         s_open, x_open = S.opening()
         session.msg("S", "R", "opening", (s_open, x_open))
-        value = R.check_opening(s_open, x_open)
-    except ProtocolAbort as abort:
-        session.mark(f"abort:{abort.step}")
-        outcome.accepted, outcome.abort_step = False, abort.step
-        return outcome
-    outcome.accepted = value is not None
-    outcome.value = value
-    session.outcome("R", accepted=outcome.accepted,
-                    value=value.to01() if value is not None else None)
+        return R.check_opening(s_open, x_open)
+
+    session.phase("S", "open")
+    open_step(outcome, 0, decommit)
     return outcome

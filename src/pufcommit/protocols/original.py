@@ -18,18 +18,17 @@ re-queries the probe on Enc(st_1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..bits import BitString
 from ..functionality import Budgets
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import TestQuery, mask_commitment, probe_outputs, record_test_query
+from .common import (Outcome, TestQuery, mask_commitment, open_step, probe_outputs,
+                     record_test_query)
 from .params import OriginalExtPufParams
 
-__all__ = ["OriginalSender", "OriginalReceiver", "OriginalOutcome",
-           "run_original_extpuf"]
+__all__ = ["OriginalSender", "OriginalReceiver", "run_original_extpuf"]
 
 
 class OriginalSender:
@@ -150,43 +149,15 @@ class OriginalReceiver:
         return x
 
 
-@dataclass
-class OriginalOutcome:
-    session: Session
-    accepted: Optional[bool]
-    value: Optional[BitString]
-    abort_step: Optional[str] = None
-    commit_end: int = -1
-    receiver_view: dict = field(default_factory=dict)
-    probe_sid: Optional[str] = None
-    sender_name: str = "S"
-    sender: object = None
-    receiver: object = None
-
-    def extraction_inputs(self) -> dict:
-        """The collective extractor's inputs for the one string c_1."""
-        return {
-            "cs": [self.receiver_view["c"]],
-            "masks": [self.receiver_view["r"]],
-            "k": self.receiver_view["k"],
-            "code": self.receiver_view["code"],
-            "probe_sid": self.probe_sid,
-            "sender": self.sender_name,
-            "commit_end": self.commit_end,
-            "log": self.session.log,
-        }
-
-
 def run_original_extpuf(params: OriginalExtPufParams, x: BitString, seed: int,
                         sender_factory: Callable = OriginalSender,
                         receiver_factory: Callable = OriginalReceiver,
-                        open_phase: bool = True) -> OriginalOutcome:
+                        open_phase: bool = True) -> Outcome:
     # no creator channel in the original model; sender tokens may be stateful
     session = Session(seed, comm=False, budgets=Budgets(k_state=None))
     S = sender_factory(params, x, session.handle_for("S"))
     R = receiver_factory(params, session.handle_for("R"))
-    outcome = OriginalOutcome(session, accepted=False, value=None,
-                              probe_sid=R.PROBE_SID, sender=S, receiver=R)
+    outcome = Outcome(session, probe_sid=R.PROBE_SID, sender=S, receiver=R)
     try:
         session.phase("R", "probe-setup")
         R.create_probe()
@@ -211,28 +182,22 @@ def run_original_extpuf(params: OriginalExtPufParams, x: BitString, seed: int,
         session.mark(f"abort:{abort.step}")
         outcome.abort_step = abort.step
         return outcome
-
+    outcome.committed = True
+    # cs / masks: the extractor's inputs for the one string c_1
     outcome.receiver_view = {
         "r": R.r1, "c": R.c1, "k": params.k, "code": params.code,
-        "r2": R.r2, "c2": R.c2,
+        "r2": R.r2, "c2": R.c2, "cs": [R.c1], "masks": [R.r1],
     }
-    outcome.accepted = None
     if not open_phase:
         return outcome
 
-    session.phase("S", "open")
-    try:
+    def decommit():
         session.begin_exchange_phase("probe-return")
         S.return_probe("R")
-        s1, s2, x_open, st_e, p_e_cat = S.opening()
-        session.msg("S", "R", "opening", (s1, s2, x_open, st_e, p_e_cat))
-        value = R.check_opening(s1, s2, x_open, st_e, p_e_cat)
-    except ProtocolAbort as abort:
-        session.mark(f"abort:{abort.step}")
-        outcome.accepted, outcome.abort_step = False, abort.step
-        return outcome
-    outcome.accepted = value is not None
-    outcome.value = value
-    session.outcome("R", accepted=outcome.accepted,
-                    value=value.to01() if value is not None else None)
+        opening = S.opening()
+        session.msg("S", "R", "opening", opening)
+        return R.check_opening(*opening)
+
+    session.phase("S", "open")
+    open_step(outcome, 0, decommit)
     return outcome

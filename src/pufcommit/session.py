@@ -35,7 +35,7 @@ __all__ = [
     "PartyHandle",
     "ImmediateDelivery",
     "count_resources",
-    "transcript_features",
+    "message_shapes",
 ]
 
 
@@ -225,15 +225,8 @@ def _payload_len(payload) -> int:
     return 0
 
 
-def transcript_features(log: EventLog) -> tuple:
-    """Finite, seed-stable summary of one session for histogram comparison:
-    message names with lengths, outcomes, and abort markers."""
-    feats: list = []
-    for rec in log.records:
-        if rec.kind == "protocol-msg":
-            feats.append((rec.note, _payload_len(rec.payload)))
-        elif rec.kind == "outcome":
-            feats.append(("outcome", rec.sender, tuple(sorted(rec.payload.items()))))
-        elif rec.kind == "mark" and str(rec.payload).startswith("abort"):
-            feats.append(("abort", rec.payload))
-    return tuple(feats)
+def message_shapes(log: EventLog) -> list:
+    """(name, payload bits) of every direct protocol message, in log order;
+    non-bit fields such as an opening's index count zero."""
+    return [(rec.note, _payload_len(rec.payload))
+            for rec in log.records if rec.kind == "protocol-msg"]

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from pufcommit.harness.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, main
 
 
@@ -59,11 +61,27 @@ def test_config_error_exit_code(tmp_path: Path, capsys):
     assert main(["experiment", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("experiment,protocol,adversary", [
+    ("binding", "cpuf", None),                              # the default, honest
+    ("binding", "extpuf", "stateful-probe-receiver"),       # not a sender
+    ("binding", "collextpuf", "equivocating-open-extpuf"),  # another protocol's
+    ("extraction", "extpuf", None),
+])
+def test_adversary_outside_the_protocols_senders_is_a_config_error(
+        tmp_path: Path, capsys, experiment, protocol, adversary):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(
+        f"version: 1\nexperiment: {experiment}\nprotocol: {protocol}\n"
+        + (f"adversary: {adversary}\n" if adversary else "")
+        + "n: 8\nk: 2\ntrials: 2\n"
+    )
+    assert main(["experiment", str(cfg)]) == EXIT_CONFIG
+    assert "adversary" in capsys.readouterr().err
+
+
 def test_assertion_failure_exit_code(tmp_path: Path, monkeypatch):
-    # force a failing verdict through an experiment that cannot pass:
-    # binding trials against the honest sender are counted as successes,
-    # so instead ask uc-sim for an impossible distance bound via tiny n
-    # where extraction collisions dominate
+    # force a failing verdict through an experiment that cannot pass at
+    # tiny n: uc-sim's distance bound, where extraction collisions dominate
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(
         "version: 1\nexperiment: uc-sim\ncase: receiver\n"
@@ -74,4 +92,4 @@ def test_assertion_failure_exit_code(tmp_path: Path, monkeypatch):
 
 def test_ucsim_subcommand_small():
     assert main(["uc-sim", "receiver", "--trials", "8", "--n", "16",
-                 "--seed", "8"]) in (EXIT_OK, EXIT_ASSERT)
+                 "--seed", "8"]) == EXIT_OK

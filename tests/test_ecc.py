@@ -1,4 +1,5 @@
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -122,3 +123,37 @@ def test_enc_matches_bit_loop(repeat, msg_len, data):
 @pytest.mark.parametrize("repeat,chunk", [(3, 5), (5, 3), (7, 2)])
 def test_majority_table_matches_definition(repeat, chunk):
     assert _majority_table(repeat, chunk) == reference_majority_table(repeat, chunk)
+
+
+def reference_dec(code, c):
+    """The decoder one table lookup at a time over the whole word, as
+    first written (quadratic in the code length)."""
+    chunk = max(1, 15 // code.repeat)
+    table = _majority_table(code.repeat, chunk)
+    span = code.repeat * chunk
+    value, cv, out = 0, c.value, 0
+    while out < code.msg_len:
+        value |= table[cv & ((1 << span) - 1)] << out
+        cv >>= span
+        out += chunk
+    return BitString(value & ((1 << code.msg_len) - 1), code.msg_len)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(1, 18, 2)), st.integers(1, 400), st.data())
+def test_dec_matches_lookup_loop(repeat, msg_len, data):
+    # word lengths on both sides of one slice of lookups, and words far
+    # from any codeword as well as all-zero and all-one words
+    code = RepetitionCode(msg_len, repeat)
+    top = (1 << code.code_len) - 1
+    value = data.draw(st.sampled_from([0, top]) | st.integers(0, top))
+    c = BitString(value, code.code_len)
+    assert code.dec(c) == reference_dec(code, c)
+
+
+def test_dec_matches_lookup_loop_at_the_widest_word_in_use():
+    # the sketch code of the original flow's second token at n = 16:
+    # 25 392 source bits, blocks of 3
+    code = RepetitionCode(8464, 3)
+    c = BitString.random(code.code_len, Random(5))
+    assert code.dec(c) == reference_dec(code, c)

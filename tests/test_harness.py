@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from pufcommit.harness.config import ConfigError, ExperimentConfig, load_config
+from pufcommit.adversaries import zoo
+from pufcommit.harness.config import PROTOCOLS, ConfigError, ExperimentConfig, load_config
 from pufcommit.harness.experiments import run_experiment
 from pufcommit.report import ExperimentReport, wilson_interval
 
@@ -67,6 +68,33 @@ def test_extraction_without_senders_is_a_config_error():
     with pytest.raises(ConfigError) as err:
         run_experiment(cfg)
     assert err.value.path == "protocol"
+
+
+SUPPORTED = {
+    "completeness": set(PROTOCOLS),
+    "costs": set(PROTOCOLS) - {"blob-equalities"},
+    "binding": {"cpuf", "extpuf", "collextpuf"},
+    "hiding": {"cpuf", "extpuf", "collextpuf"},
+    "extraction": {"extpuf", "collextpuf"},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SUPPORTED))
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_protocol_table_support_matrix(protocol, experiment):
+    senders = [s.strategy_id for s in zoo()
+               if s.role == "sender" and s.protocol == protocol]
+    adversary = {"binding": senders[0] if senders else "honest",
+                 "extraction": "all-senders"}.get(experiment, "honest")
+    cfg = ExperimentConfig(experiment=experiment, protocol=protocol,
+                           adversary=adversary, n=8, k=1, n_strings=2, trials=1,
+                           seed=1)
+    if protocol in SUPPORTED[experiment]:
+        assert run_experiment(cfg).trials == 1
+    else:
+        with pytest.raises(ConfigError) as err:
+            run_experiment(cfg)
+        assert err.value.path == "protocol"
 
 
 def test_completeness_experiment_and_determinism():

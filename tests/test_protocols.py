@@ -11,11 +11,12 @@ from pufcommit.adversaries import (
     SubstitutingReturnSender,
 )
 from pufcommit.protocols import (
-    CollectiveOutcome,
     CollectiveSender,
     CpufParams,
+    CpufSender,
     ExtPufParams,
     OriginalExtPufParams,
+    OriginalSender,
     open_index,
     run_blob_equalities,
     run_collective,
@@ -24,8 +25,12 @@ from pufcommit.protocols import (
     run_original_extpuf,
     run_uccompiler,
 )
-from pufcommit.protocols.compiler import blob_equalities_check, share_index
-from pufcommit.session import ProtocolAbort, count_resources
+from pufcommit.protocols.compiler import (
+    HonestCompilerSender,
+    blob_equalities_check,
+    share_index,
+)
+from pufcommit.session import ProtocolAbort, count_resources, message_shapes
 
 CP = CpufParams.standard(16, 4)
 EP = ExtPufParams.standard(16, 4)
@@ -141,6 +146,71 @@ def test_abort_during_opening_rejects_and_records_the_step():
     assert out.session.log.records[-1].payload == "abort:withdrawn"
 
 
+def _withdraw(*args, **kwargs):
+    raise ProtocolAbort("withdrawn")
+
+
+X2 = BitString.from01("10")
+
+# runner -> (run(sender_factory, open_phase), honest sender,
+#            {fault: (sender method, replacement)}); "reject" names the
+# method that opens, which also serves for the abort during opening
+OUTCOME_CASES = {
+    "run_cpuf": (
+        lambda f, o: run_cpuf(CP, BitString.from01("1010"), 13000,
+                              sender_factory=f, open_phase=o),
+        CpufSender,
+        {"commit-abort": ("commitment", lambda self, r: None),
+         "reject": ("opening", lambda self: (self.s, ~self.x))}),
+    "run_extpuf": (
+        lambda f, o: run_extpuf(EP2, X2, 13001, sender_factory=f, open_phase=o),
+        CollectiveSender,
+        {"commit-abort": ("commitments", lambda self, masks: [None]),
+         "reject": ("opening", EquivocatingCollectiveSender.opening)}),
+    "run_collective": (
+        lambda f, o: run_collective(EP2, [X2, ~X2, X2], 13002, sender_factory=f,
+                                    open_indices=None if o else []),
+        CollectiveSender,
+        {"commit-abort": ("commitments", lambda self, masks: [None] * 3),
+         "reject": ("opening", EquivocatingCollectiveSender.opening)}),
+    "run_original_extpuf": (
+        lambda f, o: run_original_extpuf(OP, BitString.from01("0"), 13003,
+                                         sender_factory=f, open_phase=o),
+        OriginalSender,
+        {"commit-abort": ("commitments", lambda self, r1, r2: (None, None)),
+         "reject": ("opening", lambda self: (self.s1, self.s2, ~self.x, self.st_e,
+                                             self.p_e.concat()))}),
+    "run_uccompiler": (
+        lambda f, o: run_uccompiler(4, 1, 13004, sender_factory=f, open_phase=o),
+        HonestCompilerSender,
+        {"commit-abort": ("equality_message",
+                          lambda self: [1 - y for y in
+                                        HonestCompilerSender.equality_message(self)]),
+         "reject": ("decommit_choice", lambda self, b_hint=None: [])}),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(OUTCOME_CASES))
+def test_outcome_semantics_are_shared_by_every_runner(runner):
+    run, honest, faults = OUTCOME_CASES[runner]
+
+    def faulty(method, replacement):
+        return type("Faulty", (honest,), {method: replacement})
+
+    out = run(faulty(*faults["commit-abort"]), True)
+    assert not out.committed and out.abort_step is not None
+    assert out.accepted is False and out.value is None
+    out = run(honest, False)
+    assert out.committed and out.opened == {} and out.accepted is None
+    out = run(honest, True)
+    assert out.accepted is True and out.value is not None
+    out = run(faulty(*faults["reject"]), True)
+    assert out.accepted is False and out.abort_step is None
+    out = run(faulty(faults["reject"][0], _withdraw), True)
+    assert out.accepted is False and out.abort_step == "withdrawn"
+    assert out.session.log.records[-1].payload == "abort:withdrawn"
+
+
 def test_collective_wrong_value_rejected():
     rng = Random(3)
     values = [BitString.random(2, rng) for _ in range(3)]
@@ -153,28 +223,14 @@ def test_collective_wrong_value_rejected():
 def test_collective_single_string_matches_single_protocol_messages():
     # degenerate collective run with one string: same message names and
     # payload sizes as the single-string protocol had
-    def message_trace(log):
-        out = []
-        for rec in log.records:
-            if rec.kind == "protocol-msg":
-                payload = rec.payload
-                if isinstance(payload, BitString):
-                    bits = payload.n
-                elif isinstance(payload, (list, tuple)):
-                    bits = sum(p.n for p in payload if isinstance(p, BitString))
-                else:
-                    bits = 0
-                out.append((rec.note, bits))
-        return out
-
     # pinned from the single-string protocol before it became the N = 1
     # collective run; the opening carries its index as a non-bit field
     expected = [("helper", 464), ("mask", 32), ("c", 32), ("opening", 386)]
     x = BitString.from01("01")
     single = run_extpuf(EP2, x, seed=8000)
     coll = run_collective(EP2, [x], seed=8000)
-    assert message_trace(single.session.log) == expected
-    assert message_trace(coll.session.log) == expected
+    assert message_shapes(single.session.log) == expected
+    assert message_shapes(coll.session.log) == expected
 
 
 def test_original_flow_completeness_and_mask_lengths():

@@ -5,7 +5,7 @@ from pufcommit.session import (
     CuriousDelivery,
     Session,
     count_resources,
-    transcript_features,
+    message_shapes,
 )
 
 
@@ -19,13 +19,13 @@ def test_same_seed_gives_byte_identical_logs():
     assert a != c
 
 
-def test_transcript_features_are_stable():
+def test_message_shapes_are_stable():
     params = CpufParams.standard(8, 2)
     x = BitString.from01("01")
-    f1 = transcript_features(run_cpuf(params, x, seed=5).session.log)
-    f2 = transcript_features(run_cpuf(params, x, seed=5).session.log)
+    f1 = message_shapes(run_cpuf(params, x, seed=5).session.log)
+    f2 = message_shapes(run_cpuf(params, x, seed=5).session.log)
     assert f1 == f2
-    assert any(name == "c" for name, *_ in f1 if isinstance(name, str))
+    assert ("c", params.mask_len) in f1
 
 
 def test_resource_counting():
