@@ -28,6 +28,13 @@ bits j of w.  Two evaluation orders give the same bits:
 
 The order is chosen by out_len alone, at a crossover measured on CPython
 3.11 (_BYTE_TABLE_MIN_OUT).
+
+Within the correction radius Rep recovers exactly the reading that Gen
+hashed, so an honest opening asks for a hash already computed in the same
+session.  _hash therefore memoizes its result, keyed by its whole input
+(seed, reading, widths).  A new Session empties the memo
+(reset_hash_memo), and so does passing _MEMO_MAX_BITS; the memo only ever
+returns the value a fresh evaluation of the same input gives.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .bits import BitString
 from .ecc import RepetitionCode
 from .prf import prf_bits
 
-__all__ = ["HelperData", "FuzzyExtractor", "check_matching"]
+__all__ = ["HelperData", "FuzzyExtractor", "check_matching", "reset_hash_memo"]
 
 # Narrowest output hashed by byte tables.  Below it the per-row loop is
 # faster: at out_len 128 the two orders tie, at 192 tables win by 1.1-1.8x.
@@ -47,6 +54,21 @@ _BYTE_TABLE_MIN_OUT = 192
 # widest hash here (25 392 -> 8 448 bits: about 2.6 ms a call on CPython
 # 3.11, against 40-50 ms by rows), with a table of about 330 KB.
 _SEGMENT_BYTES = 256
+# Key and value bits the hash memo may hold before it empties itself.  A
+# session resets it, but hashes made outside any session (the harness's
+# fe-* and props-* loops) would otherwise pile up without end.  The
+# busiest session here, uccompiler at n = 64, holds about 0.5 Mbit.
+_MEMO_MAX_BITS = 1 << 23
+
+_memo: dict = {}
+_memo_bits = 0
+
+
+def reset_hash_memo() -> None:
+    """Forget every memoized hash."""
+    global _memo_bits
+    _memo.clear()
+    _memo_bits = 0
 
 
 def _toeplitz_by_rows(toeplitz: int, wv: int, n_out: int) -> int:
@@ -152,7 +174,12 @@ class FuzzyExtractor:
         return self._hash(p.hash_seed, recovered)
 
     def _hash(self, seed: BitString, w: BitString) -> BitString:
+        global _memo_bits
         n_in, n_out = self.source_len, self.out_len
+        key = (seed.value, seed.n, w.value, n_in, n_out)
+        known = _memo.get(key)
+        if known is not None:
+            return known
         stream = prf_bits(seed.to_bytes(), b"uhash", n_in + 2 * n_out - 1)
         toeplitz = stream & ((1 << (n_in + n_out - 1)) - 1)
         offset = stream >> (n_in + n_out - 1)
@@ -160,7 +187,13 @@ class FuzzyExtractor:
             value = _toeplitz_by_rows(toeplitz, w.value, n_out)
         else:
             value = _toeplitz_by_bytes(toeplitz, w.value, n_in, n_out)
-        return BitString(value ^ offset, n_out)
+        st = BitString(value ^ offset, n_out)
+        bits = seed.n + n_in + n_out
+        if _memo_bits + bits > _MEMO_MAX_BITS:
+            reset_hash_memo()
+        _memo[key] = st
+        _memo_bits += bits
+        return st
 
 
 def check_matching(fe: FuzzyExtractor, puf_params) -> bool:

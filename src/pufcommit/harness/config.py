@@ -39,6 +39,9 @@ class ConfigError(Exception):
         self.path = path
         self.message = message
 
+    def __reduce__(self):  # rebuilt from both fields when a worker raises it
+        return (ConfigError, (self.path, self.message))
+
 
 @dataclass
 class ExperimentConfig:

@@ -18,11 +18,7 @@ from multiprocessing import get_context
 from random import Random
 from typing import Callable, Optional
 
-from ..adversaries import (
-    AmbiguousQuerySender,
-    strategy_by_id,
-    zoo,
-)
+from ..adversaries import AmbiguousQuerySender, zoo
 from ..bits import BitString, hamming_distance
 from ..entropy import check_entropy_lemmas, histogram_distance
 from ..extract import run_extractor_collective, run_extractor_original
@@ -176,6 +172,14 @@ def _run(entry: ProtocolEntry, cfg: ExperimentConfig, values: list, seed: int, *
     return entry.run(entry.params(cfg), values, seed, **kw)
 
 
+def _honest_only(cfg: ExperimentConfig) -> None:
+    """Completeness, hiding, costs and the uc-sim receiver case run honest
+    parties only."""
+    if cfg.adversary != "honest":
+        raise ConfigError("adversary", f"{cfg.experiment} runs no adversary "
+                                       f"strategy, not {cfg.adversary!r}")
+
+
 def _senders(cfg: ExperimentConfig) -> list:
     """The zoo senders written for cfg.protocol that cfg.adversary names:
     one strategy, or all of them under all-senders (extraction only)."""
@@ -195,6 +199,7 @@ def _senders(cfg: ExperimentConfig) -> list:
 
 def _completeness_trial(cfg: ExperimentConfig, i: int) -> Counter:
     entry = _entry(cfg)
+    _honest_only(cfg)
     values = entry.sample(cfg, _trial_rng(cfg, "input", i))
     out = _run(entry, cfg, values, _tseed(cfg, "run", i))
     ok = entry.honest_ok(values, out)
@@ -303,6 +308,7 @@ def _extraction_trial(cfg: ExperimentConfig, i: int) -> Counter:
 def _commit_view(cfg: ExperimentConfig, b: int, seed: int) -> dict:
     """Commit-phase-only run returning what the distinguisher may touch."""
     entry = _entry(cfg)
+    _honest_only(cfg)
     params = entry.params(cfg)
     x = BitString.ones(cfg.k) if b else BitString.zeros(cfg.k)
     out = entry.run(params, [x] * entry.strings(cfg), seed, open_phase=False)
@@ -335,6 +341,7 @@ def _hiding_trial(cfg: ExperimentConfig, i: int) -> Counter:
 
 def _costs_run(cfg: ExperimentConfig) -> ExperimentReport:
     entry = _entry(cfg)
+    _honest_only(cfg)
     values = entry.sample(cfg, _trial_rng(cfg, "input", 0))
     out = _run(entry, cfg, values, _tseed(cfg, "run", 0))
     ok = entry.honest_ok(values, out)
@@ -360,16 +367,16 @@ def _ucsim_trial(cfg: ExperimentConfig, i: int) -> Counter:
     b = rng.getrandbits(1)
     counter: Counter = Counter(success=1)
     if cfg.case == "receiver":
+        _honest_only(cfg)
         real, _ = run_real_world(cfg.n, b, _tseed(cfg, "real", i),
                                  d_noise=cfg.d_noise)
         ideal, _ = run_ideal_receiver_corrupt(cfg.n, b, _tseed(cfg, "ideal", i),
                                               d_noise=cfg.d_noise)
     else:
-        factory = (strategy_by_id(cfg.adversary).factory
-                   if cfg.adversary != "honest" else None)
         kwargs = {"d_noise": cfg.d_noise}
-        if factory is not None:
-            kwargs["sender_factory"] = factory
+        if cfg.adversary != "honest":
+            (strategy,) = _senders(replace(cfg, protocol="uccompiler"))
+            kwargs["sender_factory"] = strategy.factory
         real, real_out = run_real_world(cfg.n, b, _tseed(cfg, "real", i), **kwargs)
         ideal, ideal_out = run_ideal_sender_corrupt(cfg.n, b, _tseed(cfg, "ideal", i),
                                                     **kwargs)

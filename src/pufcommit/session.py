@@ -26,6 +26,7 @@ from .functionality import (
     EventLog,
     NoCommPufFunctionality,
 )
+from .fuzzy import reset_hash_memo
 from .prf import derive_seed
 from .puf import MachineProgram, PufParams
 
@@ -77,6 +78,7 @@ class CuriousDelivery(ImmediateDelivery):
 class Session:
     def __init__(self, seed: int, comm: bool = True, budgets: Budgets | None = None,
                  adversary=None):
+        reset_hash_memo()  # a session reuses only its own hashes
         self.seed = seed
         self.log = EventLog()
         budgets = budgets if budgets is not None else Budgets()

@@ -66,6 +66,9 @@ def test_config_error_exit_code(tmp_path: Path, capsys):
     ("binding", "extpuf", "stateful-probe-receiver"),       # not a sender
     ("binding", "collextpuf", "equivocating-open-extpuf"),  # another protocol's
     ("extraction", "extpuf", None),
+    ("completeness", "cpuf", "honest-sender"),              # honest parties only
+    ("hiding", "extpuf", "equivocating-open-extpuf"),
+    ("costs", "collextpuf", "never-query-collective"),
 ])
 def test_adversary_outside_the_protocols_senders_is_a_config_error(
         tmp_path: Path, capsys, experiment, protocol, adversary):
@@ -74,6 +77,22 @@ def test_adversary_outside_the_protocols_senders_is_a_config_error(
         f"version: 1\nexperiment: {experiment}\nprotocol: {protocol}\n"
         + (f"adversary: {adversary}\n" if adversary else "")
         + "n: 8\nk: 2\ntrials: 2\n"
+    )
+    assert main(["experiment", str(cfg)]) == EXIT_CONFIG
+    assert "adversary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case,adversary", [
+    ("sender", "all-senders"),            # extraction only
+    ("sender", "honest-sender"),          # a revised-flow sender, not the compiler's
+    ("receiver", "e-guessing-sender"),    # the receiver case has no sender strategy
+])
+def test_ucsim_adversary_outside_its_case_is_a_config_error(
+        tmp_path: Path, capsys, case, adversary):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(
+        f"version: 1\nexperiment: uc-sim\ncase: {case}\nadversary: {adversary}\n"
+        "n: 8\ntrials: 2\n"
     )
     assert main(["experiment", str(cfg)]) == EXIT_CONFIG
     assert "adversary" in capsys.readouterr().err

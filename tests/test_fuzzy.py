@@ -1,3 +1,4 @@
+from collections import Counter
 from random import Random
 
 import pytest
@@ -5,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pufcommit import fuzzy
+from pufcommit.adversaries import SubstitutingReturnSender
 from pufcommit.bits import BitString, hamming_distance
 from pufcommit.fuzzy import FuzzyExtractor, HelperData, check_matching
 from pufcommit.prf import prf_bits
+from pufcommit.protocols import ExtPufParams, run_extpuf
 from pufcommit.puf import PufParams
 
 CROSSOVER = fuzzy._BYTE_TABLE_MIN_OUT
@@ -186,3 +189,118 @@ def test_widest_hash_in_use_matches_row_loop():
     seed = BitString.random(fe.seed_bits, rng)
     for w in (BitString.random(fe.source_len, rng), BitString.ones(fe.source_len)):
         assert fe._hash(seed, w) == reference_hash(fe, seed, w)
+
+
+# -- Rep within the correction radius, which the hash memo relies on --------
+
+@st.composite
+def readings(draw):
+    """An extractor on either side of the byte-table crossover, a reading w,
+    a gen seed, and a Random that places the noise."""
+    t = draw(st.integers(0, 3))
+    wide = draw(st.booleans())
+    blocks = draw(st.integers(CROSSOVER, CROSSOVER + 64) if wide else st.integers(1, 64))
+    out_len = draw(st.integers(CROSSOVER, blocks) if wide else st.integers(1, blocks))
+    fe = FuzzyExtractor((2 * t + 1) * blocks, out_len, t)
+    w = BitString(draw(st.integers(0, (1 << fe.source_len) - 1)), fe.source_len)
+    return fe, w, draw(st.integers(0, 2**32)), Random(draw(st.integers(0, 2**32)))
+
+
+def block_noise(fe, noise, load):
+    """Flip positions with at most load(block) flips in each inner block."""
+    r = 2 * fe.t + 1
+    return [j * r + i for j in range(fe.source_len // r)
+            for i in noise.sample(range(r), load(j))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(readings(), st.sampled_from(["none", "some", "full"]))
+def test_rep_within_t_per_block_returns_the_gen_hash(case, level):
+    fe, w, gen_seed, noise = case
+    load = {"none": lambda j: 0, "some": lambda j: noise.randint(0, fe.t),
+            "full": lambda j: fe.t}[level]
+    st_gen, p = fe.gen(w, Random(gen_seed))
+    got = fe.rep(w.flip(block_noise(fe, noise, load)), p)
+    assert got == st_gen == reference_hash(fe, p.hash_seed, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(readings())
+def test_rep_beyond_t_in_one_block_hashes_the_word_it_recovered(case):
+    # t + 1 flips in block j move its majority, so Rep recovers w with the
+    # whole block flipped; the memo holds gen's hash of w and must not answer
+    fe, w, gen_seed, noise = case
+    r = 2 * fe.t + 1
+    j = noise.randrange(fe.source_len // r)
+    _, p = fe.gen(w, Random(gen_seed))
+    flips = block_noise(fe, noise, lambda i: fe.t + 1 if i == j else noise.randint(0, fe.t))
+    recovered = w.flip(range(j * r, (j + 1) * r))
+    assert fe.rep(w.flip(flips), p) == reference_hash(fe, p.hash_seed, recovered)
+
+
+# -- The hash memo: one session's lifetime, a fixed cap ----------------------
+
+EP = ExtPufParams.standard(16, 4)
+X = BitString.from01("1011")
+
+
+@pytest.fixture
+def hash_count(monkeypatch):
+    """Counts gen and rep calls and the Toeplitz products actually computed."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in ("_toeplitz_by_rows", "_toeplitz_by_bytes"):
+        monkeypatch.setattr(fuzzy, name, counting("hash", getattr(fuzzy, name)))
+    for name in ("gen", "rep"):
+        monkeypatch.setattr(FuzzyExtractor, name,
+                            counting(name, getattr(FuzzyExtractor, name)))
+    return counts
+
+
+def test_honest_opening_reuses_the_gen_hash(hash_count):
+    assert run_extpuf(EP, X, seed=5).accepted
+    assert hash_count["rep"] > 0
+    assert hash_count["hash"] == hash_count["gen"]
+
+
+def test_a_new_session_recomputes_every_hash(hash_count):
+    run_extpuf(EP, X, seed=5)
+    first = hash_count["hash"]
+    hash_count.clear()
+    run_extpuf(EP, X, seed=5)
+    assert hash_count["hash"] == first == hash_count["gen"]
+
+
+def test_rep_of_a_substituted_probe_computes_its_hash(hash_count):
+    out = run_extpuf(EP, X, seed=5, sender_factory=SubstitutingReturnSender)
+    assert out.abort_step == "TQ_FAIL"
+    assert hash_count["rep"] > 0
+    assert hash_count["hash"] == hash_count["gen"] + hash_count["rep"]
+
+
+def test_memo_tells_widths_apart():
+    rng = Random(13)
+    seed = BitString.random(64, rng)
+    value = rng.getrandbits(600)
+    for source_len, out_len in ((600, 8), (600, CROSSOVER), (601, 8), (600, 8)):
+        fe = FuzzyExtractor(source_len, out_len, 0, seed_bits=64)
+        w = BitString(value, source_len)
+        assert fe._hash(seed, w) == reference_hash(fe, seed, w)
+
+
+def test_memo_outside_sessions_stays_under_its_cap():
+    fe = FuzzyExtractor(1 << 16, 8, 0, seed_bits=64)
+    entry_bits = fe.seed_bits + fe.source_len + fe.out_len
+    most = fuzzy._MEMO_MAX_BITS // entry_bits
+    rng = Random(14)
+    fuzzy.reset_hash_memo()
+    for _ in range(2 * most + 2):
+        fe.gen(BitString.random(fe.source_len, rng), rng)
+        assert fuzzy._memo_bits <= fuzzy._MEMO_MAX_BITS
+        assert len(fuzzy._memo) <= most

@@ -1,4 +1,5 @@
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,13 @@ def test_config_validation_paths(field, value, needle):
     with pytest.raises(ConfigError) as err:
         cfg.validate()
     assert err.value.path == needle
+
+
+def test_config_error_survives_the_trip_from_a_worker():
+    # a trial that raises in a fork worker is pickled back to the caller;
+    # an error that cannot be rebuilt there leaves the pool waiting forever
+    err = pickle.loads(pickle.dumps(ConfigError("adversary", "not a sender")))
+    assert (err.path, err.message) == ("adversary", "not a sender")
 
 
 def test_extraction_without_senders_is_a_config_error():

@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -5,9 +6,11 @@ import pytest
 from pufcommit.bits import BitString, spread, stride_indices
 from pufcommit.adversaries import (
     AbortingProbeReceiver,
+    AmbiguousQuerySender,
     EquivocatingCollectiveSender,
     EquivocatingCpufSender,
     EquivocatingExtPufSender,
+    NeverQuerySender,
     SubstitutingReturnSender,
 )
 from pufcommit.protocols import (
@@ -319,3 +322,32 @@ def test_parameter_bundle_validation():
     with pytest.raises(ValueError):
         ExtPufParams(n=16, k=2, main=EP2.main, probe=EP2.probe,
                      code=type(bad_code)(32, 5))
+
+
+# A speedup must leave every seeded event log byte-identical; these digests
+# were taken before the hash memo and pin one run of each protocol.
+X4 = BitString.from01("1011")
+SEEDED_RUNS = {
+    "cpuf": lambda: run_cpuf(CP, X4, seed=21),
+    "extpuf": lambda: run_extpuf(EP, X4, seed=22),
+    "collective": lambda: run_collective(EP, [X4, ~X4, X4], seed=23),
+    "original-ambiguous": lambda: run_original_extpuf(
+        OP, BitString.zeros(1), seed=24, sender_factory=AmbiguousQuerySender),
+    "uccompiler-n8": lambda: run_uccompiler(8, 1, seed=25),
+    "collective-never-query": lambda: run_collective(
+        EP, [X4, X4], seed=26, sender_factory=NeverQuerySender),
+}
+LOG_SHA256 = {
+    "cpuf": "eea0e4408ac6e28d82842ece468aa06adc2ec4bdc59988ab15637096570a991c",
+    "extpuf": "894facfe956af516d48517f83555d09a6055b8ba94a6ed57379930eecefa5b70",
+    "collective": "ed93223e1f0a1bc265a9e97a4535e7e6564b72e5b79ad18f377849ff25f7638c",
+    "original-ambiguous": "d4e4707de9ff1c9e17b220eb94d8ba4428e0f5a52b526347b43f8f692d606173",
+    "uccompiler-n8": "a40305fd68a35e8fdc30e7cbffca8eab13a259efefab77c89790406b652ba8a1",
+    "collective-never-query": "271279a115d2924439b0ec19d19f94584eca50c5c21630c68c24714d6b94b15e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEEDED_RUNS))
+def test_seeded_event_logs_are_pinned(case):
+    log = SEEDED_RUNS[case]().session.log
+    assert hashlib.sha256(log.serialize().encode()).hexdigest() == LOG_SHA256[case]
