@@ -38,10 +38,7 @@ __all__ = [
     "strategy_by_id",
     "AmbiguousQuerySender",
     "EquivocatingCpufSender",
-    "EquivocatingExtPufSender",
     "EquivocatingCollectiveSender",
-    "CollectiveNeverQuerySender",
-    "CollectiveSubstitutingReturner",
     "SubstitutingReturnSender",
     "LateQuerySender",
     "NeverQuerySender",
@@ -105,9 +102,6 @@ class EquivocatingCollectiveSender(CollectiveSender):
                 self.st_e[index], self.p_e[index].concat())
 
 
-EquivocatingExtPufSender = EquivocatingCollectiveSender
-
-
 # ---------------------------------------------------------------------------
 # Return-check and budget probes (revised flow)
 # ---------------------------------------------------------------------------
@@ -120,9 +114,6 @@ class NeverQuerySender(CollectiveSender):
         return None
 
 
-CollectiveNeverQuerySender = NeverQuerySender
-
-
 class SubstitutingReturnSender(CollectiveSender):
     """Returns a fresh token of the probe family instead of the probe and
     keeps the real probe; the receiver's fingerprint check should catch
@@ -133,9 +124,6 @@ class SubstitutingReturnSender(CollectiveSender):
     def return_probe(self, receiver):
         self.api.create_honest(self.DECOY_SID, self.params.probe.puf)
         self.api.handover(self.DECOY_SID, receiver)
-
-
-CollectiveSubstitutingReturner = SubstitutingReturnSender
 
 
 class LateQuerySender(CollectiveSender):

@@ -1,5 +1,7 @@
 """Exact entropy calculators over explicit finite distributions.
 
+A joint distribution of (X, Y) is a nested sequence of non-negative
+weights w[x][y] with total T: probabilities (T = 1) or integer counts.
 All quantities are computed by direct enumeration, never estimated from
 samples, so they can serve as oracles for the statistical layers above.
 Logs are base 2 throughout; entropies are in bits.
@@ -7,29 +9,31 @@ Logs are base 2 throughout; entropies are in bits.
 The central quantity is the average (conditional) min-entropy
 
     Havg(X | Y) = -log2( E_{y <- Y} [ max_x Pr[X = x | Y = y] ] )
-                = -log2( sum_y max_x Pr[X = x, Y = y] ),
+                = -log2( G(w) / T ),   G(w) = sum_y max_x w[x][y],
 
-the standard measure of how well X can be guessed after seeing Y.  The
-suite at the bottom stress-tests the inequalities this package leans on
-(monotonicity under functions, independence, the weak chain rule, the
+the standard measure of how well X can be guessed after seeing Y
+(Dodis, Reyzin and Smith, "Fuzzy Extractors").  G is the guessing weight.
+
+The suite at the bottom stress-tests the inequalities this package leans
+on (monotonicity under functions, independence, the weak chain rule, the
 equality and neighborhood bounds) on random small-support distributions.
+Those are integer weights with one fixed total, so every inequality is a
+comparison of integer guessing weights: exact, with no tolerance and no
+logarithm.  log2 is taken only by the public calculators.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from random import Random
 
 from .bits import neighborhood_size
 from .report import ExperimentReport
 
 __all__ = [
-    "JointDistribution",
+    "guessing_weight",
     "min_entropy",
     "max_entropy",
-    "avg_min_entropy",
     "avg_min_entropy_matrix",
     "statistical_distance",
     "histogram_distance",
@@ -37,62 +41,17 @@ __all__ = [
     "LEMMA_NAMES",
 ]
 
-_PROB_TOL = 1e-12
 
+def guessing_weight(w):
+    """G(w) = sum_y max_x w[x][y], the weight of guessing X from Y.
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Joint distribution of (X, Y) over explicit finite supports.
-
-    probs[i, j] = Pr[X = support_x[i], Y = support_y[j]].
-    """
-
-    support_x: tuple
-    support_y: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", p)
-        if p.shape != (len(self.support_x), len(self.support_y)):
-            raise ValueError(
-                f"probs shape {p.shape} does not match supports "
-                f"({len(self.support_x)}, {len(self.support_y)})"
-            )
-        if (p < 0).any():
-            raise ValueError("negative probability entry")
-        if abs(float(p.sum()) - 1.0) > _PROB_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-
-    @classmethod
-    def random(cls, rng: np.random.Generator, nx: int, ny: int,
-               support_x=None, support_y=None) -> "JointDistribution":
-        """Dirichlet(1) joint: normalized exponentials, dense support."""
-        raw = rng.exponential(size=(nx, ny))
-        raw /= raw.sum()
-        sx = tuple(support_x) if support_x is not None else tuple(range(nx))
-        sy = tuple(support_y) if support_y is not None else tuple(range(ny))
-        return cls(sx, sy, raw)
-
-    @classmethod
-    def independent(cls, px, py, support_x=None, support_y=None) -> "JointDistribution":
-        px = np.asarray(px, dtype=float)
-        py = np.asarray(py, dtype=float)
-        sx = tuple(support_x) if support_x is not None else tuple(range(len(px)))
-        sy = tuple(support_y) if support_y is not None else tuple(range(len(py)))
-        return cls(sx, sy, np.outer(px, py))
-
-    def marginal_x(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def marginal_y(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
+    Zero-weight columns contribute nothing (their column max is 0)."""
+    return sum(map(max, zip(*w)))
 
 
 def min_entropy(p) -> float:
     """H_inf(X) = -log2 max_x Pr[X = x]."""
-    p = np.asarray(p, dtype=float)
-    return -math.log2(float(p.max()))
+    return -math.log2(max(p))
 
 
 def max_entropy(support_size: int) -> float:
@@ -102,18 +61,9 @@ def max_entropy(support_size: int) -> float:
     return math.log2(support_size)
 
 
-def avg_min_entropy_matrix(probs: np.ndarray) -> float:
-    """Average min-entropy of X given Y from the joint matrix probs[x, y].
-
-    Zero-probability columns contribute nothing to the expectation and
-    are skipped implicitly (their column max is 0).
-    """
-    guess = float(np.asarray(probs, dtype=float).max(axis=0).sum())
-    return -math.log2(guess)
-
-
-def avg_min_entropy(joint: JointDistribution) -> float:
-    return avg_min_entropy_matrix(joint.probs)
+def avg_min_entropy_matrix(probs) -> float:
+    """Average min-entropy of X given Y from the joint probs[x][y]."""
+    return -math.log2(guessing_weight(probs))
 
 
 def statistical_distance(p: dict, q: dict) -> float:
@@ -143,114 +93,112 @@ def histogram_distance(counts_a: dict, counts_b: dict) -> float:
 # ---------------------------------------------------------------------------
 # Inequality suite
 # ---------------------------------------------------------------------------
+#
+# Each check draws fresh distributions and returns (lhs, rhs) pairs of
+# integers, every one claiming lhs <= rhs.  An entropy bound H >= H'
+# between two joints of totals T and T' reads G * T' <= G' * T.
 
-LEMMA_NAMES = (
-    "function",
-    "independent",
-    "minentropy",
-    "chain_rule",
-    "equality",
-    "neighborhood",
-)
-
-_TOL = 1e-9
+_TOTAL_BITS = 32
+_TOTAL = 1 << _TOTAL_BITS   # total weight of every drawn distribution
 
 
-def _check_function(g: np.random.Generator, max_support: int) -> bool:
+def _weights(rng: Random, size: int) -> list[int]:
+    """size non-negative integer weights summing to _TOTAL: the gaps between
+    sorted uniform cuts, the lattice form of a Dirichlet(1) draw."""
+    cuts = sorted(rng.getrandbits(_TOTAL_BITS) for _ in range(size - 1))
+    return [hi - lo for lo, hi in zip([0, *cuts], [*cuts, _TOTAL])]
+
+
+def _joint(rng: Random, nx: int, ny: int) -> list[list[int]]:
+    flat = _weights(rng, nx * ny)
+    return [flat[i:i + ny] for i in range(0, nx * ny, ny)]
+
+
+def _check_function(rng: Random, max_support: int):
     # Havg(X|Y) <= Havg(X|f(Y)) for any post-processing f of the condition.
-    nx = int(g.integers(2, max_support + 1))
-    ny = int(g.integers(2, max_support + 1))
-    nz = int(g.integers(1, ny + 1))
-    probs = JointDistribution.random(g, nx, ny).probs
-    f = g.integers(0, nz, size=ny)
-    pf = np.zeros((nx, nz))
-    for y in range(ny):
-        pf[:, f[y]] += probs[:, y]
-    return avg_min_entropy_matrix(probs) <= avg_min_entropy_matrix(pf) + _TOL
+    nx = rng.randint(2, max_support)
+    ny = rng.randint(2, max_support)
+    nz = rng.randint(1, ny)
+    w = _joint(rng, nx, ny)
+    f = [rng.randrange(nz) for _ in range(ny)]
+    wf = [[0] * nz for _ in range(nx)]
+    for row, out in zip(w, wf):
+        for y, v in enumerate(row):
+            out[f[y]] += v
+    return [(guessing_weight(wf), guessing_weight(w))]
 
 
-def _check_independent(g: np.random.Generator, max_support: int) -> bool:
+def _check_independent(rng: Random, max_support: int):
     # (X,Y) independent of Z: conditioning on Z changes nothing.
-    nx = int(g.integers(2, max_support + 1))
-    ny = int(g.integers(2, max_support + 1))
-    nz = int(g.integers(2, max_support + 1))
-    pxy = JointDistribution.random(g, nx, ny).probs
-    pz = g.exponential(size=nz)
-    pz /= pz.sum()
+    nx = rng.randint(2, max_support)
+    ny = rng.randint(2, max_support)
+    nz = rng.randint(2, max_support)
+    wxy = _joint(rng, nx, ny)
+    wz = _weights(rng, nz)
     # flatten (Y, Z) as the condition
-    pxyz = pxy[:, :, None] * pz[None, None, :]
-    lhs = avg_min_entropy_matrix(pxyz.reshape(nx, ny * nz))
-    rhs = avg_min_entropy_matrix(pxy)
-    ok1 = abs(lhs - rhs) <= _TOL
+    g_xyz = guessing_weight([[a * b for a in row for b in wz] for row in wxy])
+    g_xy = _TOTAL * guessing_weight(wxy)
     # X independent of Z: conditional equals plain min-entropy
-    px = pxy.sum(axis=1)
-    pxz = np.outer(px, pz)
-    ok2 = abs(avg_min_entropy_matrix(pxz) - min_entropy(px)) <= _TOL
-    return ok1 and ok2
+    wx = [sum(row) for row in wxy]
+    g_xz = guessing_weight([[a * b for b in wz] for a in wx])
+    g_x = _TOTAL * max(wx)
+    return [(g_xyz, g_xy), (g_xy, g_xyz), (g_xz, g_x), (g_x, g_xz)]
 
 
-def _check_minentropy(g: np.random.Generator, max_support: int) -> bool:
+def _check_minentropy(rng: Random, max_support: int):
     # Family {X_a} sharing one Y, selected by an independent index A:
     #   Havg(X_A|Y) >= -log2( sum_a 2^(-Havg(X_a|Y)) ) >= min_a Havg(X_a|Y) - log2|D_A|
-    na = int(g.integers(2, min(4, max_support) + 1))
-    nx = int(g.integers(2, max_support + 1))
-    ny = int(g.integers(2, max_support + 1))
-    qy = g.exponential(size=ny)
-    qy /= qy.sum()
-    pa = g.exponential(size=na)
-    pa /= pa.sum()
+    na = rng.randint(2, min(4, max_support))
+    nx = rng.randint(2, max_support)
+    ny = rng.randint(2, max_support)
+    qy = _weights(rng, ny)
+    wa = _weights(rng, na)
     members = []
     for _ in range(na):
-        cond = g.exponential(size=(nx, ny))
-        cond /= cond.sum(axis=0, keepdims=True)
-        members.append(cond * qy[None, :])  # joint of (X_a, Y), common Y marginal
-    mix = sum(pa[a] * members[a] for a in range(na))
-    lhs = avg_min_entropy_matrix(mix)
-    sum_bound = -math.log2(sum(2.0 ** -avg_min_entropy_matrix(m) for m in members))
-    crude = min(avg_min_entropy_matrix(m) for m in members) - math.log2(na)
-    return lhs >= sum_bound - _TOL and lhs >= crude - _TOL
+        # column y is Pr[X_a = . | Y = y] * Pr[Y = y]: a common Y marginal
+        columns = [[q * v for v in _weights(rng, nx)] for q in qy]
+        members.append(list(zip(*columns)))
+    mix = [[sum(a * v for a, v in zip(wa, cells)) for cells in zip(*rows)]
+           for rows in zip(*members)]
+    g_mix = guessing_weight(mix)
+    gs = [guessing_weight(m) for m in members]
+    return [(g_mix, _TOTAL * sum(gs)), (g_mix, _TOTAL * na * max(gs))]
 
 
-def _check_chain_rule(g: np.random.Generator, max_support: int) -> bool:
+def _check_chain_rule(rng: Random, max_support: int):
     # Havg(X|Y,Z) >= Havg(X|Y) - H0(Z), and Havg(X|Z) >= Hinf(X) - H0(Z).
-    nx = int(g.integers(2, max_support + 1))
-    ny = int(g.integers(2, max_support + 1))
-    nz = int(g.integers(1, max_support + 1))
-    raw = g.exponential(size=(nx, ny, nz))
-    raw /= raw.sum()
-    h0z = max_entropy(nz)
-    lhs = avg_min_entropy_matrix(raw.reshape(nx, ny * nz))
-    rhs = avg_min_entropy_matrix(raw.sum(axis=2)) - h0z
-    ok1 = lhs >= rhs - _TOL
-    pxz = raw.sum(axis=1)
-    ok2 = avg_min_entropy_matrix(pxz) >= min_entropy(pxz.sum(axis=1)) - h0z - _TOL
-    return ok1 and ok2
+    nx = rng.randint(2, max_support)
+    ny = rng.randint(2, max_support)
+    nz = rng.randint(1, max_support)
+    nyz = ny * nz
+    flat = _weights(rng, nx * nyz)
+    wxyz = [flat[i:i + nyz] for i in range(0, nx * nyz, nyz)]   # z varies fastest
+    wxy = [[sum(row[j:j + nz]) for j in range(0, nyz, nz)] for row in wxyz]
+    wxz = [[sum(row[z::nz]) for z in range(nz)] for row in wxyz]
+    wx = [sum(row) for row in wxyz]
+    return [(guessing_weight(wxyz), nz * guessing_weight(wxy)),
+            (guessing_weight(wxz), nz * max(wx))]
 
 
-def _check_equality(g: np.random.Generator, max_support: int) -> bool:
+def _check_equality(rng: Random, max_support: int):
     # X, Y on the same set: Pr[X = Y] <= 2^(-Havg(X|Y)).
-    d = int(g.integers(2, max_support + 1))
-    probs = JointDistribution.random(g, d, d).probs
-    p_eq = float(np.trace(probs))
-    return p_eq <= 2.0 ** -avg_min_entropy_matrix(probs) + _TOL
+    d = rng.randint(2, max_support)
+    w = _joint(rng, d, d)
+    return [(sum(w[i][i] for i in range(d)), guessing_weight(w))]
 
 
-def _check_neighborhood(g: np.random.Generator, max_support: int) -> bool:
+def _check_neighborhood(rng: Random, max_support: int):
     # Hamming balls A(d) of constant size covering D = {0,1}^b:
     #   Pr[X in A(Y)] <= |A| * 2^(-Havg(X|Y)).
-    b = int(g.integers(1, 4))
+    b = rng.randint(1, 3)
     if (1 << b) > max_support:
         b = max(1, max_support.bit_length() - 1)
     size = 1 << b
-    radius = int(g.integers(1, b + 2))
-    probs = JointDistribution.random(g, size, size).probs
-    ball = neighborhood_size(b, radius)
-    p_in = 0.0
-    for x in range(size):
-        for y in range(size):
-            if (x ^ y).bit_count() < radius:
-                p_in += probs[x, y]
-    return p_in <= ball * 2.0 ** -avg_min_entropy_matrix(probs) + _TOL
+    radius = rng.randint(1, b + 1)
+    w = _joint(rng, size, size)
+    inside = sum(w[x][y] for x in range(size) for y in range(size)
+                 if (x ^ y).bit_count() < radius)
+    return [(inside, neighborhood_size(b, radius) * guessing_weight(w))]
 
 
 _CHECKS = {
@@ -262,25 +210,27 @@ _CHECKS = {
     "neighborhood": _check_neighborhood,
 }
 
+LEMMA_NAMES = tuple(_CHECKS)
+
 
 def check_entropy_lemmas(trials: int, max_support: int = 8, seed: int = 0) -> ExperimentReport:
     """Exhaustively verify the entropy inequalities on random joints.
 
     Each trial samples fresh distributions with supports of size at most
-    ``max_support`` and evaluates both sides of every inequality exactly.
+    ``max_support`` and compares both sides of every inequality exactly.
     A violation is a reported failure, never an exception.
     """
     if max_support > 8:
         raise ValueError("exhaustive regime requires max_support <= 8")
     if max_support < 2:
         raise ValueError("need supports of size at least 2")
-    g = np.random.default_rng(seed)
-    violations = {name: 0 for name in LEMMA_NAMES}
+    rng = Random(seed)
+    violations = dict.fromkeys(LEMMA_NAMES, 0)
     failed_trials = 0
     for _ in range(trials):
         bad = False
         for name, check in _CHECKS.items():
-            if not check(g, max_support):
+            if any(lhs > rhs for lhs, rhs in check(rng, max_support)):
                 violations[name] += 1
                 bad = True
         if bad:
@@ -290,5 +240,5 @@ def check_entropy_lemmas(trials: int, max_support: int = 8, seed: int = 0) -> Ex
         trials=trials,
         successes=trials - failed_trials,
         failures=failed_trials,
-        details={"violations": violations, "max_support": max_support, "tolerance": _TOL},
+        details={"violations": violations, "max_support": max_support, "tolerance": 0},
     )

@@ -20,8 +20,8 @@ EXIT_ASSERT = 1
 EXIT_CONFIG = 2
 
 
-def _add_common(parser, trials=None, n=None):
-    parser.add_argument("--seed", type=int, default=1, help="master seed")
+def _add_common(parser, trials=None, n=None, seed=1):
+    parser.add_argument("--seed", type=int, default=seed, help="master seed")
     parser.add_argument("--trials", type=int, default=trials)
     parser.add_argument("--n", type=int, default=n, help="security parameter")
     parser.add_argument("--out", type=str, default=None,
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a config file")
     p.add_argument("config", type=str)
-    _add_common(p)
+    _add_common(p, seed=None)   # no override unless given
     p.add_argument("--jobs", type=int, default=None)
 
     p = sub.add_parser("uc-sim", help="real versus ideal world comparison")
@@ -93,10 +93,9 @@ def _finish(report: ExperimentReport, out: str | None) -> int:
 def _demo(args) -> int:
     from .experiments import PROTOCOL_TABLE, run_experiment
 
-    n = args.n or 16
     cfg = ExperimentConfig(
-        experiment="completeness", protocol=args.protocol, n=n,
-        k=min(args.k, 4), n_strings=2, trials=args.trials or 1, seed=args.seed,
+        experiment="completeness", protocol=args.protocol, n=args.n,
+        k=min(args.k, 4), n_strings=2, trials=args.trials, seed=args.seed,
         name=f"demo/{args.protocol}",
     )
     report = run_experiment(cfg)
@@ -122,7 +121,7 @@ def _attack(args) -> int:
     cfg = ExperimentConfig(
         experiment="attack-original", protocol="original-extpuf",
         adversary="ambiguous-query-attacker",
-        n=args.n or 16, k=1, trials=args.trials or 500, seed=args.seed,
+        n=args.n, k=1, trials=args.trials, seed=args.seed,
         name="attack/original-extpuf",
     )
     report = run_experiment(cfg)
@@ -138,14 +137,9 @@ def _experiment(args) -> int:
     from .experiments import run_experiment
 
     cfg = load_config(args.config)
-    if args.trials:
-        cfg.trials = args.trials
-    if args.n:
-        cfg.n = args.n
-    if args.seed != 1:
-        cfg.seed = args.seed
-    if args.jobs:
-        cfg.jobs = args.jobs
+    for key in ("trials", "n", "seed", "jobs"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     cfg.validate()
     report = run_experiment(cfg)
     return _finish(report, args.out or cfg.out)
@@ -155,8 +149,8 @@ def _ucsim(args) -> int:
     from .experiments import run_experiment
 
     cfg = ExperimentConfig(
-        experiment="uc-sim", case=args.case, n=args.n or 8,
-        trials=args.trials or 2000, seed=args.seed,
+        experiment="uc-sim", case=args.case, n=args.n,
+        trials=args.trials, seed=args.seed,
         name=f"uc-sim/{args.case}",
     )
     return _finish(run_experiment(cfg), args.out)
@@ -167,7 +161,7 @@ def _costs(args) -> int:
 
     cfg = ExperimentConfig(
         experiment="costs", protocol=args.protocol, mode=args.mode,
-        n=args.n or 16, k=args.k, trials=1, seed=args.seed,
+        n=args.n, k=args.k, trials=1, seed=args.seed,
         name=f"costs/{args.protocol}",
     )
     report = run_experiment(cfg)
@@ -180,7 +174,7 @@ def _lemmas(args) -> int:
     from .experiments import run_experiment
 
     cfg = ExperimentConfig(
-        experiment="lemmas", trials=args.trials or 10000, seed=args.seed,
+        experiment="lemmas", trials=args.trials, seed=args.seed,
         extras={"max_support": args.max_support}, name="lemmas",
     )
     return _finish(run_experiment(cfg), args.out)
@@ -190,8 +184,8 @@ def _props(args) -> int:
     from .experiments import run_experiment
 
     cfg = ExperimentConfig(
-        experiment=f"props-{args.property}", n=args.n or 8,
-        trials=args.trials or 1000, seed=args.seed,
+        experiment=f"props-{args.property}", n=args.n,
+        trials=args.trials, seed=args.seed,
         name=f"props/{args.property}",
     )
     return _finish(run_experiment(cfg), args.out)

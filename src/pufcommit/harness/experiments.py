@@ -453,8 +453,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     name = cfg.name or f"{cfg.experiment}/{cfg.protocol or '-'}/{cfg.adversary}"
 
     if cfg.experiment == "lemmas":
-        report = check_entropy_lemmas(cfg.trials,
-                                      max_support=cfg.extras.get("max_support", 8),
+        max_support = cfg.extras.get("max_support", 8)
+        if not isinstance(max_support, int) or not 2 <= max_support <= 8:
+            raise ConfigError("max_support", f"{max_support!r} is not a support "
+                              "size in 2..8, the range the suite enumerates")
+        report = check_entropy_lemmas(cfg.trials, max_support=max_support,
                                       seed=cfg.seed)
         report.details["passed"] = report.failures == 0
 

@@ -34,8 +34,8 @@ from ..bits import BitString
 from ..functionality import Budgets
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import (Outcome, TestQuery, mask_commitment, open_step, probe_outputs,
-                     record_test_query)
+from .common import (Outcome, TestQuery, commit_step, mask_commitment, open_step,
+                     probe_outputs, record_test_query)
 from .params import ExtPufParams
 
 __all__ = ["CollectiveSender", "CollectiveReceiver", "run_collective",
@@ -194,7 +194,8 @@ def run_collective_commit(params: ExtPufParams, values: list[BitString],
     R = receiver_factory(params, len(values), session.handle_for(receiver_name),
                          label=label)
     outcome = Outcome(session, sender_name=sender_name, sender=S, receiver=R)
-    try:
+
+    def commit():
         session.phase(receiver_name, f"{label}probe-setup")
         R.create_probe()
         session.phase(sender_name, f"{label}setup")
@@ -214,12 +215,9 @@ def run_collective_commit(params: ExtPufParams, values: list[BitString],
         session.phase(sender_name, f"{label}commit")
         R.receive_commitments(
             session.msg(sender_name, receiver_name, "c", S.commitments(masks)))
-        outcome.commit_end = session.mark(f"{label}commit-complete")
-    except ProtocolAbort as abort:
-        session.mark(f"abort:{label}{abort.step}")
-        outcome.abort_step = abort.step
+
+    if not commit_step(outcome, commit, label):
         return outcome
-    outcome.committed = True
     outcome.probe_sid = R.returned_probe
     outcome.receiver_view = {
         "cs": R.cs, "masks": R.masks, "k": params.k, "code": params.code,

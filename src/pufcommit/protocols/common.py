@@ -1,5 +1,5 @@
-"""Shared protocol pieces: the run outcome and its opening step, stride
-masking, the return check and the probe-refused fallback."""
+"""Shared protocol pieces: the run outcome with its commit and opening
+steps, stride masking, the return check and the probe-refused fallback."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from ..bits import BitString, spread
 from ..fuzzy import FuzzyExtractor, HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
 
-__all__ = ["Outcome", "open_step", "mask_commitment", "probe_outputs", "TestQuery",
-           "record_test_query"]
+__all__ = ["Outcome", "commit_step", "open_step", "mask_commitment", "probe_outputs",
+           "TestQuery", "record_test_query"]
 
 
 @dataclass
@@ -57,6 +57,25 @@ class Outcome:
             "commit_end": self.commit_end,
             "log": self.session.log,
         }
+
+
+def commit_step(outcome: Outcome, commit: Callable[[], None], label: str = "") -> bool:
+    """Run a commit phase and record how it ended.
+
+    commit() carries the phase's messages.  A party giving up during it
+    (ProtocolAbort) marks `abort:{label}{step}`; otherwise the session marks
+    `{label}commit-complete` and the outcome is committed.  Returns
+    outcome.committed."""
+    session = outcome.session
+    try:
+        commit()
+    except ProtocolAbort as abort:
+        session.mark(f"abort:{label}{abort.step}")
+        outcome.abort_step = abort.step
+        return False
+    outcome.commit_end = session.mark(f"{label}commit-complete")
+    outcome.committed = True
+    return True
 
 
 def open_step(outcome: Outcome, slot: int, decommit: Callable[[], object],

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 from ..bits import BitString
 from ..session import ProtocolAbort, Session
 from .collective import EXTPUF_BUDGETS, open_index, run_collective_commit
-from .common import Outcome, open_step
+from .common import Outcome, commit_step, open_step
 from .params import ExtPufParams
 
 __all__ = [
@@ -254,7 +254,7 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
     outcome.e_channel = e_channel
     outcome.blob_channel = blob_channel
 
-    try:
+    def commit():
         session.phase("R", "choose-e")
         e_bits = R.choose_e()
         if mode == "per-string":
@@ -303,12 +303,9 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
         decision = R.after_commit()
         if decision != "accept":
             raise ProtocolAbort(decision)
-        outcome.commit_end = session.mark("commit-complete")
-    except ProtocolAbort as abort:
-        session.mark(f"abort:{abort.step}")
-        outcome.abort_step = abort.step
+
+    if not commit_step(outcome, commit):
         return outcome
-    outcome.committed = True
     if open_phase:
         open_uccompiler(outcome, open_bit_hint=open_bit_hint)
     return outcome

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from ..bits import BitString
 from ..functionality import Budgets
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import Outcome, mask_commitment, open_step
+from .common import Outcome, commit_step, mask_commitment, open_step
 from .params import CpufParams
 
 __all__ = ["CpufSender", "CpufReceiver", "run_cpuf"]
@@ -96,7 +96,8 @@ def run_cpuf(params: CpufParams, x: BitString, seed: int,
     S = sender_factory(params, x, session.handle_for("S"))
     R = receiver_factory(params, session.handle_for("R"))
     outcome = Outcome(session, sender=S, receiver=R)
-    try:
+
+    def commit():
         session.phase("S", "setup")
         helper = S.setup()
         session.begin_exchange_phase("token-to-receiver")
@@ -106,12 +107,9 @@ def run_cpuf(params: CpufParams, x: BitString, seed: int,
         r = session.msg("R", "S", "mask", R.draw_mask())
         session.phase("S", "commit")
         R.receive_commitment(session.msg("S", "R", "c", S.commitment(r)))
-        outcome.commit_end = session.mark("commit-complete")
-    except ProtocolAbort as abort:
-        session.mark(f"abort:{abort.step}")
-        outcome.abort_step = abort.step
+
+    if not commit_step(outcome, commit):
         return outcome
-    outcome.committed = True
     outcome.receiver_view = {"r": R.r, "c": R.c, "helper": R.helper}
     if not open_phase:
         return outcome

@@ -24,8 +24,8 @@ from ..bits import BitString
 from ..functionality import Budgets
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import (Outcome, TestQuery, mask_commitment, open_step, probe_outputs,
-                     record_test_query)
+from .common import (Outcome, TestQuery, commit_step, mask_commitment, open_step,
+                     probe_outputs, record_test_query)
 from .params import OriginalExtPufParams
 
 __all__ = ["OriginalSender", "OriginalReceiver", "run_original_extpuf"]
@@ -158,7 +158,8 @@ def run_original_extpuf(params: OriginalExtPufParams, x: BitString, seed: int,
     S = sender_factory(params, x, session.handle_for("S"))
     R = receiver_factory(params, session.handle_for("R"))
     outcome = Outcome(session, probe_sid=R.PROBE_SID, sender=S, receiver=R)
-    try:
+
+    def commit():
         session.phase("R", "probe-setup")
         R.create_probe()
         session.begin_exchange_phase("probe-to-sender")
@@ -177,12 +178,9 @@ def run_original_extpuf(params: OriginalExtPufParams, x: BitString, seed: int,
         c1, c2 = S.commitments(r1, r2)
         session.msg("S", "R", "c", (c1, c2))
         R.receive_commitments(c1, c2)
-        outcome.commit_end = session.mark("commit-complete")
-    except ProtocolAbort as abort:
-        session.mark(f"abort:{abort.step}")
-        outcome.abort_step = abort.step
+
+    if not commit_step(outcome, commit):
         return outcome
-    outcome.committed = True
     # cs / masks: the extractor's inputs for the one string c_1
     outcome.receiver_view = {
         "r": R.r1, "c": R.c1, "k": params.k, "code": params.code,

@@ -3,6 +3,8 @@ from math import comb
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pufcommit.bits import (
     BitString,
@@ -127,3 +129,36 @@ def test_restrict_slice_concat():
     assert BitString.from01("10").concat(BitString.from01("01")).to01() == "1001"
     assert (~BitString.from01("10")).to01() == "01"
     assert b.flip([0, 5]).to01() == "010101"
+
+
+def bitstrings(min_len=0, max_len=96):
+    return st.integers(min_len, max_len).flatmap(
+        lambda n: st.integers(0, (1 << n) - 1).map(lambda v: BitString(v, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=bitstrings(1, 8), width=st.integers(1, 12))
+def test_spread_strides_carry_their_bit(x, width):
+    y = spread(x, width)
+    k = x.n
+    for j in range(k):
+        stride = y.take_stride(j, k)
+        assert stride == (BitString.ones(width) if x[j] else BitString.zeros(width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), b=bitstrings(1))
+def test_take_stride_is_a_restriction(data, b):
+    step = data.draw(st.integers(1, b.n + 1))
+    start = data.draw(st.integers(0, b.n - 1))
+    assert b.take_stride(start, step) == b.restrict(range(start, b.n, step))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=bitstrings(), b=bitstrings(), data=st.data())
+def test_concat_and_slice_round_trip(a, b, data):
+    ab = a.concat(b)
+    assert len(ab) == a.n + b.n
+    assert ab.slice(0, a.n) == a and ab.slice(a.n, ab.n) == b
+    cut = data.draw(st.integers(0, ab.n))
+    assert ab.slice(0, cut).concat(ab.slice(cut, ab.n)) == ab

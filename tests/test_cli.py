@@ -112,3 +112,54 @@ def test_assertion_failure_exit_code(tmp_path: Path, monkeypatch):
 def test_ucsim_subcommand_small():
     assert main(["uc-sim", "receiver", "--trials", "8", "--n", "16",
                  "--seed", "8"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["lemmas", "--trials", "5", "--max-support", "9"], None),
+    (["lemmas", "--trials", "5", "--max-support", "1"], None),
+    (None, "version: 1\nexperiment: lemmas\ntrials: 5\nmax_support: 12\n"),
+    (None, "version: 1\nexperiment: lemmas\ntrials: 5\nmax_support: many\n"),
+], ids=["flag-9", "flag-1", "config-12", "config-string"])
+def test_lemmas_support_out_of_range_is_a_config_error(tmp_path: Path, capsys,
+                                                       argv, config):
+    if config is not None:
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(config)
+        argv = ["experiment", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert "max_support" in capsys.readouterr().err
+
+
+HIDING_CPUF = "version: 1\nexperiment: hiding\nprotocol: cpuf\nn: 8\ntrials: 40\n"
+
+
+def _experiment_report(tmp_path: Path, text: str, *flags: str) -> dict:
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "report.json"
+    main(["experiment", str(cfg), "--out", str(out), *flags])
+    return json.loads(out.read_text())
+
+
+def test_experiment_seed_flag_overrides_the_config_even_at_one(tmp_path: Path, capsys):
+    overridden = _experiment_report(tmp_path, HIDING_CPUF + "seed: 5\n", "--seed", "1")
+    at_one = _experiment_report(tmp_path, HIDING_CPUF + "seed: 1\n")
+    at_five = _experiment_report(tmp_path, HIDING_CPUF + "seed: 5\n")
+    assert overridden == at_one
+    assert overridden["successes"] != at_five["successes"]
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["experiment", "{cfg}", "--trials", "0"], "trials"),
+    (["experiment", "{cfg}", "--n", "0"], "n"),
+    (["experiment", "{cfg}", "--jobs", "0"], "jobs"),
+    (["lemmas", "--trials", "0"], "trials"),
+    (["uc-sim", "receiver", "--n", "0"], "n"),
+], ids=["experiment-trials", "experiment-n", "experiment-jobs", "lemmas-trials",
+        "uc-sim-n"])
+def test_zero_override_reaches_validation(tmp_path: Path, capsys, argv, path):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("version: 1\nexperiment: completeness\nprotocol: cpuf\n"
+                   "n: 8\nk: 2\ntrials: 3\n")
+    assert main([a.format(cfg=cfg) for a in argv]) == EXIT_CONFIG
+    assert f"{path}:" in capsys.readouterr().err

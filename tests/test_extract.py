@@ -2,6 +2,8 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pufcommit.bits import BitString, stride_indices
 from pufcommit.ecc import RepetitionCode
@@ -21,6 +23,7 @@ from pufcommit.protocols import (
     run_extpuf,
     run_original_extpuf,
 )
+from pufcommit.protocols.common import mask_commitment
 
 EP = ExtPufParams.standard(16, 4)
 OP = OriginalExtPufParams.standard(8, 1)
@@ -169,3 +172,44 @@ def test_ambiguous_query_attack_confuses_original_extractor():
                                   sender_factory=AmbiguousQuerySender)
         assert out.accepted and out.value == BitString.zeros(1)
         assert run_extractor_original(out.extraction_inputs()) is None
+
+
+@st.composite
+def masked_commitments(draw):
+    """(st, x, r, c, width) with c = mask_commitment(st, x, r, width); a
+    third of the draws also flip some bits of c."""
+    k = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 8))
+    n = k * width
+
+    def bits(length):
+        return BitString(draw(st.integers(0, (1 << length) - 1)), length)
+
+    secret, x, r = bits(n), bits(k), bits(n)
+    c = mask_commitment(secret, x, r, width)
+    if draw(st.integers(0, 2)) == 0:
+        c = c ^ bits(n)
+    return secret, x, r, c, width
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=masked_commitments(), other_query=st.booleans(), data=st.data())
+def test_every_extracted_candidate_opens_the_commitment(case, other_query, data):
+    # soundness: whatever st' a query decodes to, a candidate x' it yields
+    # reproduces c under the same mask
+    secret, x, r, c, width = case
+    query = (BitString(data.draw(st.integers(0, (1 << secret.n) - 1)), secret.n)
+             if other_query else secret)
+    candidate = extract_from_query(query, c, r, x.n)
+    if candidate is not None:
+        assert mask_commitment(query, candidate, r, width) == c
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=masked_commitments())
+def test_the_true_secret_extracts_x_when_no_stride_of_r_is_zero(case):
+    secret, x, r, _, width = case
+    k = x.n
+    if all(r.take_stride(j, k).value for j in range(k)):
+        c = mask_commitment(secret, x, r, width)
+        assert extract_from_query(secret, c, r, k) == x

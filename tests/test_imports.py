@@ -6,16 +6,23 @@ from pathlib import Path
 import pufcommit
 
 
-def test_protocol_path_does_not_import_numpy():
-    # numpy costs about 12 MB of RSS and 0.09 s at import; only the entropy
-    # oracle needs it, so the protocols, adversaries and extractors must not
-    # pull it in
+def test_no_pufcommit_module_imports_numpy():
+    # the package runs on the standard library and PyYAML alone; numpy
+    # would cost about 14 MB of RSS and 0.1 s at every experiment's import
     src = str(Path(pufcommit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys\n"
-            "import pufcommit.protocols, pufcommit.adversaries, pufcommit.extract\n"
+    code = ("import importlib, pkgutil, sys\n"
+            "import pufcommit\n"
+            "names = [m.name for m in pkgutil.walk_packages(pufcommit.__path__, 'pufcommit.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "print(' '.join(sorted(names)))\n"
             "print('numpy' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    names, numpy_loaded = out.stdout.strip().splitlines()
+    for name in ("pufcommit.entropy", "pufcommit.harness.cli",
+                 "pufcommit.harness.experiments", "pufcommit.protocols.compiler"):
+        assert name in names.split()
+    assert numpy_loaded == "False"

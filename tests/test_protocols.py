@@ -9,7 +9,6 @@ from pufcommit.adversaries import (
     AmbiguousQuerySender,
     EquivocatingCollectiveSender,
     EquivocatingCpufSender,
-    EquivocatingExtPufSender,
     NeverQuerySender,
     SubstitutingReturnSender,
 )
@@ -100,7 +99,7 @@ def test_extpuf_mask_stride_semantics():
 def test_extpuf_binding_attack_rejected():
     for i in range(25):
         out = run_extpuf(EP, BitString.from01("1100"), seed=4000 + i,
-                         sender_factory=EquivocatingExtPufSender)
+                         sender_factory=EquivocatingCollectiveSender)
         assert out.accepted is False
 
 
