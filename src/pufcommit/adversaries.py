@@ -11,8 +11,7 @@ stateful probe is refused outright under the zero-state regime; the
 chatty token probes the outgoing-bit budget.
 
 Revised-flow members are written once, against the collective core; the
-single-string protocol runs the same classes with one string.  The names
-of the former single-string and collective twins remain as aliases.
+single-string protocol runs the same classes with one string.
 """
 
 from __future__ import annotations
@@ -207,15 +206,11 @@ class EGuessCompilerSender(HonestCompilerSender):
     exactly when the guess matches all n challenge bits."""
 
     def make_blobs(self):
-        rng = self.api.rng
-        self.guess = [rng.getrandbits(1) for _ in range(self.n)]
-        self.shares = []
-        for j in range(2 * self.n):
-            pair, second = divmod(j, 2)
-            value = self.b ^ (j % 2)  # first blob of the pair carries b, second not-b
-            b0 = rng.getrandbits(1)
-            self.shares.extend([b0, value ^ b0])
-        return [BitString(v, 1) for v in self.shares]
+        self.guess = [self.api.rng.getrandbits(1) for _ in range(self.n)]
+        return super().make_blobs()
+
+    def blob_value(self, j):
+        return self.b ^ (j % 2)  # first blob of the pair carries b, second not-b
 
     def equality_message(self):
         return [
@@ -237,15 +232,8 @@ class AlternatingBlobSender(HonestCompilerSender):
     across pairs; passes the equality subprotocol yet can never open a
     common bit, and extraction of the pairs yields an empty intersection."""
 
-    def make_blobs(self):
-        rng = self.api.rng
-        self.shares = []
-        for j in range(2 * self.n):
-            pair = j // 2
-            value = pair % 2
-            b0 = rng.getrandbits(1)
-            self.shares.extend([b0, value ^ b0])
-        return [BitString(v, 1) for v in self.shares]
+    def blob_value(self, j):
+        return (j // 2) % 2
 
 
 # ---------------------------------------------------------------------------

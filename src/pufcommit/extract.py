@@ -45,13 +45,6 @@ def extract_from_query(st: BitString, c: BitString, r: BitString,
             f"LEN_MISMATCH: st={st.n}, c={c.n}, r={r.n} must agree")
     if k < 1 or st.n % k:
         raise ValueError(f"LEN_MISMATCH: length {st.n} is not a multiple of k={k}")
-    if k == 1:  # single stride spanning the whole string
-        masked = st ^ r
-        if c == st and c != masked:
-            return BitString(0, 1)
-        if c == masked and c != st:
-            return BitString(1, 1)
-        return None
     bits = []
     for j in range(k):
         c_j = c.take_stride(j, k)
@@ -75,7 +68,7 @@ def probe_queries(log: EventLog, probe_sid: str, sender: str,
         if rec.step >= before_step:
             break
         if (rec.kind == "eval" and rec.sid == probe_sid and rec.sender == sender
-                and not rec.note.startswith("waiting-state")):
+                and not rec.dropped):
             out.append(rec.payload)
     return out
 

@@ -1,14 +1,17 @@
-"""Trusted-setup message routers for PUF creation, evaluation and handover.
+"""Trusted-setup message router for PUF creation, evaluation and handover.
 
-The communicating router mediates six message kinds: init, eval, inmsg,
+The router mediates six message kinds: init, eval, inmsg,
 handover, ready, received.  Creation registers either a sampled honest
 instance or a malicious machine (which always receives its own fresh
 embedded honest instance).  Evaluation answers only the current owner,
 or the adversary while a token is in transit.  A three-step transfer
 (handover by the owner, ready and received by the adversary) moves
 ownership.  Malicious tokens may exchange bits with their creator within
-per-sid budgets: incoming bits are debited before the machine runs, and
-outgoing messages are dropped once the budget is gone.
+the router's budgets, which hold for every token alike and are counted
+per sid: incoming bits are debited before the machine runs, and outgoing
+messages are dropped once the budget is gone.  A zero incoming budget
+means there is no creator channel at all (the Damgard-Scafuro model,
+NO_CHANNEL_BUDGETS): every inmsg is dropped before its sid is looked at.
 
 Every handled message is appended to a shared event log, including the
 silent drops: an invalid message never raises, it simply leaves the
@@ -31,8 +34,8 @@ __all__ = [
     "ADVERSARY",
     "EventLog",
     "Budgets",
+    "NO_CHANNEL_BUDGETS",
     "CommPufFunctionality",
-    "NoCommPufFunctionality",
     "BitCommitmentFunctionality",
     "audit_budgets",
     "audit_single_ownership",
@@ -62,6 +65,11 @@ class EventRecord:
     payload: object
     deliveries: list
     note: str = ""
+
+    @property
+    def dropped(self) -> bool:
+        """The router left this message unanswered (the waiting state)."""
+        return self.note.startswith("waiting-state")
 
     def to_line(self) -> str:
         return json.dumps(
@@ -109,6 +117,10 @@ class Budgets:
     k_out: Optional[int] = 0
 
 
+# no creator channel; tokens may keep unbounded state
+NO_CHANNEL_BUDGETS = Budgets(k_state=None, k_in=0, k_out=0)
+
+
 @dataclass
 class _TokenRecord:
     sid: str
@@ -119,7 +131,6 @@ class _TokenRecord:
     prev_owner: Optional[str] = None
     creator: str = ""
     machine: Optional[MaliciousPufMachine] = None
-    budgets: Budgets = field(default_factory=Budgets)
     in_used: int = 0
     out_used: int = 0
     receipts: list = field(default_factory=list)
@@ -127,8 +138,6 @@ class _TokenRecord:
 
 class CommPufFunctionality:
     """Router for possibly-communicating malicious tokens."""
-
-    allow_inmsg = True
 
     def __init__(self, rng: Random, log: EventLog, budgets: Budgets = Budgets()):
         self.rng = rng
@@ -167,23 +176,21 @@ class CommPufFunctionality:
     # -- init ---------------------------------------------------------------
 
     def _on_init(self, sid: str, sender: str, mode: str,
-                 params: PufParams, program: MachineProgram | None = None,
-                 budgets: Budgets | None = None) -> list:
+                 params: PufParams, program: MachineProgram | None = None) -> list:
         if mode not in ("honest", "malicious"):
             raise ValueError(f"MALFORMED: init mode {mode!r}")
         if mode == "malicious" and program is None:
             raise ValueError("MALFORMED: malicious init without a program")
         if sid in self.tokens:
             return self._drop("init", sid, sender, mode, "sid already registered")
-        budgets = budgets or self.budgets
         instance = sample_puf(params, self.rng)
         machine = None
         if mode == "malicious":
             inner = instance if program.wants_inner else None
-            machine = MaliciousPufMachine(program, budgets.k_state, inner)
+            machine = MaliciousPufMachine(program, self.budgets.k_state, inner)
         self.tokens[sid] = _TokenRecord(
             sid=sid, mode=mode, instance=instance, owner=sender,
-            creator=sender, machine=machine, budgets=budgets,
+            creator=sender, machine=machine,
         )
         return self._done("init", sid, sender, mode,
                           [(sender, ("initialized", sid))],
@@ -218,7 +225,7 @@ class CommPufFunctionality:
         return self._done("eval", sid, sender, challenge, deliveries, note=note)
 
     def _try_outmsg(self, rec: _TokenRecord, m_out: BitString, deliveries: list):
-        k_out = rec.budgets.k_out
+        k_out = self.budgets.k_out
         if k_out is not None and rec.out_used + m_out.n > k_out:
             return False, "k_out"
         rec.out_used += m_out.n
@@ -230,12 +237,12 @@ class CommPufFunctionality:
     def _on_inmsg(self, sid: str, sender: str, m_in: BitString) -> list:
         if not isinstance(m_in, BitString):
             raise ValueError("MALFORMED: inmsg payload must be a BitString")
-        if not self.allow_inmsg:
+        if self.budgets.k_in == 0:
             return self._drop("inmsg", sid, sender, m_in, "no creator channel")
         rec = self.tokens.get(sid)
         if rec is None or rec.machine is None or rec.creator != sender:
             return self._drop("inmsg", sid, sender, m_in, "no such malicious sid for sender")
-        k_in = rec.budgets.k_in
+        k_in = self.budgets.k_in
         if k_in is not None and rec.in_used + m_in.n > k_in:
             return self._drop("inmsg", sid, sender, m_in, "k_in budget")
         rec.in_used += m_in.n
@@ -288,17 +295,6 @@ class CommPufFunctionality:
         return rec.in_used, rec.out_used
 
 
-class NoCommPufFunctionality(CommPufFunctionality):
-    """Router without the creator channel: inmsg is not a recognized case
-    and tokens never get bits out.  Behaviorally identical to the
-    communicating router with zero in/out budgets."""
-
-    allow_inmsg = False
-
-    def __init__(self, rng: Random, log: EventLog, budgets: Budgets = Budgets()):
-        super().__init__(rng, log, Budgets(k_state=budgets.k_state, k_in=0, k_out=0))
-
-
 class BitCommitmentFunctionality:
     """Reference ideal bit commitment.
 
@@ -348,24 +344,23 @@ class BitCommitmentFunctionality:
 
 def audit_budgets(func: CommPufFunctionality) -> None:
     """Recompute delivered in/out bits per sid from the log and assert they
-    never exceed the registered budgets."""
+    never exceed the router's budgets."""
     in_bits: dict[str, int] = {}
     out_bits: dict[str, int] = {}
     for rec in func.log.records:
-        if rec.kind == "inmsg" and not rec.note.startswith("waiting-state"):
+        if rec.kind == "inmsg" and not rec.dropped:
             in_bits[rec.sid] = in_bits.get(rec.sid, 0) + rec.payload.n
         for _, message in rec.deliveries:
             if message[0] == "outmsg":
                 sid = message[1]
                 out_bits[sid] = out_bits.get(sid, 0) + message[2].n
+    k_in, k_out = func.budgets.k_in, func.budgets.k_out
     for sid, used in in_bits.items():
-        limit = func.tokens[sid].budgets.k_in
-        if limit is not None and used > limit:
-            raise AssertionError(f"k_in exceeded for {sid}: {used} > {limit}")
+        if k_in is not None and used > k_in:
+            raise AssertionError(f"k_in exceeded for {sid}: {used} > {k_in}")
     for sid, used in out_bits.items():
-        limit = func.tokens[sid].budgets.k_out
-        if limit is not None and used > limit:
-            raise AssertionError(f"k_out exceeded for {sid}: {used} > {limit}")
+        if k_out is not None and used > k_out:
+            raise AssertionError(f"k_out exceeded for {sid}: {used} > {k_out}")
 
 
 def audit_single_ownership(func: CommPufFunctionality) -> None:
@@ -373,7 +368,7 @@ def audit_single_ownership(func: CommPufFunctionality) -> None:
     in transit, never both, at every step."""
     state: dict[str, tuple] = {}
     for rec in func.log.records:
-        if rec.note.startswith("waiting-state"):
+        if rec.dropped:
             continue
         if rec.kind == "init":
             if rec.sid in state:

@@ -148,10 +148,6 @@ class FuzzyExtractor:
         object.__setattr__(self, "_inner", inner)
 
     @property
-    def inner_code(self) -> RepetitionCode:
-        return self._inner
-
-    @property
     def helper_len(self) -> int:
         return self.source_len + self.seed_bits
 

@@ -95,7 +95,7 @@ def _demo(args) -> int:
 
     cfg = ExperimentConfig(
         experiment="completeness", protocol=args.protocol, n=args.n,
-        k=min(args.k, 4), n_strings=2, trials=args.trials, seed=args.seed,
+        k=args.k, n_strings=2, trials=args.trials, seed=args.seed,
         name=f"demo/{args.protocol}",
     )
     report = run_experiment(cfg)

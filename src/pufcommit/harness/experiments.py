@@ -109,14 +109,9 @@ class ProtocolEntry:
         return [BitString.random(cfg.k, rng) for _ in range(self.strings(cfg))]
 
 
-def _run_collective(params, values, seed, open_phase=True, **parties):
-    return run_collective(params, values, seed,
-                          open_indices=None if open_phase else [], **parties)
-
-
 _EXTPUF = ProtocolEntry(
     params=lambda cfg: _extpuf_params(cfg.n, cfg.k, cfg.d_noise),
-    run=_run_collective,
+    run=run_collective,
     experiments=frozenset({"completeness", "binding", "hiding", "extraction", "costs"}),
     cost=lambda cfg: (2, 2),
     commit_view=lambda p, out: {"c": out.receiver_view["cs"][0],
@@ -230,7 +225,7 @@ def check_order_discipline(log, probe_sid: str, sender: str) -> bool:
     to the probe is answered after the return."""
     handover_steps = [rec.step for rec in log.records
                       if rec.kind == "handover" and rec.sid == probe_sid
-                      and not rec.note.startswith("waiting-state")]
+                      and not rec.dropped]
     mask_steps = [rec.step for rec in log.records
                   if rec.kind == "protocol-msg" and rec.note == "mask"]
     if not mask_steps:
@@ -240,8 +235,7 @@ def check_order_discipline(log, probe_sid: str, sender: str) -> bool:
     return_step = handover_steps[1]
     for rec in log.records:
         if (rec.kind == "eval" and rec.sid == probe_sid and rec.sender == sender
-                and rec.step > return_step
-                and not rec.note.startswith("waiting-state")):
+                and rec.step > return_step and not rec.dropped):
             return False
     return True
 

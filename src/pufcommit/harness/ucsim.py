@@ -83,7 +83,6 @@ def run_ideal_receiver_corrupt(n: int, b: int, seed: int,
         n, 0, seed,
         sender_factory=SimulatorCompilerSender,
         receiver_factory=receiver_factory,
-        extract_e=True,
         open_phase=False,
         d_noise=d_noise,
     )
@@ -115,7 +114,6 @@ def run_ideal_sender_corrupt(n: int, b: int, seed: int,
         n, b, seed,
         sender_factory=sender_factory,
         receiver_factory=SimulatorCompilerReceiver,
-        extract_blobs=True,
         open_phase=False,
         d_noise=d_noise,
     )

@@ -239,18 +239,16 @@ def open_index(outcome: Outcome, index: int,
 def run_collective(params: ExtPufParams, values: list[BitString], seed: int,
                    sender_factory: Callable = CollectiveSender,
                    receiver_factory: Callable = CollectiveReceiver,
-                   open_indices: Optional[list[int]] = None,
+                   open_phase: bool = True,
                    budgets: Budgets = EXTPUF_BUDGETS) -> Outcome:
-    """Whole-protocol convenience runner: commit, then open the given
-    indices (all of them by default)."""
-    session = Session(seed, comm=True, budgets=budgets)
+    """Whole-protocol convenience runner: commit, then open every index in
+    order; open_index opens any other way."""
+    session = Session(seed, budgets=budgets)
     outcome = run_collective_commit(params, values, session,
                                     sender_factory, receiver_factory)
-    if not outcome.committed:
-        return outcome
-    indices = list(range(len(values))) if open_indices is None else open_indices
-    for i in indices:
-        open_index(outcome, i)
+    if outcome.committed and open_phase:
+        for i in range(len(values)):
+            open_index(outcome, i)
     return outcome
 
 
@@ -262,7 +260,7 @@ def run_extpuf(params: ExtPufParams, x: BitString, seed: int,
     """The single-string protocol: the collective flow over [x]; the
     receiver's view also names that string's c and r."""
     outcome = run_collective(params, [x], seed, sender_factory, receiver_factory,
-                             open_indices=None if open_phase else [], budgets=budgets)
+                             open_phase, budgets)
     if outcome.committed:
         view = outcome.receiver_view
         view.update(c=view["cs"][0], r=view["masks"][0])

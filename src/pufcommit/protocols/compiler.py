@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..bits import BitString
+from ..extract import run_extractor_collective
 from ..session import ProtocolAbort, Session
 from .collective import EXTPUF_BUDGETS, open_index, run_collective_commit
 from .common import Outcome, commit_step, open_step
@@ -126,15 +127,17 @@ class HonestCompilerSender:
         self.api = api
         self.e_bits: Optional[list[int]] = None
 
-    def set_extracted(self, e_star):
-        pass
+    def blob_value(self, j: int) -> int:
+        """The bit blob j carries."""
+        return self.b
 
     def make_blobs(self) -> list[BitString]:
         rng = self.api.rng
         self.shares = []
-        for _ in range(2 * self.n):
+        for j in range(2 * self.n):
+            value = self.blob_value(j)
             b0 = rng.getrandbits(1)
-            self.shares.extend([b0, self.b ^ b0])
+            self.shares.extend([b0, value ^ b0])
         return [BitString(v, 1) for v in self.shares]
 
     def equality_message(self) -> list[int]:
@@ -165,9 +168,6 @@ class HonestCompilerReceiver:
     def __init__(self, n: int, api):
         self.n = n
         self.api = api
-
-    def set_extracted(self, shares_star):
-        pass
 
     def choose_e(self) -> list[int]:
         self.e_bits = [self.api.rng.getrandbits(1) for _ in range(self.n)]
@@ -212,6 +212,17 @@ class CompilerOutcome(Outcome):
     blob_channel: object = None
 
 
+def _hand_extraction(channel, party) -> None:
+    """Give a party that needs it the extraction of every string committed
+    on channel; only a collective channel can be extracted."""
+    if not party.needs_extraction:
+        return
+    if not isinstance(channel, CollectiveChannel):
+        raise ProtocolAbort("extract-needs-collective")
+    extracted = run_extractor_collective(channel.extraction_inputs())
+    party.set_extracted([x.value if x is not None else None for x in extracted])
+
+
 def _make_channel(mode, session, params_bits, params_string, sender, receiver, label):
     if mode == "collective":
         return CollectiveChannel(session, params_bits, sender, receiver, label)
@@ -225,19 +236,13 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
                    sender_factory: Callable = HonestCompilerSender,
                    receiver_factory: Callable = HonestCompilerReceiver,
                    open_phase: bool = True,
-                   d_noise: int = 3,
-                   extract_e: bool = False,
-                   extract_blobs: bool = False,
-                   open_bit_hint: Optional[int] = None) -> CompilerOutcome:
+                   d_noise: int = 3) -> CompilerOutcome:
     """Run the compiled bit commitment end to end.
 
-    extract_e / extract_blobs wire the straight-line extractor of the
-    respective channel into the opposite party (simulators use this; the
-    honest parties ignore what they are given).
+    A party that declares needs_extraction (a simulator) gets the
+    straight-line extraction of the channel the other party commits on.
     """
-    from ..extract import run_extractor_collective
-
-    session = Session(seed, comm=True, budgets=EXTPUF_BUDGETS)
+    session = Session(seed, budgets=EXTPUF_BUDGETS)
     params_bits = ExtPufParams.standard(n, 1, d_noise=d_noise)
     params_string = (ExtPufParams.standard(n, n, d_noise=d_noise)
                      if mode == "per-string" else None)
@@ -263,21 +268,13 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
             e_values = [BitString(bit, 1) for bit in e_bits]
         if not e_channel.commit(e_values):
             raise ProtocolAbort("e-commit")
-        if extract_e and S.needs_extraction:
-            if mode != "collective":
-                raise ProtocolAbort("extract-needs-collective")
-            extracted = run_extractor_collective(e_channel.extraction_inputs())
-            S.set_extracted([x.value if x is not None else None for x in extracted])
+        _hand_extraction(e_channel, S)
 
         session.phase("S", "make-blobs")
         blobs = S.make_blobs()
         if not blob_channel.commit(blobs):
             raise ProtocolAbort("blob-commit")
-        if extract_blobs and R.needs_extraction:
-            if mode != "collective":
-                raise ProtocolAbort("extract-needs-collective")
-            extracted = run_extractor_collective(blob_channel.extraction_inputs())
-            R.set_extracted([x.value if x is not None else None for x in extracted])
+        _hand_extraction(blob_channel, R)
 
         # equality subprotocol
         session.phase("S", "equalities")
@@ -307,7 +304,7 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
     if not commit_step(outcome, commit):
         return outcome
     if open_phase:
-        open_uccompiler(outcome, open_bit_hint=open_bit_hint)
+        open_uccompiler(outcome)
     return outcome
 
 
@@ -361,15 +358,8 @@ def run_blob_equalities(n: int, b: int, seed: int,
     tampered = set(tamper_y_pairs)
 
     class TweakedSender(HonestCompilerSender):
-        def make_blobs(self):
-            rng = self.api.rng
-            self.shares = []
-            for j in range(2 * self.n):
-                pair = j // 2
-                value = self.b ^ 1 if (pair in unequal and j % 2 == 1) else self.b
-                b0 = rng.getrandbits(1)
-                self.shares.extend([b0, value ^ b0])
-            return [BitString(v, 1) for v in self.shares]
+        def blob_value(self, j):
+            return self.b ^ 1 if (j // 2 in unequal and j % 2 == 1) else self.b
 
         def equality_message(self):
             y = super().equality_message()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..bits import BitString
-from ..functionality import Budgets
+from ..functionality import NO_CHANNEL_BUDGETS
 from ..session import PartyHandle, ProtocolAbort, Session
 from .common import Outcome, commit_step, mask_commitment, open_step
 from .params import CpufParams
@@ -89,10 +89,8 @@ class CpufReceiver:
 def run_cpuf(params: CpufParams, x: BitString, seed: int,
              sender_factory: Callable = CpufSender,
              receiver_factory: Callable = CpufReceiver,
-             open_phase: bool = True,
-             budgets: Budgets | None = None) -> Outcome:
-    session = Session(seed, comm=False,
-                      budgets=budgets if budgets is not None else Budgets(k_state=None))
+             open_phase: bool = True) -> Outcome:
+    session = Session(seed, budgets=NO_CHANNEL_BUDGETS)
     S = sender_factory(params, x, session.handle_for("S"))
     R = receiver_factory(params, session.handle_for("R"))
     outcome = Outcome(session, sender=S, receiver=R)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..bits import BitString
-from ..functionality import Budgets
+from ..functionality import NO_CHANNEL_BUDGETS
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
 from .common import (Outcome, TestQuery, commit_step, mask_commitment, open_step,
@@ -154,7 +154,7 @@ def run_original_extpuf(params: OriginalExtPufParams, x: BitString, seed: int,
                         receiver_factory: Callable = OriginalReceiver,
                         open_phase: bool = True) -> Outcome:
     # no creator channel in the original model; sender tokens may be stateful
-    session = Session(seed, comm=False, budgets=Budgets(k_state=None))
+    session = Session(seed, budgets=NO_CHANNEL_BUDGETS)
     S = sender_factory(params, x, session.handle_for("S"))
     R = receiver_factory(params, session.handle_for("R"))
     outcome = Outcome(session, probe_sid=R.PROBE_SID, sender=S, receiver=R)

@@ -19,13 +19,7 @@ from random import Random
 from typing import Optional
 
 from .bits import BitString
-from .functionality import (
-    ADVERSARY,
-    Budgets,
-    CommPufFunctionality,
-    EventLog,
-    NoCommPufFunctionality,
-)
+from .functionality import ADVERSARY, Budgets, CommPufFunctionality, EventLog
 from .fuzzy import reset_hash_memo
 from .prf import derive_seed
 from .puf import MachineProgram, PufParams
@@ -76,14 +70,12 @@ class CuriousDelivery(ImmediateDelivery):
 
 
 class Session:
-    def __init__(self, seed: int, comm: bool = True, budgets: Budgets | None = None,
-                 adversary=None):
+    def __init__(self, seed: int, budgets: Budgets = Budgets(), adversary=None):
         reset_hash_memo()  # a session reuses only its own hashes
         self.seed = seed
         self.log = EventLog()
-        budgets = budgets if budgets is not None else Budgets()
-        func_cls = CommPufFunctionality if comm else NoCommPufFunctionality
-        self.functionality = func_cls(Random(derive_seed(seed, "func")), self.log, budgets)
+        self.functionality = CommPufFunctionality(Random(derive_seed(seed, "func")),
+                                                  self.log, budgets)
         self.adversary = adversary or ImmediateDelivery()
         self.mailboxes: dict[str, list] = {}
         self.exchange_phases = 0
@@ -157,10 +149,9 @@ class PartyHandle:
         self.session.route(deliveries, expect_for=self.name)
         return sid
 
-    def create_malicious(self, sid: str, params: PufParams, program: MachineProgram,
-                         budgets: Budgets | None = None) -> str:
+    def create_malicious(self, sid: str, params: PufParams, program: MachineProgram) -> str:
         deliveries = self.session.functionality.handle(
-            ("init", sid, self.name, "malicious", params, program, budgets))
+            ("init", sid, self.name, "malicious", params, program))
         if not deliveries:
             raise ProtocolAbort(f"init({sid})")
         self.session.route(deliveries, expect_for=self.name)
@@ -207,15 +198,9 @@ class PartyHandle:
 
 def count_resources(log: EventLog) -> dict:
     """Tokens created and exchange phases, measured from the log."""
-    pufs = sum(
-        1 for rec in log.records
-        if rec.kind == "init" and not rec.note.startswith("waiting-state")
-    )
+    pufs = sum(1 for rec in log.records if rec.kind == "init" and not rec.dropped)
     phases = sum(1 for rec in log.records if rec.kind == "exchange-phase")
-    queries = sum(
-        1 for rec in log.records
-        if rec.kind == "eval" and not rec.note.startswith("waiting-state")
-    )
+    queries = sum(1 for rec in log.records if rec.kind == "eval" and not rec.dropped)
     return {"pufs_created": pufs, "exchange_phases": phases, "queries": queries}
 
 

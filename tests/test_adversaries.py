@@ -142,6 +142,25 @@ def test_simulator_sender_abort_branch():
         sim.on_e_opened([0, 1, 1])
 
 
+def test_simulators_get_their_extraction_from_the_runner():
+    # the sender-side simulator learns e from the receiver's commitment
+    out = run_uccompiler(16, 0, seed=34000, sender_factory=SimulatorCompilerSender,
+                         open_phase=False)
+    assert out.committed
+    assert out.sender.e_star == out.receiver.e_bits
+    # the receiver-side simulator extracts the bit every blob carries
+    out = run_uccompiler(16, 1, seed=34001, receiver_factory=SimulatorCompilerReceiver,
+                         open_phase=False)
+    assert out.committed and out.receiver.b_star == 1
+
+
+def test_per_string_channels_cannot_be_extracted():
+    out = run_uccompiler(4, 0, seed=34002, mode="per-string",
+                         sender_factory=SimulatorCompilerSender, open_phase=False)
+    assert not out.committed
+    assert out.abort_step == "extract-needs-collective"
+
+
 def test_simulator_receiver_decision_cases():
     class Api:
         rng = Random(0)

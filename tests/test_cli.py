@@ -13,6 +13,13 @@ def test_demo_runs(capsys):
     assert "transcript:" in out and "exchange-phase" in out
 
 
+def test_demo_runs_the_requested_k(capsys):
+    code = main(["demo", "cpuf", "--k", "9", "--n", "8", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "'value': '000000000'" in out
+
+
 def test_attack_subcommand(capsys):
     code = main(["attack", "original-extpuf", "--trials", "5", "--n", "8",
                  "--seed", "2"])

@@ -116,8 +116,8 @@ def test_collective_extraction_componentwise():
 
 def test_bit_shortcut_matches_per_query_extraction_exhaustive():
     # k = 1 goes through the indexed shortcut; it must agree with the
-    # deduplicated per-query search for every 4-bit (st, c, r), zero masks
-    # and a repeated query included
+    # deduplicated per-query stride search for every 4-bit (st, c, r), zero
+    # masks and a repeated query included
     code = RepetitionCode(4, 3)
     cs = [BitString(v, 4) for v in range(16)]
     for r_v, q1, q2 in product(range(16), repeat=3):

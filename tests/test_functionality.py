@@ -7,9 +7,9 @@ from pufcommit.functionality import (
     ADVERSARY,
     BitCommitmentFunctionality,
     Budgets,
+    NO_CHANNEL_BUDGETS,
     CommPufFunctionality,
     EventLog,
-    NoCommPufFunctionality,
     audit_budgets,
     audit_single_ownership,
 )
@@ -18,10 +18,9 @@ from pufcommit.puf import PufParams, chatty_program, passthrough_program
 P = PufParams.standard(8, 16, d_noise=1)
 
 
-def make(comm=True, budgets=Budgets(k_state=0, k_in=None, k_out=0), seed=0):
+def make(budgets=Budgets(k_state=0, k_in=None, k_out=0), seed=0):
     log = EventLog()
-    cls = CommPufFunctionality if comm else NoCommPufFunctionality
-    return cls(Random(seed), log, budgets), log
+    return CommPufFunctionality(Random(seed), log, budgets), log
 
 
 def transfer(func, sid, frm, to):
@@ -158,29 +157,24 @@ def test_stateless_machine_replay_is_order_independent():
     assert forward == shuffled
 
 
-def test_nocomm_router_matches_zero_budget_comm_router():
-    msgs = []
-    rng = Random(77)
-    for i in range(60):
-        roll = rng.random()
-        s = BitString.random(8, rng)
-        if roll < 0.35:
-            msgs.append(("eval", "m", "P1", s))
-        elif roll < 0.5:
-            msgs.append(("eval", "m", "P2", s))
-        elif roll < 0.7:
-            msgs.append(("inmsg", "m", "P1", s))
-        elif roll < 0.85:
-            msgs.append(("handover", "m", "P1", "P2"))
-        else:
-            msgs.append(("ready", "m", ADVERSARY))
-
-    def run(comm):
-        func, _ = make(comm=comm, budgets=Budgets(k_state=0, k_in=0, k_out=0), seed=3)
-        func.handle(("init", "m", "P1", "malicious", P, passthrough_program(16)))
-        return [func.handle(m) for m in msgs]
-
-    assert run(True) == run(False)
+def test_no_channel_router_drops_every_inmsg():
+    func, log = make(budgets=NO_CHANNEL_BUDGETS)
+    func.handle(("init", "m", "P1", "malicious", P, chatty_program(16)))
+    # a 0-bit message would fit a zero budget; it must not step the machine
+    for sid, m_in in (("m", BitString.zeros(0)), ("m", BitString.random(8, Random(4))),
+                      ("missing", BitString.zeros(8))):
+        assert func.handle(("inmsg", sid, "P1", m_in)) == []
+        assert log.records[-1].dropped
+        assert log.records[-1].note == "waiting-state: no creator channel"
+    assert func.counters("m") == (0, 0)
+    deliveries = func.handle(("eval", "m", "P1", BitString.zeros(8)))
+    assert [msg[0] for _, msg in deliveries] == ["response"]
+    assert func.counters("m") == (0, 0)
+    audit_budgets(func)
+    # the budgets are the router's: an init cannot bring its own
+    with pytest.raises(ValueError, match="MALFORMED"):
+        func.handle(("init", "m2", "P1", "malicious", P, chatty_program(16),
+                     Budgets(k_state=0, k_in=None, k_out=8)))
 
 
 def test_budget_and_ownership_audits_on_a_busy_log():

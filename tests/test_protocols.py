@@ -128,7 +128,9 @@ def test_extpuf_probe_abort_does_not_stop_the_sender():
 def test_collective_completeness_and_reopening():
     rng = Random(2)
     values = [BitString.random(2, rng) for _ in range(5)]
-    out = run_collective(EP2, values, seed=7002, open_indices=[3, 0, 4, 1, 2])
+    out = run_collective(EP2, values, seed=7002, open_phase=False)
+    for i in [3, 0, 4, 1, 2]:
+        open_index(out, i)
     assert out.committed
     assert all(out.opened[i] == values[i] for i in range(5))
     # decommitments may repeat at a later time
@@ -171,7 +173,7 @@ OUTCOME_CASES = {
          "reject": ("opening", EquivocatingCollectiveSender.opening)}),
     "run_collective": (
         lambda f, o: run_collective(EP2, [X2, ~X2, X2], 13002, sender_factory=f,
-                                    open_indices=None if o else []),
+                                    open_phase=o),
         CollectiveSender,
         {"commit-abort": ("commitments", lambda self, masks: [None] * 3),
          "reject": ("opening", EquivocatingCollectiveSender.opening)}),

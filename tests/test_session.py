@@ -44,7 +44,7 @@ def test_curious_adversary_can_eval_in_transit():
         return probe_challenges.get(sid)
 
     adversary = CuriousDelivery(challenge_for)
-    session = Session(7, comm=True, budgets=Budgets(k_state=0, k_in=None, k_out=0),
+    session = Session(7, budgets=Budgets(k_state=0, k_in=None, k_out=0),
                       adversary=adversary)
     api = session.handle_for("P1")
     from pufcommit.puf import PufParams
@@ -61,7 +61,7 @@ def test_curious_adversary_can_eval_in_transit():
 
 
 def test_mailbox_and_handover_api():
-    session = Session(9, comm=True)
+    session = Session(9)
     from pufcommit.puf import PufParams
 
     a = session.handle_for("A")
