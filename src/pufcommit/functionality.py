@@ -39,6 +39,7 @@ __all__ = [
     "BitCommitmentFunctionality",
     "audit_budgets",
     "audit_single_ownership",
+    "check_order_discipline",
 ]
 
 ADVERSARY = "ADV"
@@ -390,3 +391,24 @@ def audit_single_ownership(func: CommPufFunctionality) -> None:
                 raise AssertionError(
                     f"sid {rec.sid} neither owned nor in transit at step {rec.step}"
                 )
+
+
+def check_order_discipline(log: EventLog, probe_sid: str, sender: str) -> bool:
+    """Structural invariant of the revised flow on one transcript: the
+    probe's return transfer precedes the mask message, and no sender query
+    to the probe is answered after the return."""
+    handover_steps = [rec.step for rec in log.records
+                      if rec.kind == "handover" and rec.sid == probe_sid
+                      and not rec.dropped]
+    mask_steps = [rec.step for rec in log.records
+                  if rec.kind == "protocol-msg" and rec.note == "mask"]
+    if not mask_steps:
+        return True  # no mask was ever revealed; nothing to order
+    if len(handover_steps) < 2 or handover_steps[1] > mask_steps[0]:
+        return False
+    return_step = handover_steps[1]
+    for rec in log.records:
+        if (rec.kind == "eval" and rec.sid == probe_sid and rec.sender == sender
+                and rec.step > return_step and not rec.dropped):
+            return False
+    return True

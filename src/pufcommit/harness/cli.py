@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from ..bits import BitString
 from ..report import ExperimentReport
 from ..session import count_resources
 from .config import PROTOCOLS, ConfigError, ExperimentConfig, load_config
+from .experiments import PROTOCOL_TABLE, run_experiment
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -25,8 +28,7 @@ def _add_common(parser, trials=None, n=None, seed=1):
     parser.add_argument("--trials", type=int, default=trials)
     parser.add_argument("--n", type=int, default=n, help="security parameter")
     parser.add_argument("--out", type=str, default=None,
-                        help="write the canonical report (and event log for "
-                             "single runs) under this path prefix")
+                        help="also write the canonical JSON report to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,145 +75,93 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: ExperimentReport, out: str | None) -> None:
+def _finish(report: ExperimentReport, out: str | None) -> int:
     print(report.summary())
     if out:
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(report.to_json() + "\n")
         print(f"report written to {path}")
+    return EXIT_OK if report.details["passed"] else EXIT_ASSERT
 
 
-def _finish(report: ExperimentReport, out: str | None) -> int:
-    _emit(report, out)
-    passed = report.details.get("passed")
-    if passed is None:
-        passed = report.successes == report.trials
-    return EXIT_OK if passed else EXIT_ASSERT
+def _transcript(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+    """Show one annotated honest transcript alongside the tally."""
+    entry = PROTOCOL_TABLE[cfg.protocol]
+    if not entry.transcript:
+        return
+    values = [BitString.zeros(cfg.k)] * entry.strings(cfg)
+    log = entry.run(entry.params(cfg), values, cfg.seed).session.log
+    print("\ntranscript:")
+    for rec in log.records:
+        if rec.kind in ("phase", "protocol-msg", "exchange-phase", "outcome"):
+            print(f"  [{rec.step:3d}] {rec.kind:<14} {rec.sender or '':<3} "
+                  f"{rec.note or rec.payload}")
+    print(f"  resources: {count_resources(log)}")
+    print()
 
 
-def _demo(args) -> int:
-    from .experiments import PROTOCOL_TABLE, run_experiment
-
-    cfg = ExperimentConfig(
-        experiment="completeness", protocol=args.protocol, n=args.n,
-        k=args.k, n_strings=2, trials=args.trials, seed=args.seed,
-        name=f"demo/{args.protocol}",
-    )
-    report = run_experiment(cfg)
-
-    # show one annotated transcript alongside the tally
-    entry = PROTOCOL_TABLE[args.protocol]
-    if entry.transcript:
-        values = [BitString.zeros(cfg.k)] * entry.strings(cfg)
-        log = entry.run(entry.params(cfg), values, args.seed).session.log
-        print("\ntranscript:")
-        for rec in log.records:
-            if rec.kind in ("phase", "protocol-msg", "exchange-phase", "outcome"):
-                print(f"  [{rec.step:3d}] {rec.kind:<14} {rec.sender or '':<3} "
-                      f"{rec.note or rec.payload}")
-        print(f"  resources: {count_resources(log)}")
-        print()
-    return _finish(report, args.out)
-
-
-def _attack(args) -> int:
-    from .experiments import run_experiment
-
-    cfg = ExperimentConfig(
-        experiment="attack-original", protocol="original-extpuf",
-        adversary="ambiguous-query-attacker",
-        n=args.n, k=1, trials=args.trials, seed=args.seed,
-        name="attack/original-extpuf",
-    )
-    report = run_experiment(cfg)
-    ok = report.successes == report.trials
-    verdict = "reproduced" if ok else "NOT reproduced"
+def _attack_verdict(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+    verdict = "reproduced" if report.successes == report.trials else "NOT reproduced"
     print(f"extraction break {verdict}: extractor gave up while the "
           f"decommitment to 0 was accepted in "
           f"{report.successes}/{report.trials} trials")
-    return _finish(report, args.out)
 
 
-def _experiment(args) -> int:
-    from .experiments import run_experiment
-
-    cfg = load_config(args.config)
-    for key in ("trials", "n", "seed", "jobs"):
-        if getattr(args, key) is not None:
-            setattr(cfg, key, getattr(args, key))
-    cfg.validate()
-    report = run_experiment(cfg)
-    return _finish(report, args.out or cfg.out)
-
-
-def _ucsim(args) -> int:
-    from .experiments import run_experiment
-
-    cfg = ExperimentConfig(
-        experiment="uc-sim", case=args.case, n=args.n,
-        trials=args.trials, seed=args.seed,
-        name=f"uc-sim/{args.case}",
-    )
-    return _finish(run_experiment(cfg), args.out)
-
-
-def _costs(args) -> int:
-    from .experiments import run_experiment
-
-    cfg = ExperimentConfig(
-        experiment="costs", protocol=args.protocol, mode=args.mode,
-        n=args.n, k=args.k, trials=1, seed=args.seed,
-        name=f"costs/{args.protocol}",
-    )
-    report = run_experiment(cfg)
+def _costs_line(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     measured = report.details["measured"]
     print(f"tokens created / exchange phases: {measured[0]} / {measured[1]}")
-    return _finish(report, args.out)
 
 
-def _lemmas(args) -> int:
-    from .experiments import run_experiment
-
-    cfg = ExperimentConfig(
-        experiment="lemmas", trials=args.trials, seed=args.seed,
-        extras={"max_support": args.max_support}, name="lemmas",
-    )
-    return _finish(run_experiment(cfg), args.out)
+def _flags(args) -> dict:
+    """The common flags that are set, by the user or the subcommand's default."""
+    return {key: getattr(args, key) for key in ("n", "trials", "seed", "jobs")
+            if getattr(args, key, None) is not None}
 
 
-def _props(args) -> int:
-    from .experiments import run_experiment
-
-    cfg = ExperimentConfig(
-        experiment=f"props-{args.property}", n=args.n,
-        trials=args.trials, seed=args.seed,
-        name=f"props/{args.property}",
-    )
-    return _finish(run_experiment(cfg), args.out)
+@dataclass(frozen=True)
+class _Command:
+    preset: Callable   # args -> config fields; they win over the common flags
+    show: Callable = lambda cfg, report: None   # printed before the summary
 
 
 _COMMANDS = {
-    "demo": _demo,
-    "attack": _attack,
-    "experiment": _experiment,
-    "uc-sim": _ucsim,
-    "costs": _costs,
-    "lemmas": _lemmas,
-    "props": _props,
+    "demo": _Command(
+        lambda a: dict(experiment="completeness", protocol=a.protocol, k=a.k,
+                       n_strings=2, name=f"demo/{a.protocol}"),
+        _transcript),
+    "attack": _Command(
+        lambda a: dict(experiment="attack-original", protocol=a.target,
+                       adversary="ambiguous-query-attacker", k=1,
+                       name=f"attack/{a.target}"),
+        _attack_verdict),
+    # a config file's own fields give way to the flags set on the command line
+    "experiment": _Command(lambda a: dict(vars(load_config(a.config)), **_flags(a))),
+    "uc-sim": _Command(
+        lambda a: dict(experiment="uc-sim", case=a.case, name=f"uc-sim/{a.case}")),
+    "costs": _Command(
+        lambda a: dict(experiment="costs", protocol=a.protocol, mode=a.mode, k=a.k,
+                       trials=1),
+        _costs_line),
+    "lemmas": _Command(
+        lambda a: dict(experiment="lemmas", extras={"max_support": a.max_support},
+                       name="lemmas")),
+    "props": _Command(
+        lambda a: dict(experiment=f"props-{a.property}", name=f"props/{a.property}")),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+        cfg = ExperimentConfig(**{**_flags(args), **command.preset(args)})
+        report = run_experiment(cfg)
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    command.show(cfg, report)
+    return _finish(report, args.out or cfg.out)
 
 
 if __name__ == "__main__":

@@ -2,32 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import yaml
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "EXPERIMENTS",
-           "PROTOCOLS"]
-
-EXPERIMENTS = (
-    "completeness",
-    "attack-original",
-    "attack-neutralized",
-    "binding",
-    "hiding",
-    "extraction",
-    "costs",
-    "lemmas",
-    "uc-sim",
-    "props-cq",
-    "props-indist",
-    "props-crp",
-    "props-tq",
-    "fe-roundtrip",
-    "fe-uniformity",
-)
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "PROTOCOLS"]
 
 PROTOCOLS = ("cpuf", "extpuf", "collextpuf", "original-extpuf", "uccompiler",
              "blob-equalities")
@@ -64,6 +45,7 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         from ..adversaries import zoo
+        from .experiments import EXPERIMENTS
 
         if self.version != 1:
             raise ConfigError("version", f"unsupported config version {self.version}")
@@ -82,8 +64,8 @@ class ExperimentConfig:
             raise ConfigError("n", "security parameter too small")
         if self.k < 1:
             raise ConfigError("k", "string length must be positive")
-        if self.n_strings < 0:
-            raise ConfigError("n_strings", "negative string count")
+        if self.n_strings < 1:
+            raise ConfigError("n_strings", "at least one committed string required")
         if self.d_noise < 0 or self.d_noise % 2 == 0:
             raise ConfigError("d_noise", "noise bound must be odd (block width 2t+1)")
         if self.mode not in ("collective", "per-string"):
@@ -93,9 +75,6 @@ class ExperimentConfig:
         if self.jobs < 1:
             raise ConfigError("jobs", "at least one worker")
         return self
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

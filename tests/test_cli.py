@@ -137,6 +137,16 @@ def test_lemmas_support_out_of_range_is_a_config_error(tmp_path: Path, capsys,
     assert "max_support" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("queries", ["0", "-3", "many"])
+def test_close_query_count_must_be_positive(tmp_path: Path, capsys, queries):
+    # no queries never land near the challenge: the gate would pass vacuously
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(f"version: 1\nexperiment: props-cq\nn: 8\ntrials: 5\n"
+                   f"queries: {queries}\n")
+    assert main(["experiment", str(cfg)]) == EXIT_CONFIG
+    assert "queries" in capsys.readouterr().err
+
+
 HIDING_CPUF = "version: 1\nexperiment: hiding\nprotocol: cpuf\nn: 8\ntrials: 40\n"
 
 

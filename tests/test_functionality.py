@@ -12,6 +12,7 @@ from pufcommit.functionality import (
     EventLog,
     audit_budgets,
     audit_single_ownership,
+    check_order_discipline,
 )
 from pufcommit.puf import PufParams, chatty_program, passthrough_program
 
@@ -190,6 +191,31 @@ def test_budget_and_ownership_audits_on_a_busy_log():
     func.handle(("eval", "a", "P2", BitString.random(8, rng)))
     audit_budgets(func)
     audit_single_ownership(func)
+
+
+def _probe_log(events):
+    """A hand-built revised-flow log: each (kind, sender, note) is on the
+    probe sid, except protocol messages, which have none."""
+    log = EventLog()
+    for kind, sender, note in events:
+        log.append(kind, sid=None if kind == "protocol-msg" else "p",
+                   sender=sender, note=note)
+    return log
+
+
+# R hands the probe to S, S queries it and hands it back
+RETURN = [("handover", "R", ""), ("eval", "S", ""), ("handover", "S", "")]
+MASK = ("protocol-msg", "R", "mask")
+
+
+@pytest.mark.parametrize("events,ordered", [
+    (RETURN + [MASK], True),
+    (RETURN + [("eval", "S", "waiting-state: not the owner"), MASK], True),
+    (RETURN[:2] + [MASK, RETURN[2]], False),
+    (RETURN + [("eval", "S", ""), MASK], False),
+], ids=["honest", "late-query-dropped", "return-after-mask", "late-query-answered"])
+def test_order_discipline_on_hand_built_logs(events, ordered):
+    assert check_order_discipline(_probe_log(events), "p", "S") is ordered
 
 
 def test_bit_commitment_reference():

@@ -6,7 +6,7 @@ import pytest
 
 from pufcommit.adversaries import zoo
 from pufcommit.harness.config import PROTOCOLS, ConfigError, ExperimentConfig, load_config
-from pufcommit.harness.experiments import run_experiment
+from pufcommit.harness.experiments import EXPERIMENTS, run_experiment
 from pufcommit.report import ExperimentReport, wilson_interval
 
 
@@ -52,6 +52,7 @@ def test_config_yaml_roundtrip(tmp_path: Path):
     ("trials", 0, "trials"),
     ("mode", "bulk", "mode"),
     ("d_noise", 2, "d_noise"),
+    ("n_strings", 0, "n_strings"),
 ])
 def test_config_validation_paths(field, value, needle):
     cfg = ExperimentConfig(experiment="completeness", protocol="cpuf", trials=2)
@@ -76,6 +77,24 @@ def test_extraction_without_senders_is_a_config_error():
     with pytest.raises(ConfigError) as err:
         run_experiment(cfg)
     assert err.value.path == "protocol"
+
+
+TINY = {
+    "completeness": {"protocol": "cpuf"},
+    "binding": {"protocol": "cpuf", "adversary": "equivocating-open-cpuf"},
+    "hiding": {"protocol": "cpuf"},
+    "extraction": {"protocol": "extpuf", "adversary": "all-senders"},
+    "costs": {"protocol": "cpuf"},
+    "lemmas": {"extras": {"max_support": 3}},
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_experiment_runs_from_a_config(experiment):
+    cfg = ExperimentConfig(experiment=experiment, n=8, k=1, n_strings=1, trials=2,
+                           seed=1, **TINY.get(experiment, {}))
+    report = run_experiment(cfg)
+    assert report.name and "passed" in report.details
 
 
 SUPPORTED = {

@@ -67,7 +67,7 @@ def test_cpuf_wrong_value_rejected():
 
 
 def test_extpuf_completeness_and_order_discipline():
-    from pufcommit.harness.experiments import check_order_discipline
+    from pufcommit.functionality import check_order_discipline
 
     rng = Random(1)
     for i in range(25):
