@@ -119,6 +119,13 @@ def _flags(args) -> dict:
             if getattr(args, key, None) is not None}
 
 
+def _costs_preset(args) -> dict:
+    # one honest run settles the accounting, so more trials would be ignored
+    if args.trials != 1:
+        raise ConfigError("trials", f"costs runs exactly one trial, not {args.trials}")
+    return dict(experiment="costs", protocol=args.protocol, mode=args.mode, k=args.k)
+
+
 @dataclass(frozen=True)
 class _Command:
     preset: Callable   # args -> config fields; they win over the common flags
@@ -139,10 +146,7 @@ _COMMANDS = {
     "experiment": _Command(lambda a: dict(vars(load_config(a.config)), **_flags(a))),
     "uc-sim": _Command(
         lambda a: dict(experiment="uc-sim", case=a.case, name=f"uc-sim/{a.case}")),
-    "costs": _Command(
-        lambda a: dict(experiment="costs", protocol=a.protocol, mode=a.mode, k=a.k,
-                       trials=1),
-        _costs_line),
+    "costs": _Command(_costs_preset, _costs_line),
     "lemmas": _Command(
         lambda a: dict(experiment="lemmas", extras={"max_support": a.max_support},
                        name="lemmas")),

@@ -133,7 +133,9 @@ class CollectiveReceiver:
     def receive_token_and_helpers(self, helper_cats: list[BitString]) -> None:
         p = self.params
         self.token_sid = self.api.take_handover()
-        if self.token_sid is None or len(helper_cats) != self.n_strings:
+        if self.token_sid is None or len(helper_cats) != self.n_strings or any(
+            h is None or h.n != p.main.fe.helper_len for h in helper_cats
+        ):
             raise ProtocolAbort("await-token")
         self.helpers = [
             HelperData.from_concat(h, p.main.fe.source_len) for h in helper_cats

@@ -61,10 +61,11 @@ class CpufReceiver:
 
     def receive_token_and_helper(self, helper: BitString) -> None:
         from ..fuzzy import HelperData
+        fe = self.params.pair.fe
         self.token_sid = self.api.take_handover()
-        if self.token_sid is None:
+        if self.token_sid is None or helper is None or helper.n != fe.helper_len:
             raise ProtocolAbort("await-token")
-        self.helper = HelperData.from_concat(helper, self.params.pair.fe.source_len)
+        self.helper = HelperData.from_concat(helper, fe.source_len)
 
     def draw_mask(self) -> BitString:
         self.r = BitString.random(self.params.mask_len, self.api.rng)

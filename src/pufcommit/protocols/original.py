@@ -100,6 +100,9 @@ class OriginalReceiver:
         self.second_sid = self.api.take_handover()
         if self.first_sid is None or self.second_sid is None:
             raise ProtocolAbort("await-tokens")
+        if (p1_cat is None or p1_cat.n != p.first.fe.helper_len
+                or p2_cat is None or p2_cat.n != p.second.fe.helper_len):
+            raise ProtocolAbort("await-tokens")
         self.p1 = HelperData.from_concat(p1_cat, p.first.fe.source_len)
         self.p2 = HelperData.from_concat(p2_cat, p.second.fe.source_len)
 

@@ -5,7 +5,10 @@ responses plus bounded read noise: each evaluation flips at most
 floor((d_noise - 1)/2) uniformly chosen positions, so two readings of the
 same challenge are always within d_noise - 1 < d_noise of each other by
 the triangle inequality.  The map itself leaks nothing about which
-challenge produced a response.
+challenge produced a response.  Each instance memoizes its ideal map per
+challenge, so a re-read skips the PRF expansion; the memo holds only what
+a fresh PRF evaluation of the same key and challenge returns, and the
+noise is drawn afresh on every read.
 
 A malicious token is an arbitrary deterministic program with a bounded
 bit budget of persistent state and optional oracle access to one freshly
@@ -96,11 +99,16 @@ class PufInstance:
     puf_id: str
     params: PufParams
     key: bytes = field(repr=False)
+    _ideal: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def ideal(self, s: BitString) -> BitString:
         if s.n != self.params.n:
             raise ValueError(f"LEN_MISMATCH: challenge of {s.n} bits, expected {self.params.n}")
-        return BitString(prf_bits(self.key, s.to_bytes(), self.params.rg), self.params.rg)
+        known = self._ideal.get(s.value)
+        if known is None:
+            known = BitString(prf_bits(self.key, s.to_bytes(), self.params.rg), self.params.rg)
+            self._ideal[s.value] = known
+        return known
 
     def respond(self, s: BitString, rng: Random) -> BitString:
         """One noisy evaluation; stateless, randomness injected by the caller."""

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .bits import BitString
 from .functionality import ADVERSARY, Budgets, CommPufFunctionality, EventLog
-from .fuzzy import reset_hash_memo
+from .fuzzy import reset_reading_memo
 from .prf import derive_seed
 from .puf import MachineProgram, PufParams
 
@@ -71,7 +71,7 @@ class CuriousDelivery(ImmediateDelivery):
 
 class Session:
     def __init__(self, seed: int, budgets: Budgets = Budgets(), adversary=None):
-        reset_hash_memo()  # a session reuses only its own hashes
+        reset_reading_memo()  # a session reuses only its own readings
         self.seed = seed
         self.log = EventLog()
         self.functionality = CommPufFunctionality(Random(derive_seed(seed, "func")),

@@ -35,6 +35,13 @@ def test_costs_subcommand(capsys):
     assert "4 / 4" in out
 
 
+def test_costs_rejects_a_trial_count_it_would_ignore(capsys):
+    for trials in ("5", "0"):
+        assert main(["costs", "cpuf", "--n", "8", "--trials", trials]) == EXIT_CONFIG
+        assert "trials:" in capsys.readouterr().err
+    assert main(["costs", "cpuf", "--n", "8", "--trials", "1"]) == EXIT_OK
+
+
 def test_lemmas_subcommand(capsys):
     assert main(["lemmas", "--trials", "50", "--seed", "5"]) == EXIT_OK
 

@@ -1,13 +1,16 @@
 from collections import Counter
+from contextlib import contextmanager
 from random import Random
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pufcommit import fuzzy
 from pufcommit.adversaries import SubstitutingReturnSender
 from pufcommit.bits import BitString, hamming_distance
+from pufcommit.ecc import RepetitionCode
 from pufcommit.fuzzy import FuzzyExtractor, HelperData, check_matching
 from pufcommit.prf import prf_bits
 from pufcommit.protocols import ExtPufParams, run_extpuf
@@ -82,6 +85,9 @@ def test_input_length_checks():
     _, p = fe.gen(w, rng)
     with pytest.raises(ValueError, match="LEN_MISMATCH"):
         fe.rep(BitString.zeros(fe.source_len - 1), p)
+    for seed_bits in (fe.seed_bits - 1, fe.seed_bits + 1):
+        with pytest.raises(ValueError, match="LEN_MISMATCH"):
+            fe.rep(w, HelperData(p.sketch, BitString.zeros(seed_bits)))
 
 
 def test_helper_data_wire_roundtrip():
@@ -191,7 +197,27 @@ def test_widest_hash_in_use_matches_row_loop():
         assert fe._hash(seed, w) == reference_hash(fe, seed, w)
 
 
-# -- Rep within the correction radius, which the hash memo relies on --------
+# -- Rep against decode-and-hash, on both sides of the reading memo --------
+
+def reference_rep(fe, w_prime, p):
+    """Rep as first written: majority-vote each inner block of w' XOR
+    sketch, re-apply the sketch to the voted codeword, hash the result."""
+    r = 2 * fe.t + 1
+    block = (1 << r) - 1
+    word = (w_prime ^ p.sketch).value
+    recovered = p.sketch.value
+    for j in range(fe.source_len // r):
+        if (word >> (j * r) & block).bit_count() > fe.t:
+            recovered ^= block << (j * r)
+    return reference_hash(fe, p.hash_seed, BitString(recovered, fe.source_len))
+
+
+@contextmanager
+def counting_decodes():
+    with patch.object(RepetitionCode, "dec", autospec=True,
+                      side_effect=RepetitionCode.dec) as dec:
+        yield dec
+
 
 @st.composite
 def readings(draw):
@@ -226,19 +252,50 @@ def test_rep_within_t_per_block_returns_the_gen_hash(case, level):
 
 @settings(max_examples=60, deadline=None)
 @given(readings())
+def test_rep_within_t_in_total_returns_the_recorded_hash_without_decoding(case):
+    fe, w, gen_seed, noise = case
+    st_gen, p = fe.gen(w, Random(gen_seed))
+    reading = w.flip(noise.sample(range(fe.source_len), noise.randint(0, fe.t)))
+    with counting_decodes() as dec:
+        got = fe.rep(reading, p)
+    assert dec.call_count == 0
+    assert got == st_gen == reference_rep(fe, reading, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(readings())
+def test_rep_beyond_t_in_total_but_within_t_per_block_decodes_to_the_gen_hash(case):
+    # two blocks at t flips each put the reading 2t > t away from w
+    fe, w, gen_seed, noise = case
+    assume(fe.t >= 1 and fe.source_len // (2 * fe.t + 1) >= 2)
+    st_gen, p = fe.gen(w, Random(gen_seed))
+    reading = w.flip(block_noise(fe, noise,
+                                 lambda j: fe.t if j < 2 else noise.randint(0, fe.t)))
+    with counting_decodes() as dec:
+        got = fe.rep(reading, p)
+    assert dec.call_count == 1
+    assert got == st_gen == reference_rep(fe, reading, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(readings())
 def test_rep_beyond_t_in_one_block_hashes_the_word_it_recovered(case):
     # t + 1 flips in block j move its majority, so Rep recovers w with the
-    # whole block flipped; the memo holds gen's hash of w and must not answer
+    # whole block flipped; the memo holds gen's reading w and must not answer
     fe, w, gen_seed, noise = case
     r = 2 * fe.t + 1
     j = noise.randrange(fe.source_len // r)
     _, p = fe.gen(w, Random(gen_seed))
-    flips = block_noise(fe, noise, lambda i: fe.t + 1 if i == j else noise.randint(0, fe.t))
+    reading = w.flip(block_noise(fe, noise,
+                                 lambda i: fe.t + 1 if i == j else noise.randint(0, fe.t)))
     recovered = w.flip(range(j * r, (j + 1) * r))
-    assert fe.rep(w.flip(flips), p) == reference_hash(fe, p.hash_seed, recovered)
+    with counting_decodes() as dec:
+        got = fe.rep(reading, p)
+    assert dec.call_count == 1
+    assert got == reference_rep(fe, reading, p) == reference_hash(fe, p.hash_seed, recovered)
 
 
-# -- The hash memo: one session's lifetime, a fixed cap ----------------------
+# -- The reading memo: one session's lifetime, a fixed cap -------------------
 
 EP = ExtPufParams.standard(16, 4)
 X = BitString.from01("1011")
@@ -246,7 +303,8 @@ X = BitString.from01("1011")
 
 @pytest.fixture
 def hash_count(monkeypatch):
-    """Counts gen and rep calls and the Toeplitz products actually computed."""
+    """Counts gen and rep calls, the decodes and the Toeplitz products
+    actually computed."""
     counts = Counter()
 
     def counting(name, fn):
@@ -260,6 +318,7 @@ def hash_count(monkeypatch):
     for name in ("gen", "rep"):
         monkeypatch.setattr(FuzzyExtractor, name,
                             counting(name, getattr(FuzzyExtractor, name)))
+    monkeypatch.setattr(RepetitionCode, "dec", counting("dec", RepetitionCode.dec))
     return counts
 
 
@@ -267,6 +326,7 @@ def test_honest_opening_reuses_the_gen_hash(hash_count):
     assert run_extpuf(EP, X, seed=5).accepted
     assert hash_count["rep"] > 0
     assert hash_count["hash"] == hash_count["gen"]
+    assert hash_count["dec"] == 0
 
 
 def test_a_new_session_recomputes_every_hash(hash_count):
@@ -282,24 +342,48 @@ def test_rep_of_a_substituted_probe_computes_its_hash(hash_count):
     assert out.abort_step == "TQ_FAIL"
     assert hash_count["rep"] > 0
     assert hash_count["hash"] == hash_count["gen"] + hash_count["rep"]
+    assert hash_count["dec"] == hash_count["rep"]
 
 
 def test_memo_tells_widths_apart():
     rng = Random(13)
-    seed = BitString.random(64, rng)
-    value = rng.getrandbits(600)
-    for source_len, out_len in ((600, 8), (600, CROSSOVER), (601, 8), (600, 8)):
-        fe = FuzzyExtractor(source_len, out_len, 0, seed_bits=64)
-        w = BitString(value, source_len)
-        assert fe._hash(seed, w) == reference_hash(fe, seed, w)
+    w = BitString.random(600, rng)
+    st_gen, p = FuzzyExtractor(600, 8, 0, seed_bits=64).gen(w, rng)
+    for out_len in (CROSSOVER, 9):
+        fe = FuzzyExtractor(600, out_len, 0, seed_bits=64)
+        assert fe.rep(w, p) == reference_rep(fe, w, p)
+    assert FuzzyExtractor(600, 8, 0, seed_bits=64).rep(w, p) == st_gen
+
+
+def test_memo_tells_t_and_seed_bits_apart():
+    # Each pair differs in t or seed_bits only.  The reading is within the
+    # Rep side's t of the Gen reading, so an entry shared across the pair
+    # would answer with st_gen; the reference shows that would be wrong.
+    rng = Random(15)
+    # 105 bits hold inner blocks of 1, 3, 5 and 7 bits
+    for t_gen, t_rep in ((0, 3), (1, 2), (3, 1)):
+        gen_fe = FuzzyExtractor(105, 8, t_gen, seed_bits=64)
+        rep_fe = FuzzyExtractor(105, 8, t_rep, seed_bits=64)
+        w = BitString.random(gen_fe.source_len, rng)
+        st_gen, p = gen_fe.gen(w, rng)
+        assert reference_rep(rep_fe, w, p) != st_gen
+        assert rep_fe.rep(w, p) == reference_rep(rep_fe, w, p)
+    gen_fe = FuzzyExtractor(105, 8, 1, seed_bits=64)
+    rep_fe = FuzzyExtractor(105, 8, 1, seed_bits=128)
+    w = BitString.random(gen_fe.source_len, rng)
+    st_gen, p = gen_fe.gen(w, rng)
+    wider = HelperData(p.sketch, BitString(p.hash_seed.value, 128))
+    assert reference_rep(rep_fe, w, wider) != st_gen
+    assert rep_fe.rep(w, wider) == reference_rep(rep_fe, w, wider)
 
 
 def test_memo_outside_sessions_stays_under_its_cap():
     fe = FuzzyExtractor(1 << 16, 8, 0, seed_bits=64)
-    entry_bits = fe.seed_bits + fe.source_len + fe.out_len
+    # key: seed and sketch; value: the reading and st
+    entry_bits = fe.seed_bits + 2 * fe.source_len + fe.out_len
     most = fuzzy._MEMO_MAX_BITS // entry_bits
     rng = Random(14)
-    fuzzy.reset_hash_memo()
+    fuzzy.reset_reading_memo()
     for _ in range(2 * most + 2):
         fe.gen(BitString.random(fe.source_len, rng), rng)
         assert fuzzy._memo_bits <= fuzzy._MEMO_MAX_BITS

@@ -1,9 +1,12 @@
 import hashlib
+from dataclasses import replace
 from random import Random
 
 import pytest
 
+from pufcommit import puf
 from pufcommit.bits import BitString, spread, stride_indices
+from pufcommit.ecc import RepetitionCode
 from pufcommit.adversaries import (
     AbortingProbeReceiver,
     AmbiguousQuerySender,
@@ -213,6 +216,56 @@ def test_outcome_semantics_are_shared_by_every_runner(runner):
     out = run(faulty(faults["reject"][0], _withdraw), True)
     assert out.accepted is False and out.abort_step == "withdrawn"
     assert out.session.log.records[-1].payload == "abort:withdrawn"
+
+
+@pytest.mark.parametrize("runner", sorted(OUTCOME_CASES))
+def test_honest_opening_decodes_nothing_and_expands_each_challenge_once(runner, monkeypatch):
+    decodes = []
+    expansions = []
+
+    def dec(code, c, real=RepetitionCode.dec):
+        decodes.append(c)
+        return real(code, c)
+
+    def prf_bits(key, data, nbits, real=puf.prf_bits):
+        expansions.append((key, data))
+        return real(key, data, nbits)
+
+    monkeypatch.setattr(RepetitionCode, "dec", dec)
+    monkeypatch.setattr(puf, "prf_bits", prf_bits)
+    run, honest, _ = OUTCOME_CASES[runner]
+    assert run(honest, True).accepted
+    assert decodes == []
+    assert expansions and len(expansions) == len(set(expansions))
+
+
+def short_seed(factory, field):
+    """A `factory` sender whose extractor in params.`field` draws an 8-bit
+    hash seed: its helpers are shorter than the receiver expects, but they
+    reproduce st under the sender's own extractor."""
+    def make(params, *args, **kwargs):
+        pair = getattr(params, field)
+        pair = replace(pair, fe=replace(pair.fe, seed_bits=8))
+        return factory(replace(params, **{field: pair}), *args, **kwargs)
+    return make
+
+
+@pytest.mark.parametrize("run, abort_step", [
+    (lambda: run_cpuf(CP, BitString.from01("1010"), 13010,
+                      sender_factory=short_seed(CpufSender, "pair")), "await-token"),
+    (lambda: run_extpuf(EP, BitString.from01("1011"), 13011,
+                        sender_factory=short_seed(CollectiveSender, "main")), "await-token"),
+    (lambda: run_original_extpuf(OP, BitString.from01("1"), 13012,
+                                 sender_factory=short_seed(OriginalSender, "first")),
+     "await-tokens"),
+    (lambda: run_original_extpuf(OP, BitString.from01("1"), 13013,
+                                 sender_factory=short_seed(OriginalSender, "second")),
+     "await-tokens"),
+], ids=["cpuf", "extpuf", "original-first", "original-second"])
+def test_helper_of_the_wrong_length_aborts_the_commit(run, abort_step):
+    out = run()
+    assert not out.committed and out.abort_step == abort_step
+    assert out.accepted is False
 
 
 def test_collective_wrong_value_rejected():
