@@ -57,7 +57,7 @@ def _encode(obj):
     return repr(obj)
 
 
-@dataclass
+@dataclass(slots=True)
 class EventRecord:
     step: int
     kind: str
@@ -95,6 +95,8 @@ class EventLog:
 
     def append(self, kind: str, sid=None, sender=None, payload=None,
                deliveries=(), note: str = "") -> EventRecord:
+        # deliveries is copied: the router hands the same list to its
+        # caller, and CuriousDelivery removes what it observed from it
         rec = EventRecord(
             step=len(self.records), kind=kind, sid=sid, sender=sender,
             payload=payload, deliveries=list(deliveries), note=note,
@@ -165,12 +167,11 @@ class CommPufFunctionality:
         if not isinstance(msg, tuple) or not msg or not isinstance(msg[0], str):
             raise ValueError(f"MALFORMED: {msg!r}")
         kind = msg[0]
+        handler = self._HANDLERS.get(kind)
+        if handler is None:
+            raise ValueError(f"MALFORMED: unknown message kind {kind!r}")
         try:
-            handler = getattr(self, f"_on_{kind}")
-        except AttributeError:
-            raise ValueError(f"MALFORMED: unknown message kind {kind!r}") from None
-        try:
-            return handler(*msg[1:])
+            return handler(self, *msg[1:])
         except TypeError as exc:
             raise ValueError(f"MALFORMED: bad arity for {kind!r}: {exc}") from None
 
@@ -284,6 +285,16 @@ class CommPufFunctionality:
             return self._drop("received", sid, sender, original_owner, "no receipt")
         return self._done("received", sid, sender, original_owner,
                           [(original_owner, ("received", sid))])
+
+    # one handler per message kind, looked up in handle()
+    _HANDLERS = {
+        "init": _on_init,
+        "eval": _on_eval,
+        "inmsg": _on_inmsg,
+        "handover": _on_handover,
+        "ready": _on_ready,
+        "received": _on_received,
+    }
 
     # -- introspection (not part of the message interface) ---------------------
 

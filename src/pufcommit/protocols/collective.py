@@ -35,7 +35,7 @@ from ..functionality import Budgets
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
 from .common import (Outcome, TestQuery, commit_step, mask_commitment, open_step,
-                     probe_outputs, record_test_query)
+                     probe_outputs, read_token, record_test_query)
 from .params import ExtPufParams
 
 __all__ = ["CollectiveSender", "CollectiveReceiver", "run_collective",
@@ -174,10 +174,16 @@ class CollectiveReceiver:
             return None
         if st_e.n != p.probe.fe.out_len or p_e_cat.n != p.probe.fe.helper_len:
             return None
-        st = p.main.fe.rep(self.api.eval(self.token_sid, s), self.helpers[index])
+        sigma = read_token(self.api, self.token_sid, s, p.main.fe)
+        if sigma is None:
+            return None
+        st = p.main.fe.rep(sigma, self.helpers[index])
         if self.cs[index] != mask_commitment(st, x, self.masks[index], p.n):
             return None
-        probe_response = self.api.eval(self.returned_probe, p.code.enc(st))
+        probe_response = read_token(self.api, self.returned_probe, p.code.enc(st),
+                                    p.probe.fe)
+        if probe_response is None:
+            return None
         p_e = HelperData.from_concat(p_e_cat, p.probe.fe.source_len)
         if st_e != p.probe.fe.rep(probe_response, p_e):
             return None

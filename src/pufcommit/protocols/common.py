@@ -12,7 +12,7 @@ from ..fuzzy import FuzzyExtractor, HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
 
 __all__ = ["Outcome", "commit_step", "open_step", "mask_commitment", "probe_outputs",
-           "TestQuery", "record_test_query"]
+           "read_token", "TestQuery", "record_test_query"]
 
 
 @dataclass
@@ -115,6 +115,16 @@ def probe_outputs(response: Optional[BitString], fe: FuzzyExtractor,
     return fe.gen(response, rng)
 
 
+def read_token(api: PartyHandle, sid: str, challenge: BitString,
+               fe: FuzzyExtractor) -> Optional[BitString]:
+    """The token's answer to challenge; None when it refuses or answers
+    with a width fe cannot take, so a check can reject instead of crash."""
+    response = api.eval(sid, challenge)
+    if response is None or response.n != fe.source_len:
+        return None
+    return response
+
+
 @dataclass(frozen=True)
 class TestQuery:
     """Random-challenge fingerprint taken before a token is handed away."""
@@ -124,10 +134,8 @@ class TestQuery:
     helper: HelperData
 
     def verify(self, api: PartyHandle, sid: str, fe: FuzzyExtractor) -> bool:
-        response = api.eval(sid, self.challenge)
-        if response is None or response.n != fe.source_len:
-            return False
-        return fe.rep(response, self.helper) == self.secret
+        response = read_token(api, sid, self.challenge, fe)
+        return response is not None and fe.rep(response, self.helper) == self.secret
 
 
 def record_test_query(api: PartyHandle, sid: str, challenge_len: int,

@@ -27,6 +27,7 @@ one single-string instance (N = 1) per committed string.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from ..bits import BitString
@@ -345,6 +346,24 @@ def blob_equalities_check(y_bits: list[int], e_bits: list[int],
     return True
 
 
+class _TweakedSender(HonestCompilerSender):
+    """Honest but for two sets of pair indices: in each `unequal` pair the
+    second blob carries the flipped bit, and each `tampered` pair's
+    equality bit is inverted."""
+
+    def __init__(self, n: int, b: int, api, unequal: frozenset, tampered: frozenset):
+        super().__init__(n, b, api)
+        self.unequal = unequal
+        self.tampered = tampered
+
+    def blob_value(self, j):
+        return self.b ^ 1 if (j // 2 in self.unequal and j % 2 == 1) else self.b
+
+    def equality_message(self):
+        y = super().equality_message()
+        return [y_t ^ 1 if t in self.tampered else y_t for t, y_t in enumerate(y)]
+
+
 def run_blob_equalities(n: int, b: int, seed: int,
                         unequal_pairs: tuple = (),
                         tamper_y_pairs: tuple = (),
@@ -354,16 +373,7 @@ def run_blob_equalities(n: int, b: int, seed: int,
     unequal_pairs: pair indices whose second blob carries the flipped bit.
     tamper_y_pairs: pair indices whose equality bit the sender inverts.
     """
-    unequal = set(unequal_pairs)
-    tampered = set(tamper_y_pairs)
-
-    class TweakedSender(HonestCompilerSender):
-        def blob_value(self, j):
-            return self.b ^ 1 if (j // 2 in unequal and j % 2 == 1) else self.b
-
-        def equality_message(self):
-            y = super().equality_message()
-            return [y_t ^ 1 if t in tampered else y_t for t, y_t in enumerate(y)]
-
-    return run_uccompiler(n, b, seed, sender_factory=TweakedSender,
+    sender = partial(_TweakedSender, unequal=frozenset(unequal_pairs),
+                     tampered=frozenset(tamper_y_pairs))
+    return run_uccompiler(n, b, seed, sender_factory=sender,
                           open_phase=False, d_noise=d_noise)

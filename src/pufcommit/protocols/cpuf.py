@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from ..bits import BitString
 from ..functionality import NO_CHANNEL_BUDGETS
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import Outcome, commit_step, mask_commitment, open_step
+from .common import Outcome, commit_step, mask_commitment, open_step, read_token
 from .params import CpufParams
 
 __all__ = ["CpufSender", "CpufReceiver", "run_cpuf"]
@@ -80,7 +80,9 @@ class CpufReceiver:
         p = self.params
         if s is None or x is None or s.n != p.n or x.n != p.k:
             return None
-        sigma = self.api.eval(self.token_sid, s)
+        sigma = read_token(self.api, self.token_sid, s, p.pair.fe)
+        if sigma is None:
+            return None
         st = p.pair.fe.rep(sigma, self.helper)
         if self.c == mask_commitment(st, x, self.r, p.l):
             return x

@@ -25,7 +25,7 @@ from ..functionality import NO_CHANNEL_BUDGETS
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
 from .common import (Outcome, TestQuery, commit_step, mask_commitment, open_step,
-                     probe_outputs, record_test_query)
+                     probe_outputs, read_token, record_test_query)
 from .params import OriginalExtPufParams
 
 __all__ = ["OriginalSender", "OriginalReceiver", "run_original_extpuf"]
@@ -131,13 +131,16 @@ class OriginalReceiver:
             return None
         if st_e.n != p.probe.fe.out_len or p_e_cat.n != p.probe.fe.helper_len:
             return None
-        st1 = p.first.fe.rep(self.api.eval(self.first_sid, s1), self.p1)
+        response1 = read_token(self.api, self.first_sid, s1, p.first.fe)
+        if response1 is None:
+            return None
+        st1 = p.first.fe.rep(response1, self.p1)
         # The published step reproduces st_2 from the first token, which
         # cannot succeed for honest runs; corrected reading uses the second.
         source_sid = self.first_sid if p.strict_figure_decommit else self.second_sid
         fe2 = p.second.fe
-        response2 = self.api.eval(source_sid, s2)
-        if response2 is None or response2.n != fe2.source_len:
+        response2 = read_token(self.api, source_sid, s2, fe2)
+        if response2 is None:
             return None  # the literal replay is not even well-typed here
         st2 = fe2.rep(response2, self.p2)
         if self.c1 != mask_commitment(st1, x, self.r1, p.l):
@@ -145,7 +148,9 @@ class OriginalReceiver:
         cat = st_e.concat(p_e_cat)
         if self.c2 != mask_commitment(st2, cat, self.r2, p.l):
             return None
-        probe_response = self.api.eval(returned, p.code.enc(st1))
+        probe_response = read_token(self.api, returned, p.code.enc(st1), p.probe.fe)
+        if probe_response is None:
+            return None
         p_e = HelperData.from_concat(p_e_cat, p.probe.fe.source_len)
         if st_e != p.probe.fe.rep(probe_response, p_e):
             return None

@@ -11,6 +11,13 @@ Everything that happens lands in the same ordered log: router events,
 direct protocol messages, phase annotations, exchange-phase markers and
 outcomes.  With a fixed seed the serialized log is byte-identical across
 runs.
+
+Ownership runs one way: a party handle points at its session, and the
+session never points at a handle.  The session keeps each party's
+randomness stream by name, so every handle_for(name) returns a new handle
+that draws from the same stream.  A finished run therefore holds no
+reference cycle, and reference counting frees it, log and all, as soon
+as its outcome is dropped.
 """
 
 from __future__ import annotations
@@ -79,13 +86,16 @@ class Session:
         self.adversary = adversary or ImmediateDelivery()
         self.mailboxes: dict[str, list] = {}
         self.exchange_phases = 0
-        self._handles: dict[str, PartyHandle] = {}
+        self._rngs: dict[str, Random] = {}
 
     def handle_for(self, name: str) -> "PartyHandle":
-        if name not in self._handles:
-            self._handles[name] = PartyHandle(self, name)
+        """A handle for party `name`; every handle of one name shares its
+        randomness stream."""
+        rng = self._rngs.get(name)
+        if rng is None:
+            rng = self._rngs[name] = Random(derive_seed(self.seed, "party", name))
             self.mailboxes.setdefault(name, [])
-        return self._handles[name]
+        return PartyHandle(self, name, rng)
 
     # -- transcript annotations --------------------------------------------
 
@@ -134,10 +144,10 @@ class Session:
 class PartyHandle:
     """Capability a party uses to touch the functionality and the wire."""
 
-    def __init__(self, session: Session, name: str):
+    def __init__(self, session: Session, name: str, rng: Random):
         self.session = session
         self.name = name
-        self.rng = Random(derive_seed(session.seed, "party", name))
+        self.rng = rng
 
     # -- token lifecycle ------------------------------------------------------
 

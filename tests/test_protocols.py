@@ -16,6 +16,7 @@ from pufcommit.adversaries import (
     SubstitutingReturnSender,
 )
 from pufcommit.protocols import (
+    CollectiveReceiver,
     CollectiveSender,
     CpufParams,
     CpufSender,
@@ -35,6 +36,7 @@ from pufcommit.protocols.compiler import (
     blob_equalities_check,
     share_index,
 )
+from pufcommit.puf import constant_program, silent_program
 from pufcommit.session import ProtocolAbort, count_resources, message_shapes
 
 CP = CpufParams.standard(16, 4)
@@ -126,6 +128,56 @@ def test_extpuf_probe_abort_does_not_stop_the_sender():
     assert out.abort_step is None
     sender = out.sender
     assert sender.st_e[0] == BitString.zeros(EP.probe.fe.out_len)
+
+
+# answer programs of a token that a check can only reject: no answer, or
+# an answer one bit short of the family's response width
+REFUSING = {"silent": silent_program, "short": lambda rg: constant_program(rg - 1)}
+
+
+def handing_over_refusing(sender, puf_of, program):
+    """`sender`, but the token it hands over in place of its own (its first
+    one, if it has two) answers every query through program(rg)."""
+    def swap(self, receiver):
+        puf = puf_of(self.params)
+        self.api.create_malicious("refusing", puf, program(puf.rg))
+        self.api.handover("refusing", receiver)
+        if isinstance(self, OriginalSender):
+            self.api.handover(self.SID_SECOND, receiver)
+
+    method = "send_tokens" if issubclass(sender, OriginalSender) else "send_token"
+    return type("Refusing", (sender,), {method: swap})
+
+
+class SilentProbeReceiver(AbortingProbeReceiver):
+    """Fields a probe that refuses every query, then checks openings as the
+    honest receiver does."""
+
+    check_opening = CollectiveReceiver.check_opening
+
+
+@pytest.mark.parametrize("answer", sorted(REFUSING))
+@pytest.mark.parametrize("run", [
+    lambda program: run_cpuf(CP, BitString.from01("1010"), 5, sender_factory=(
+        handing_over_refusing(CpufSender, lambda p: p.pair.puf, program))),
+    lambda program: run_extpuf(EP2, BitString.from01("10"), 5, sender_factory=(
+        handing_over_refusing(CollectiveSender, lambda p: p.main.puf, program))),
+    lambda program: run_collective(EP2, [BitString.from01("10")] * 3, 5, sender_factory=(
+        handing_over_refusing(CollectiveSender, lambda p: p.main.puf, program))),
+    lambda program: run_original_extpuf(OP, BitString.from01("1"), 5, sender_factory=(
+        handing_over_refusing(OriginalSender, lambda p: p.first.puf, program))),
+], ids=["cpuf", "extpuf", "collective", "original"])
+def test_an_opening_against_a_refusing_token_is_rejected(run, answer):
+    out = run(REFUSING[answer])
+    assert out.committed and out.abort_step is None
+    assert out.opened and all(v is None for v in out.opened.values())
+    assert out.accepted is False
+
+
+def test_an_opening_against_a_refusing_probe_is_rejected():
+    out = run_extpuf(EP2, BitString.from01("10"), 5, receiver_factory=SilentProbeReceiver)
+    assert out.committed and out.abort_step is None
+    assert out.opened == {0: None}
 
 
 def test_collective_completeness_and_reopening():
