@@ -3,7 +3,6 @@ physically uncloneable functions, including tokens that may talk back to
 their creator."""
 
 from .bits import BitString, hamming_distance, neighborhood_size
-from .report import ExperimentReport, wilson_interval
 
 __version__ = "0.1.0"
 
@@ -11,7 +10,5 @@ __all__ = [
     "BitString",
     "hamming_distance",
     "neighborhood_size",
-    "ExperimentReport",
-    "wilson_interval",
     "__version__",
 ]

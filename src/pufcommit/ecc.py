@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
-from .bits import BitString, hamming_distance
+from .bits import BitString
 
-__all__ = ["RepetitionCode", "measured_min_distance"]
+__all__ = ["RepetitionCode"]
 
 
 _DEC_LOOKUPS = 48  # table lookups per slice of the word in RepetitionCode.dec
@@ -64,11 +63,6 @@ class RepetitionCode:
     def min_dist(self) -> int:
         return self.repeat
 
-    @property
-    def correctable(self) -> int:
-        """Guaranteed correction radius floor((D-1)/2)."""
-        return (self.min_dist - 1) // 2
-
     def enc(self, m: BitString) -> BitString:
         if m.n != self.msg_len:
             raise ValueError(f"LEN_MISMATCH: message of {m.n} bits, expected {self.msg_len}")
@@ -107,10 +101,3 @@ class RepetitionCode:
             value |= votes << out
         return BitString(value, self.msg_len)
 
-
-def measured_min_distance(code: RepetitionCode, max_msg_len: int = 10) -> int:
-    """Exhaustive pairwise minimum distance of the code table."""
-    if code.msg_len > max_msg_len:
-        raise ValueError("exhaustive scan limited to small message lengths")
-    words = [code.enc(BitString(v, code.msg_len)) for v in range(1 << code.msg_len)]
-    return min(hamming_distance(a, b) for a, b in combinations(words, 2))

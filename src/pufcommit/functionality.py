@@ -298,10 +298,6 @@ class CommPufFunctionality:
 
     # -- introspection (not part of the message interface) ---------------------
 
-    def owner_of(self, sid: str) -> Optional[str]:
-        rec = self.tokens.get(sid)
-        return rec.owner if rec else None
-
     def counters(self, sid: str) -> tuple[int, int]:
         rec = self.tokens[sid]
         return rec.in_used, rec.out_used

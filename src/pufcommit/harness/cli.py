@@ -15,7 +15,7 @@ from typing import Callable
 from ..bits import BitString
 from ..report import ExperimentReport
 from ..session import count_resources
-from .config import PROTOCOLS, ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .experiments import PROTOCOL_TABLE, run_experiment
 
 EXIT_OK = 0
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("demo", help="one annotated honest run of a protocol")
-    p.add_argument("protocol", choices=PROTOCOLS)
+    p.add_argument("protocol", choices=PROTOCOL_TABLE)
     p.add_argument("--k", type=int, default=2)
     _add_common(p, trials=1, n=16)
 
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, trials=2000, n=8)
 
     p = sub.add_parser("costs", help="token and exchange-phase accounting")
-    p.add_argument("protocol", choices=PROTOCOLS)
+    p.add_argument("protocol", choices=PROTOCOL_TABLE)
     p.add_argument("--mode", choices=["collective", "per-string"],
                    default="collective")
     p.add_argument("--k", type=int, default=1)

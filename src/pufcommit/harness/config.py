@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import yaml
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "PROTOCOLS"]
-
-PROTOCOLS = ("cpuf", "extpuf", "collextpuf", "original-extpuf", "uccompiler",
-             "blob-equalities")
+__all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
 
 class ConfigError(Exception):
@@ -45,15 +42,25 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         from ..adversaries import zoo
-        from .experiments import EXPERIMENTS
+        from .experiments import EXPERIMENTS, EXTRAS, PROTOCOL_TABLE
 
+        hints = get_type_hints(ExperimentConfig)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass, but `trials: true` is no trial count
+            if isinstance(value, bool) or not isinstance(
+                    value, get_args(hints[f.name]) or hints[f.name]):
+                raise ConfigError(f.name, f"{value!r} is not {f.type}")
         if self.version != 1:
             raise ConfigError("version", f"unsupported config version {self.version}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError("experiment",
                               f"unknown experiment {self.experiment!r}; "
                               f"one of {', '.join(EXPERIMENTS)}")
-        if self.protocol is not None and self.protocol not in PROTOCOLS:
+        for key in self.extras:
+            if key not in EXTRAS.get(self.experiment, ()):
+                raise ConfigError(key, f"{self.experiment} reads no such config key")
+        if self.protocol is not None and self.protocol not in PROTOCOL_TABLE:
             raise ConfigError("protocol", f"unknown protocol {self.protocol!r}")
         known = {s.strategy_id for s in zoo()} | {"honest", "all-senders"}
         if self.adversary not in known:
@@ -81,15 +88,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
     raw = yaml.safe_load(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ConfigError("", "config must be a mapping")
-    known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-    fields = {}
+    # a key the experiment reads beyond the fields goes to extras, which
+    # cannot itself be set by name
+    known = {f.name for f in fields(ExperimentConfig)} - {"extras"}
+    named = {}
     extras = {}
     for key, value in raw.items():
         if key in known:
-            fields[key] = value
+            named[key] = value
         else:
             extras[key] = value
-    if "experiment" not in fields:
+    if "experiment" not in named:
         raise ConfigError("experiment", "missing required field")
-    cfg = ExperimentConfig(extras=extras, **fields)
+    cfg = ExperimentConfig(extras=extras, **named)
     return cfg.validate()

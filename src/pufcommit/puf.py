@@ -17,14 +17,12 @@ sampled honest instance that nobody else can reach.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional
 
-from .bits import BitString, hamming_distance, neighborhood_size
+from .bits import BitString, neighborhood_size
 from .prf import prf_bits
-from .report import ExperimentReport
 
 __all__ = [
     "PufParams",
@@ -32,16 +30,10 @@ __all__ = [
     "sample_puf",
     "MachineProgram",
     "MaliciousPufMachine",
-    "passthrough_program",
-    "constant_program",
     "query_logging_program",
     "replay_on_marker_program",
     "chatty_program",
     "silent_program",
-    "estimate_unpredictability",
-    "estimate_preimage_entropy",
-    "close_query_experiment",
-    "run_test_query_experiment",
 ]
 
 
@@ -194,23 +186,6 @@ class MaliciousPufMachine:
         return response, outgoing
 
 
-def passthrough_program(response_len: int) -> MachineProgram:
-    """Echo the embedded honest instance; indistinguishable from honest."""
-    def fn(kind, payload, state, oracle):
-        if kind != "query":
-            return None, None, None
-        return oracle(payload), None, None
-    return MachineProgram("passthrough", 0, fn, response_len)
-
-
-def constant_program(response_len: int) -> MachineProgram:
-    def fn(kind, payload, state, oracle):
-        if kind != "query":
-            return None, None, None
-        return BitString.zeros(response_len), None, None
-    return MachineProgram("constant-zero", 0, fn, response_len, wants_inner=False)
-
-
 def query_logging_program(response_len: int, log_bits: int) -> MachineProgram:
     """Keeps the most recent query prefix in state; needs log_bits of memory."""
     def fn(kind, payload, state, oracle):
@@ -254,163 +229,3 @@ def silent_program(response_len: int) -> MachineProgram:
     def fn(kind, payload, state, oracle):
         return None, None, None
     return MachineProgram("silent", 0, fn, response_len, wants_inner=False)
-
-
-# ---------------------------------------------------------------------------
-# Family-level experiments
-# ---------------------------------------------------------------------------
-
-def estimate_unpredictability(params: PufParams, trials: int, seed: int = 0,
-                              num_queries: int = 4,
-                              include_challenge: bool = False) -> ExperimentReport:
-    """Empirical response-entropy estimate under far-away queries.
-
-    Each trial samples a fresh instance, a challenge s, and num_queries
-    challenges at distance >= d_min from s, evaluates the queries first
-    and then s, and pools the s-responses.  Two estimates are reported:
-
-    * ``estimated_bits``: -log2 of the maximum pooled frequency, a
-      max-likelihood plug-in for the response min-entropy.  It needs on
-      the order of 2^(rg+6) trials to sit within a bit of the truth.
-    * ``probe_success``: hit rate of a predictor that answers with the
-      response of the nearest query, probing whether conditioning on the
-      far-away responses helps at all.
-
-    ``clears_m`` allows one bit of plug-in bias against the claim.
-    """
-    if params.rg > 16:
-        raise ValueError("empirical estimation limited to rg <= 16")
-    if params.d_min > params.n:
-        return ExperimentReport(
-            name="unpredictability", trials=0, successes=0, status="vacuous",
-            details={"reason": "no challenge at distance >= d_min exists"},
-        )
-    rng = Random(seed)
-    counts: dict[int, int] = {}
-    probe_hits = 0
-    for _ in range(trials):
-        inst = sample_puf(params, rng)
-        s = BitString.random(params.n, rng)
-        queries = []
-        while len(queries) < num_queries:
-            q = BitString.random(params.n, rng)
-            if hamming_distance(q, s) >= params.d_min:
-                queries.append(q)
-        if include_challenge:
-            queries[0] = s
-        if any(hamming_distance(q, s) < params.d_min for q in queries):
-            return ExperimentReport(
-                name="unpredictability", trials=0, successes=0,
-                status="PRECONDITION_UNMET",
-                details={"reason": "query list intersects the d_min ball around s"},
-            )
-        q_responses = [inst.respond(q, rng) for q in queries]
-        sigma = inst.respond(s, rng)
-        counts[sigma.value] = counts.get(sigma.value, 0) + 1
-        nearest = min(range(num_queries), key=lambda i: hamming_distance(queries[i], s))
-        if q_responses[nearest] == sigma:
-            probe_hits += 1
-    max_freq = max(counts.values()) / trials
-    estimated = -math.log2(max_freq)
-    clears = estimated >= params.m - 1.0
-    return ExperimentReport(
-        name="unpredictability",
-        trials=trials,
-        successes=trials if clears else 0,
-        failures=0 if clears else trials,
-        details={
-            "estimated_bits": estimated,
-            "claimed_m": params.m,
-            "clears_m": clears,
-            "probe_success": probe_hits / trials,
-            "distinct_responses": len(counts),
-        },
-    )
-
-
-def estimate_preimage_entropy(params: PufParams, trials: int, seed: int = 0) -> float:
-    """Plug-in estimate of how much a response reveals about its challenge.
-
-    Challenges are uniform; the estimate is -log2 of the maximum pooled
-    challenge frequency among observed (response, challenge) pairs.  For
-    the keyed-map construction responses carry no challenge information,
-    so the value should approach n (up to plug-in bias).
-    """
-    if params.n > 12:
-        raise ValueError("estimation limited to n <= 12")
-    rng = Random(seed)
-    counts: dict[int, int] = {}
-    for _ in range(trials):
-        inst = sample_puf(params, rng)
-        s = BitString.random(params.n, rng)
-        inst.respond(s, rng)  # response drawn; independent of s by construction
-        counts[s.value] = counts.get(s.value, 0) + 1
-    return -math.log2(max(counts.values()) / trials)
-
-
-def close_query_experiment(params: PufParams, trials: int, queries_per_trial: int = 8,
-                           seed: int = 0) -> ExperimentReport:
-    """Blind-guess baseline for landing a query inside the d_min ball.
-
-    The adversary holds (sigma, instance) and fires queries_per_trial
-    uniform queries; a trial succeeds if any lands within d_min of the
-    secret challenge.  The report carries the 10x ball-fraction budget the
-    baseline is expected to stay under.
-    """
-    rng = Random(seed)
-    hits = 0
-    for _ in range(trials):
-        inst = sample_puf(params, rng)
-        s = BitString.random(params.n, rng)
-        inst.respond(s, rng)
-        got = False
-        for _ in range(queries_per_trial):
-            q = BitString.random(params.n, rng)
-            inst.respond(q, rng)
-            if hamming_distance(q, s) < params.d_min:
-                got = True
-        if got:
-            hits += 1
-    bound = 10.0 * params.ball_fraction()
-    return ExperimentReport(
-        name="close-query",
-        trials=trials,
-        successes=hits,
-        failures=trials - hits,
-        details={
-            "hit_rate": hits / trials,
-            "bound": bound,
-            "within_bound": hits / trials <= bound,
-            "queries_per_trial": queries_per_trial,
-        },
-    )
-
-
-def run_test_query_experiment(params: PufParams, fe, trials: int, seed: int = 0,
-                          substitute: bool = True) -> ExperimentReport:
-    """Detection rate of the random-challenge return check.
-
-    The challenger records (s, st, p) from its own instance, then either
-    gets the same instance back (substitute=False) or a fresh one
-    (substitute=True) and re-runs the reproduction check.  Success means
-    the check flagged a substitution, or passed an honest return.
-    """
-    rng = Random(seed)
-    ok = 0
-    for _ in range(trials):
-        inst = sample_puf(params, rng)
-        s = BitString.random(params.n, rng)
-        st, p = fe.gen(inst.respond(s, rng), rng)
-        returned = sample_puf(params, rng) if substitute else inst
-        match = fe.rep(returned.respond(s, rng), p) == st
-        if substitute:
-            ok += 0 if match else 1
-        else:
-            ok += 1 if match else 0
-    return ExperimentReport(
-        name="test-query-substituted" if substitute else "test-query-honest",
-        trials=trials,
-        successes=ok,
-        failures=trials - ok,
-        details={"substitute": substitute},
-    )

@@ -45,7 +45,9 @@ class ExperimentReport:
     aborts_by_step: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
     resources: dict = field(default_factory=dict)
-    status: str = "ok"  # ok | vacuous | PRECONDITION_UNMET
+    # every experiment reports "ok"; the field stays because every
+    # canonical report carries it
+    status: str = "ok"
     wall_time: float = 0.0  # volatile, excluded from canonical serialization
 
     def __post_init__(self):

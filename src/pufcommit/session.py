@@ -176,11 +176,6 @@ class PartyHandle:
             return None
         return self.session.route(deliveries, expect_for=self.name)
 
-    def send_to_token(self, sid: str, payload: BitString) -> None:
-        deliveries = self.session.functionality.handle(
-            ("inmsg", sid, self.name, payload))
-        self.session.route(deliveries)
-
     def handover(self, sid: str, to: str) -> None:
         self.session.transfer(sid, self.name, to)
 

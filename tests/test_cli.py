@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from pufcommit.harness.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, main
 
@@ -48,6 +49,25 @@ def test_lemmas_subcommand(capsys):
 
 def test_props_subcommand(capsys):
     assert main(["props", "tq", "--trials", "40", "--n", "12"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n", "abc"),
+    ("seed", 1.5),
+    ("trials", True),
+    ("protocol", 5),
+    ("trails", 3),                  # a misspelt field is no extra
+    ("queries", 4),                 # an extra that only props-cq reads
+    ("extras", {"queries": 4}),     # extras cannot be set by name
+])
+def test_experiment_config_of_the_wrong_type_or_key_exits_2(tmp_path, capsys,
+                                                            key, value):
+    fields = {"version": 1, "experiment": "completeness", "protocol": "cpuf",
+              "n": 8, "k": 2, "trials": 2, key: value}
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(fields))
+    assert main(["experiment", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
 
 def test_experiment_subcommand_with_report(tmp_path: Path, capsys):

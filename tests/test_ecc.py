@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pufcommit.bits import BitString, hamming_distance
-from pufcommit.ecc import RepetitionCode, _majority_table, measured_min_distance
+from pufcommit.ecc import RepetitionCode, _majority_table
 
 
 def test_enc_block_layout():
@@ -23,7 +23,6 @@ def test_zero_maps_to_zero():
 def test_parameters():
     code = RepetitionCode(4, 5)
     assert (code.msg_len, code.code_len, code.min_dist) == (4, 20, 5)
-    assert code.correctable == 2
     with pytest.raises(ValueError):
         RepetitionCode(4, 4)  # even repeat factor would allow ties
     with pytest.raises(ValueError):
@@ -31,12 +30,12 @@ def test_parameters():
 
 
 def test_codewords_pairwise_distance():
-    # all 2^6 codewords for msg_len 6, repeat 3: distance at least 3
-    code = RepetitionCode(6, 3)
-    words = [code.enc(BitString(v, 6)) for v in range(64)]
-    assert min(
-        hamming_distance(a, b) for a, b in combinations(words, 2)) == 3
-    assert measured_min_distance(RepetitionCode(5, 5)) == 5
+    # every pair of codewords is at least the repeat factor apart
+    for msg_len, repeat in [(6, 3), (5, 5)]:
+        code = RepetitionCode(msg_len, repeat)
+        words = [code.enc(BitString(v, msg_len)) for v in range(1 << msg_len)]
+        assert min(
+            hamming_distance(a, b) for a, b in combinations(words, 2)) == repeat
 
 
 def test_dec_enc_identity_exhaustive():
@@ -54,7 +53,7 @@ def test_correct_decoding_within_radius_exhaustive():
         assert code.code_len <= 18
         patterns = [()]
         positions = range(code.code_len)
-        for w in range(1, code.correctable + 1):
+        for w in range(1, (code.min_dist - 1) // 2 + 1):
             patterns.extend(combinations(positions, w))
         for v in range(1 << msg_len):
             m = BitString(v, msg_len)

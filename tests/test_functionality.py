@@ -14,7 +14,7 @@ from pufcommit.functionality import (
     audit_single_ownership,
     check_order_discipline,
 )
-from pufcommit.puf import PufParams, chatty_program, passthrough_program
+from pufcommit.puf import PufParams, chatty_program
 
 P = PufParams.standard(8, 16, d_noise=1)
 
@@ -144,7 +144,7 @@ def test_stateless_machine_replay_is_order_independent():
 
     def run(order, seed):
         func, _ = make(budgets=Budgets(k_state=0, k_in=None, k_out=0), seed=seed)
-        func.handle(("init", "m", "P1", "malicious", P, passthrough_program(16)))
+        func.handle(("init", "m", "P1", "malicious", P, chatty_program(16)))
         out = {}
         for idx in order:
             deliveries = func.handle(("eval", "m", "P1", queries[idx]))

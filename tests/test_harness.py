@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 from pathlib import Path
@@ -5,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from pufcommit.adversaries import zoo
-from pufcommit.harness.config import PROTOCOLS, ConfigError, ExperimentConfig, load_config
-from pufcommit.harness.experiments import EXPERIMENTS, run_experiment
+from pufcommit.harness.config import ConfigError, ExperimentConfig, load_config
+from pufcommit.harness.experiments import EXPERIMENTS, PROTOCOL_TABLE, run_experiment
 from pufcommit.report import ExperimentReport, wilson_interval
 
 
@@ -37,12 +38,12 @@ def test_report_tally_invariant():
 def test_config_yaml_roundtrip(tmp_path: Path):
     path = tmp_path / "c.yaml"
     path.write_text(
-        "version: 1\nexperiment: completeness\nprotocol: cpuf\n"
-        "n: 8\nk: 2\ntrials: 3\nseed: 5\nfancy_extra: 12\n"
+        "version: 1\nexperiment: props-cq\nprotocol: cpuf\n"
+        "n: 8\nk: 2\ntrials: 3\nseed: 5\nqueries: 12\n"
     )
     cfg = load_config(path)
     assert cfg.protocol == "cpuf" and cfg.trials == 3
-    assert cfg.extras == {"fancy_extra": 12}
+    assert cfg.extras == {"queries": 12}
 
 
 @pytest.mark.parametrize("field,value,needle", [
@@ -98,8 +99,8 @@ def test_every_experiment_runs_from_a_config(experiment):
 
 
 SUPPORTED = {
-    "completeness": set(PROTOCOLS),
-    "costs": set(PROTOCOLS) - {"blob-equalities"},
+    "completeness": set(PROTOCOL_TABLE),
+    "costs": set(PROTOCOL_TABLE) - {"blob-equalities"},
     "binding": {"cpuf", "extpuf", "collextpuf"},
     "hiding": {"cpuf", "extpuf", "collextpuf"},
     "extraction": {"extpuf", "collextpuf"},
@@ -107,7 +108,7 @@ SUPPORTED = {
 
 
 @pytest.mark.parametrize("experiment", sorted(SUPPORTED))
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("protocol", PROTOCOL_TABLE)
 def test_protocol_table_support_matrix(protocol, experiment):
     senders = [s.strategy_id for s in zoo()
                if s.role == "sender" and s.protocol == protocol]
@@ -175,6 +176,35 @@ def test_props_experiments_small():
     crp = run_experiment(ExperimentConfig(experiment="props-crp", n=12,
                                           trials=200, seed=6))
     assert crp.details["passed"]
+
+
+# sha256 of report.to_json() for the token-family games at fixed seeds,
+# taken while the games still lived in puf.py: moving them into their
+# runners must leave every report byte-identical
+SEEDED_GAMES = {
+    "cq-n8": dict(experiment="props-cq", n=8, trials=200, seed=4),
+    "cq-n12": dict(experiment="props-cq", n=12, trials=200, seed=4),
+    "cq-n6-queries3": dict(experiment="props-cq", n=6, trials=150, seed=9,
+                           extras={"queries": 3}),
+    "tq": dict(experiment="props-tq", n=12, trials=100, seed=3),
+    "indist": dict(experiment="props-indist", n=12, trials=200, seed=5),
+    "crp": dict(experiment="props-crp", n=12, trials=100, seed=6),
+}
+GAME_REPORT_SHA256 = {
+    "cq-n8": "42c4cc05fdccf9616ef0e5c651e2a5eb29a52230da9ffe10448cddc24eb0613d",
+    "cq-n12": "658992acbc49986d4257dd49a616b0995b753b012373197f965a2b561e5273f5",
+    "cq-n6-queries3": "406ae8d744125a2f69800c1221d670581ef8865b8bcb43f3aa8004776b25b1d3",
+    "tq": "008ff95546ed0441df749b24adc204de1814bbfc5481cefc6485c9b0f46a6afc",
+    "indist": "d4bffbbe2247342714971ea92ddd2d231abdb6c44ebed6bc2521a7dc6756becf",
+    "crp": "18caddbbf74bb2e0efdf17102b78ca6e8d437b0617402f67a8dc86fb16af5051",
+}
+
+
+@pytest.mark.parametrize("game", sorted(SEEDED_GAMES))
+def test_seeded_game_reports_are_pinned(game):
+    report = run_experiment(ExperimentConfig(**SEEDED_GAMES[game]))
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == GAME_REPORT_SHA256[game]
 
 
 def test_fe_experiments_small():

@@ -6,23 +6,40 @@ from pathlib import Path
 import pufcommit
 
 
-def test_no_pufcommit_module_imports_numpy():
-    # the package runs on the standard library and PyYAML alone; numpy
-    # would cost about 14 MB of RSS and 0.1 s at every experiment's import
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports this package."""
     src = str(Path(pufcommit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import importlib, pkgutil, sys\n"
-            "import pufcommit\n"
-            "names = [m.name for m in pkgutil.walk_packages(pufcommit.__path__, 'pufcommit.')]\n"
-            "for name in names:\n"
-            "    importlib.import_module(name)\n"
-            "print(' '.join(sorted(names)))\n"
-            "print('numpy' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    names, numpy_loaded = out.stdout.strip().splitlines()
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_no_pufcommit_module_imports_numpy():
+    # the package runs on the standard library and PyYAML alone; numpy
+    # would cost about 14 MB of RSS and 0.1 s at every experiment's import
+    out = _fresh_python(
+        "import importlib, pkgutil, sys\n"
+        "import pufcommit\n"
+        "names = [m.name for m in pkgutil.walk_packages(pufcommit.__path__, 'pufcommit.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "print(' '.join(sorted(names)))\n"
+        "print('numpy' in sys.modules)\n")
+    names, numpy_loaded = out.strip().splitlines()
     for name in ("pufcommit.entropy", "pufcommit.harness.cli",
                  "pufcommit.harness.experiments", "pufcommit.protocols.compiler"):
         assert name in names.split()
     assert numpy_loaded == "False"
+
+
+def test_token_layers_load_no_report_or_harness_module():
+    # the token model and its primitives build no reports; the games that
+    # report on them live in the harness
+    loaded = _fresh_python(
+        "import sys\n"
+        "import pufcommit.bits, pufcommit.ecc, pufcommit.prf, pufcommit.fuzzy, pufcommit.puf\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('pufcommit')))\n").split()
+    assert "pufcommit.puf" in loaded and "pufcommit.fuzzy" in loaded
+    assert [m for m in loaded
+            if m == "pufcommit.report" or m.startswith("pufcommit.harness")] == []

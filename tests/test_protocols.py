@@ -36,7 +36,7 @@ from pufcommit.protocols.compiler import (
     blob_equalities_check,
     share_index,
 )
-from pufcommit.puf import constant_program, silent_program
+from pufcommit.puf import MachineProgram, silent_program
 from pufcommit.session import ProtocolAbort, count_resources, message_shapes
 
 CP = CpufParams.standard(16, 4)
@@ -130,9 +130,16 @@ def test_extpuf_probe_abort_does_not_stop_the_sender():
     assert sender.st_e[0] == BitString.zeros(EP.probe.fe.out_len)
 
 
+def short_program(rg: int) -> MachineProgram:
+    """Answers every query with rg - 1 zero bits."""
+    def fn(kind, payload, state, oracle):
+        return (BitString.zeros(rg - 1) if kind == "query" else None), None, None
+    return MachineProgram("short", 0, fn, rg - 1, wants_inner=False)
+
+
 # answer programs of a token that a check can only reject: no answer, or
 # an answer one bit short of the family's response width
-REFUSING = {"silent": silent_program, "short": lambda rg: constant_program(rg - 1)}
+REFUSING = {"silent": silent_program, "short": short_program}
 
 
 def handing_over_refusing(sender, puf_of, program):

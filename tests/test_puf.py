@@ -4,21 +4,16 @@ from random import Random
 import pytest
 
 from pufcommit.bits import BitString, hamming_distance
-from pufcommit.fuzzy import FuzzyExtractor
+from pufcommit.harness.config import ExperimentConfig
+from pufcommit.harness.experiments import run_experiment
 from pufcommit.puf import (
     MachineProgram,
     MaliciousPufMachine,
     PufParams,
     chatty_program,
-    close_query_experiment,
-    constant_program,
-    estimate_preimage_entropy,
-    estimate_unpredictability,
-    passthrough_program,
     query_logging_program,
     sample_puf,
     silent_program,
-    run_test_query_experiment,
 )
 
 
@@ -101,21 +96,14 @@ def test_params_validation():
 # -- malicious machines -------------------------------------------------------
 
 def test_passthrough_machine_tracks_inner_instance():
+    # the chatty program answers through its embedded honest instance
     rng = Random(7)
     inner = sample_puf(params(d_noise=3, rg=64), rng)
-    machine = MaliciousPufMachine(passthrough_program(64), k_state=0, inner=inner)
+    machine = MaliciousPufMachine(chatty_program(64), k_state=0, inner=inner)
     s = BitString.random(16, rng)
     response, outgoing = machine.step("query", s, rng)
-    assert outgoing is None
+    assert outgoing == s
     assert hamming_distance(response, inner.ideal(s)) <= inner.params.max_flips
-
-
-def test_constant_machine():
-    rng = Random(8)
-    machine = MaliciousPufMachine(constant_program(32), k_state=0, inner=None)
-    for _ in range(5):
-        response, _ = machine.step("query", BitString.random(16, rng), rng)
-        assert response == BitString.zeros(32)
 
 
 def test_query_logger_rejected_without_state_budget():
@@ -144,47 +132,23 @@ def test_chatty_and_silent_programs():
     assert silent.step("query", s, rng) == (None, None)
 
 
-# -- family experiments --------------------------------------------------------
-
-def test_unpredictability_estimate_close_to_response_width():
-    p = PufParams.standard(12, 8, d_noise=1)
-    report = estimate_unpredictability(p, trials=1 << 14, seed=0)
-    assert report.status == "ok"
-    assert report.details["estimated_bits"] >= 8 - 1.0
-    assert report.details["clears_m"]
-    # conditioning on far responses gives the predictor no edge
-    assert report.details["probe_success"] <= 4 / 256
-
-
-def test_unpredictability_refuses_violated_precondition():
-    p = PufParams.standard(12, 8, d_noise=1)
-    report = estimate_unpredictability(p, trials=64, seed=1, include_challenge=True)
-    assert report.status == "PRECONDITION_UNMET"
-
-
-def test_unpredictability_vacuous_radius():
-    p = PufParams.standard(12, 8, d_noise=1, d_min=13)
-    report = estimate_unpredictability(p, trials=64, seed=2)
-    assert report.status == "vacuous"
-
+# -- family games, as the props experiments run them ---------------------------
 
 def test_preimage_entropy_estimate():
-    p = PufParams.standard(8, 24, d_noise=1)
-    estimate = estimate_preimage_entropy(p, trials=1 << 14, seed=3)
-    assert estimate >= 8 - 1.0
+    report = run_experiment(ExperimentConfig(experiment="props-cq", n=8, trials=10,
+                                             seed=3))
+    assert report.details["preimage_entropy_estimate"] >= 8 - 1.0
 
 
 def test_close_query_baseline_within_budget():
-    p = PufParams.standard(8, 24, d_noise=1)
-    report = close_query_experiment(p, trials=1000, queries_per_trial=8, seed=4)
+    report = run_experiment(ExperimentConfig(experiment="props-cq", n=8, trials=1000,
+                                             seed=4, extras={"queries": 8}))
     assert report.details["within_bound"]
     assert report.details["hit_rate"] > 0  # the ball is big at n=8, hits happen
 
 
 def test_test_query_detects_substitution():
-    p = PufParams.standard(16, 3 * 32, d_noise=1)
-    fe = FuzzyExtractor(source_len=3 * 32, out_len=16, t=1, m_req=3 * 32)
-    swapped = run_test_query_experiment(p, fe, trials=300, seed=5, substitute=True)
-    assert swapped.successes >= 297  # >= 99%
-    honest = run_test_query_experiment(p, fe, trials=300, seed=6, substitute=False)
-    assert honest.successes == 300  # no false positives
+    report = run_experiment(ExperimentConfig(experiment="props-tq", n=16, trials=300,
+                                             seed=5))
+    assert report.successes >= 297  # >= 99%
+    assert report.details["honest_false_positives"] == 0

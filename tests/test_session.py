@@ -57,7 +57,7 @@ def test_curious_adversary_can_eval_in_transit():
     sid, challenge, response = adversary.observed[0]
     assert sid == "tok" and len(response) == 16
     # transfer still completed
-    assert session.functionality.owner_of("tok") == "P2"
+    assert session.functionality.tokens["tok"].owner == "P2"
 
 
 def test_mailbox_and_handover_api():
