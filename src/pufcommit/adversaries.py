@@ -4,11 +4,12 @@ simulator strategies.
 Every member is a drop-in replacement for one party of one protocol,
 addressable by a stable string id from the harness.  Each declares what
 it is expected to achieve so the test suite can assert the whole zoo at
-once: the ambiguous-query sender breaks extraction of the original flow
-and is unconstructible against the revised one; the equivocating openers
-probe binding; the substituting returner trips the return check; the
-stateful probe is refused outright under the zero-state regime; the
-chatty token probes the outgoing-bit budget.
+once: the ambiguous-query sender breaks extraction of the original flow,
+and the late-query sender shows its query going unanswered in the
+revised one; the equivocating openers probe binding; the substituting
+returner trips the return check; the stateful probe is refused outright
+under the zero-state regime; the chatty token probes the outgoing-bit
+budget.
 
 Revised-flow members are written once, against the collective core; the
 single-string protocol runs the same classes with one string.
@@ -75,13 +76,6 @@ class AmbiguousQuerySender(OriginalSender):
         c1, c2 = super().commitments(r1, r2)
         self.api.eval(self.probe_sid, self.params.code.enc(self.st1 ^ r1))
         return c1, c2
-
-    @classmethod
-    def against_revised_flow(cls, params, x, api):
-        """The strategy cannot be stated for the revised order: the probe
-        goes back before r exists, and queries after the return are not
-        answered."""
-        raise ProtocolAbort("strategy-unconstructible")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +152,6 @@ class _UncheckedProbeReceiver(CollectiveReceiver):
     def create_probe(self):
         self.api.create_malicious(self.probe_sid, self.params.probe.puf,
                                   self.probe_program())
-        self.tq = None
 
     def verify_return(self):
         returned = self.api.take_handover()

@@ -71,11 +71,6 @@ class BitString:
         return cls.from_bits(int(ch) for ch in s)
 
     @classmethod
-    def from_bytes(cls, data: bytes, n: int) -> "BitString":
-        value = int.from_bytes(data, "little") & ((1 << n) - 1)
-        return cls(value, n)
-
-    @classmethod
     def random(cls, n: int, rng) -> "BitString":
         return cls(rng.getrandbits(n) if n else 0, n)
 

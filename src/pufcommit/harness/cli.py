@@ -148,10 +148,8 @@ _COMMANDS = {
         lambda a: dict(experiment="uc-sim", case=a.case, name=f"uc-sim/{a.case}")),
     "costs": _Command(_costs_preset, _costs_line),
     "lemmas": _Command(
-        lambda a: dict(experiment="lemmas", extras={"max_support": a.max_support},
-                       name="lemmas")),
-    "props": _Command(
-        lambda a: dict(experiment=f"props-{a.property}", name=f"props/{a.property}")),
+        lambda a: dict(experiment="lemmas", extras={"max_support": a.max_support})),
+    "props": _Command(lambda a: dict(experiment=f"props-{a.property}")),
 }
 
 

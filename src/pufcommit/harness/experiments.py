@@ -26,7 +26,7 @@ from ..functionality import check_order_discipline
 from ..prf import derive_seed
 from ..puf import PufParams, sample_puf
 from ..report import ExperimentReport, wilson_interval
-from ..session import ProtocolAbort, count_resources
+from ..session import count_resources
 from ..protocols import (
     CpufParams,
     ExtPufParams,
@@ -37,6 +37,7 @@ from ..protocols import (
     run_original_extpuf,
     run_uccompiler,
 )
+from ..protocols.common import mask_commitment, reproduce
 from ..protocols.params import _pair
 from .config import ConfigError, ExperimentConfig
 from .ucsim import (
@@ -206,18 +207,13 @@ def _attack_original_trial(cfg: ExperimentConfig, i: int) -> Counter:
 
 
 def _neutralized_trial(cfg: ExperimentConfig, i: int) -> Counter:
-    """The ambiguous-query strategy against the revised flow: construction
-    fails, and every adversarial transcript keeps the return-before-mask
-    order with no late probe answers."""
+    """Every revised-flow zoo sender, the late-query sender among them:
+    each transcript keeps the return-before-mask order with no late probe
+    answers, so no query can be aimed at a masked secret."""
     params = _params(ExtPufParams, cfg.n, cfg.k, cfg.d_noise)
-    try:
-        AmbiguousQuerySender.against_revised_flow(params, BitString.zeros(cfg.k), None)
-        constructible = True
-    except ProtocolAbort:
-        constructible = False
-    ok = not constructible
+    ok = True
     senders = [s for s in zoo() if s.protocol == "extpuf" and s.role == "sender"]
-    for j, strategy in enumerate(senders):
+    for strategy in senders:
         rng = _trial_rng(cfg, f"x/{strategy.strategy_id}", i)
         x = BitString.random(cfg.k, rng)
         out = run_collective(params, [x], derive_seed(cfg.seed, strategy.strategy_id, i),
@@ -276,8 +272,6 @@ def _commit_view(cfg: ExperimentConfig, b: int, seed: int) -> dict:
 
 
 def _hiding_trial(cfg: ExperimentConfig, i: int) -> Counter:
-    from ..protocols.common import mask_commitment
-
     rng = _trial_rng(cfg, "game", i)
     b = rng.getrandbits(1)
     view = _commit_view(cfg, b, _tseed(cfg, "run", i))
@@ -285,8 +279,7 @@ def _hiding_trial(cfg: ExperimentConfig, i: int) -> Counter:
     guess = None
     for _ in range(2):  # the baseline reconstruction attempt, twice
         q = BitString.random(cfg.n, rng)
-        sigma = view["api"].eval(view["token"], q)
-        st_guess = view["fe"].rep(sigma, view["helper"])
+        st_guess = reproduce(view["api"], view["token"], q, view["fe"], view["helper"])
         if view["c"] == mask_commitment(st_guess, x0, view["r"], view["width"]):
             guess = 0
             break
@@ -308,17 +301,14 @@ def _costs_run(cfg: ExperimentConfig) -> ExperimentReport:
     resources = count_resources(out.session.log)
     measured = (resources["pufs_created"], resources["exchange_phases"])
     passed = ok and (expected is None or measured == expected)
-    return ExperimentReport(
-        name=f"{cfg.experiment}/{cfg.protocol}/{cfg.mode}",
-        trials=1, successes=int(passed), failures=int(not passed),
-        details={
-            "passed": passed,
-            "measured": list(measured),
-            "expected": list(expected) if expected else None,
-            "honest_run_accepted": ok,
-        },
-        resources=resources,
-    )
+    details = {
+        "passed": passed,
+        "measured": list(measured),
+        "expected": list(expected) if expected else None,
+        "honest_run_accepted": ok,
+    }
+    return _report(cfg, int(passed), details, f"{cfg.experiment}/{cfg.protocol}/{cfg.mode}",
+                   trials=1, resources=resources)
 
 
 def _ucsim_trial(cfg: ExperimentConfig, i: int) -> Counter:
@@ -371,26 +361,44 @@ def _run_trials(cfg: ExperimentConfig, trial: Callable) -> Counter:
     return total
 
 
-def _name(cfg: ExperimentConfig) -> str:
-    return cfg.name or f"{cfg.experiment}/{cfg.protocol or '-'}/{cfg.adversary}"
+def _report(cfg: ExperimentConfig, successes: int, details: dict, name: str = "",
+            trials: Optional[int] = None, aborts: Optional[dict] = None,
+            resources: Optional[dict] = None) -> ExperimentReport:
+    """Every report the harness returns.  It takes the config's name, else
+    `name`, else experiment/protocol/adversary; a trial that neither
+    succeeded nor aborted failed."""
+    trials = cfg.trials if trials is None else trials
+    aborts = aborts or {}
+    return ExperimentReport(
+        name=cfg.name or name or f"{cfg.experiment}/{cfg.protocol or '-'}/{cfg.adversary}",
+        trials=trials, successes=successes,
+        failures=trials - successes - sum(aborts.values()),
+        aborts_by_step=aborts, details=details, resources=resources or {},
+    )
 
 
 def _counter_report(cfg: ExperimentConfig, counter: Counter) -> ExperimentReport:
     successes = counter.pop("success", 0)
     aborts = {key.split(":", 1)[1]: val for key, val in counter.items()
               if key.startswith("abort:")}
-    return ExperimentReport(
-        name=_name(cfg), trials=cfg.trials, successes=successes,
-        failures=cfg.trials - successes - sum(aborts.values()),
-        aborts_by_step=aborts,
-        details={key: val for key, val in counter.items()
-                 if not key.startswith("abort:")},
-    )
+    details = {key: val for key, val in counter.items() if not key.startswith("abort:")}
+    return _report(cfg, successes, details, aborts=aborts)
 
 
 # ---------------------------------------------------------------------------
 # Runners: each takes the config and returns the report with its verdict
 # ---------------------------------------------------------------------------
+
+def _serial(run: Callable) -> Callable:
+    """The runner of an experiment whose trials never reach the worker pool,
+    so it refuses more than one job."""
+    def checked(cfg: ExperimentConfig) -> ExperimentReport:
+        if cfg.jobs > 1:
+            raise ConfigError("jobs", f"{cfg.experiment} runs its trials in one "
+                                      f"process, not on {cfg.jobs} workers")
+        return run(cfg)
+    return checked
+
 
 def _every_trial(trial: Callable) -> Callable:
     """The runner of an experiment that passes when every trial succeeds."""
@@ -431,8 +439,7 @@ def _ucsim(cfg: ExperimentConfig) -> ExperimentReport:
         details["abort_wilson95"] = [lo, hi]
         details["abort_consistent"] = lo <= 2.0 ** -cfg.n <= hi
         details["passed"] = passed and details["abort_consistent"]
-    return ExperimentReport(name=_name(cfg), trials=cfg.trials,
-                            successes=cfg.trials, details=details)
+    return _report(cfg, cfg.trials, details)
 
 
 def _lemmas(cfg: ExperimentConfig) -> ExperimentReport:
@@ -440,9 +447,10 @@ def _lemmas(cfg: ExperimentConfig) -> ExperimentReport:
     if not isinstance(max_support, int) or not 2 <= max_support <= 8:
         raise ConfigError("max_support", f"{max_support!r} is not a support "
                           "size in 2..8, the range the suite enumerates")
-    report = check_entropy_lemmas(cfg.trials, max_support=max_support, seed=cfg.seed)
-    report.details["passed"] = report.failures == 0
-    return report
+    violations, failed = check_entropy_lemmas(cfg.trials, max_support, cfg.seed)
+    details = {"violations": violations, "max_support": max_support, "tolerance": 0,
+               "passed": failed == 0}
+    return _report(cfg, cfg.trials - failed, details, "entropy-lemmas")
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +500,7 @@ def _close_queries(cfg: ExperimentConfig) -> ExperimentReport:
             inst.respond(s, rng)  # response drawn; independent of s by construction
             counts[s.value] += 1
         details["preimage_entropy_estimate"] = -math.log2(max(counts.values()) / samples)
-    return ExperimentReport(name="close-query", trials=cfg.trials, successes=hits,
-                            failures=cfg.trials - hits, details=details)
+    return _report(cfg, hits, details, "close-query")
 
 
 def _test_queries(cfg: ExperimentConfig) -> ExperimentReport:
@@ -519,15 +526,12 @@ def _test_queries(cfg: ExperimentConfig) -> ExperimentReport:
     detected = cfg.trials - reproduced(True, Random(cfg.seed))
     false_positives = cfg.trials - reproduced(False, Random(derive_seed(cfg.seed, "honest")))
     rate = detected / cfg.trials
-    return ExperimentReport(
-        name=cfg.experiment, trials=cfg.trials, successes=detected,
-        failures=cfg.trials - detected,
-        details={
-            "passed": rate >= 0.99 and false_positives == 0,
-            "detection_rate": rate,
-            "honest_false_positives": false_positives,
-        },
-    )
+    details = {
+        "passed": rate >= 0.99 and false_positives == 0,
+        "detection_rate": rate,
+        "honest_false_positives": false_positives,
+    }
+    return _report(cfg, detected, details, cfg.experiment)
 
 
 def _indist_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -555,11 +559,8 @@ def _indist_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             guess = rng.getrandbits(1)
         wins += int(guess == b)
     advantage = abs(wins / cfg.trials - 0.5)
-    return ExperimentReport(
-        name=cfg.experiment, trials=cfg.trials, successes=wins,
-        failures=cfg.trials - wins,
-        details={"advantage": advantage, "passed": advantage <= HIDING_BOUND},
-    )
+    details = {"advantage": advantage, "passed": advantage <= HIDING_BOUND}
+    return _report(cfg, wins, details, cfg.experiment)
 
 
 def _crp_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -580,11 +581,8 @@ def _crp_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         if pair.fe.rep(inst.respond(s, rng), p) == st:
             forged += 1
     rate = forged / cfg.trials
-    return ExperimentReport(
-        name=cfg.experiment, trials=cfg.trials, successes=cfg.trials - forged,
-        failures=forged,
-        details={"forgery_rate": rate, "passed": rate <= 0.01},
-    )
+    details = {"forgery_rate": rate, "passed": rate <= 0.01}
+    return _report(cfg, cfg.trials - forged, details, cfg.experiment)
 
 
 def _fe_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
@@ -596,11 +594,7 @@ def _fe_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
         s = BitString.random(pair.puf.n, rng)
         st, p = pair.fe.gen(inst.respond(s, rng), rng)
         ok += int(pair.fe.rep(inst.respond(s, rng), p) == st)
-    return ExperimentReport(
-        name=cfg.experiment, trials=cfg.trials, successes=ok,
-        failures=cfg.trials - ok,
-        details={"passed": ok == cfg.trials},
-    )
+    return _report(cfg, ok, {"passed": ok == cfg.trials}, cfg.experiment)
 
 
 def _fe_uniformity(cfg: ExperimentConfig) -> ExperimentReport:
@@ -617,10 +611,8 @@ def _fe_uniformity(cfg: ExperimentConfig) -> ExperimentReport:
         real[st.value & 0xF] += 1
         unif[rng.getrandbits(pair.fe.out_len) & 0xF] += 1
     sd = histogram_distance(real, unif)
-    return ExperimentReport(
-        name=cfg.experiment, trials=cfg.trials, successes=cfg.trials,
-        details={"feature_sd": sd, "passed": sd <= SD_BOUND},
-    )
+    return _report(cfg, cfg.trials, {"feature_sd": sd, "passed": sd <= SD_BOUND},
+                   cfg.experiment)
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +626,15 @@ EXPERIMENTS = {
     "binding": _every_trial(_binding_trial),
     "hiding": _hiding,
     "extraction": _every_trial(_extraction_trial),
-    "costs": _costs_run,
-    "lemmas": _lemmas,
+    "costs": _serial(_costs_run),
+    "lemmas": _serial(_lemmas),
     "uc-sim": _ucsim,
-    "props-cq": _close_queries,
-    "props-indist": _indist_experiment,
-    "props-crp": _crp_experiment,
-    "props-tq": _test_queries,
-    "fe-roundtrip": _fe_roundtrip,
-    "fe-uniformity": _fe_uniformity,
+    "props-cq": _serial(_close_queries),
+    "props-indist": _serial(_indist_experiment),
+    "props-crp": _serial(_crp_experiment),
+    "props-tq": _serial(_test_queries),
+    "fe-roundtrip": _serial(_fe_roundtrip),
+    "fe-uniformity": _serial(_fe_uniformity),
 }
 
 # the config extras each experiment reads; validation refuses any other

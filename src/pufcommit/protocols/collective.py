@@ -34,8 +34,8 @@ from ..bits import BitString
 from ..functionality import Budgets
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import (Outcome, TestQuery, commit_step, mask_commitment, open_step,
-                     probe_outputs, read_token, record_test_query)
+from .common import (Outcome, TestQuery, commit_step, enroll, mask_commitment,
+                     open_step, probe_outputs, reproduce)
 from .params import ExtPufParams
 
 __all__ = ["CollectiveSender", "CollectiveReceiver", "run_collective",
@@ -70,8 +70,7 @@ class CollectiveSender:
         self.st = []
         self.helpers = []
         for _ in range(self.n_strings):
-            s_i = BitString.random(p.n, api.rng)
-            st_i, p_i = p.main.fe.gen(api.eval(self.sid, s_i), api.rng)
+            s_i, st_i, p_i = enroll(api, self.sid, p.n, p.main.fe)
             self.s.append(s_i)
             self.st.append(st_i)
             self.helpers.append(p_i)
@@ -125,7 +124,7 @@ class CollectiveReceiver:
     def create_probe(self) -> None:
         p = self.params
         self.api.create_honest(self.probe_sid, p.probe.puf)
-        self.tq = record_test_query(self.api, self.probe_sid, p.probe.puf.n, p.probe.fe)
+        self.tq = TestQuery(*enroll(self.api, self.probe_sid, p.probe.puf.n, p.probe.fe))
 
     def send_probe(self, sender: str) -> None:
         self.api.handover(self.probe_sid, sender)
@@ -174,18 +173,11 @@ class CollectiveReceiver:
             return None
         if st_e.n != p.probe.fe.out_len or p_e_cat.n != p.probe.fe.helper_len:
             return None
-        sigma = read_token(self.api, self.token_sid, s, p.main.fe)
-        if sigma is None:
-            return None
-        st = p.main.fe.rep(sigma, self.helpers[index])
-        if self.cs[index] != mask_commitment(st, x, self.masks[index], p.n):
-            return None
-        probe_response = read_token(self.api, self.returned_probe, p.code.enc(st),
-                                    p.probe.fe)
-        if probe_response is None:
+        st = reproduce(self.api, self.token_sid, s, p.main.fe, self.helpers[index])
+        if st is None or self.cs[index] != mask_commitment(st, x, self.masks[index], p.n):
             return None
         p_e = HelperData.from_concat(p_e_cat, p.probe.fe.source_len)
-        if st_e != p.probe.fe.rep(probe_response, p_e):
+        if st_e != reproduce(self.api, self.returned_probe, p.code.enc(st), p.probe.fe, p_e):
             return None
         return x
 

@@ -1,5 +1,10 @@
 """Shared protocol pieces: the run outcome with its commit and opening
-steps, stride masking, the return check and the probe-refused fallback."""
+steps, the two token steps every commitment is made of, stride masking,
+the return check and the probe-refused fallback.
+
+Every commitment binds a string to a token the same way: `enroll` draws
+a fresh challenge, reads the token on it and runs Gen; `reproduce`
+re-reads the token on that challenge later and runs Rep on the helper."""
 
 from __future__ import annotations
 
@@ -11,8 +16,8 @@ from ..bits import BitString, spread
 from ..fuzzy import FuzzyExtractor, HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
 
-__all__ = ["Outcome", "commit_step", "open_step", "mask_commitment", "probe_outputs",
-           "read_token", "TestQuery", "record_test_query"]
+__all__ = ["Outcome", "commit_step", "open_step", "enroll", "reproduce",
+           "mask_commitment", "probe_outputs", "TestQuery"]
 
 
 @dataclass
@@ -100,6 +105,25 @@ def open_step(outcome: Outcome, slot: int, decommit: Callable[[], object],
     return value
 
 
+def enroll(api: PartyHandle, sid: str, challenge_len: int,
+           fe: FuzzyExtractor) -> tuple[BitString, BitString, HelperData]:
+    """(s, st, p): a fresh challenge s, and Gen on the token's answer to it."""
+    s = BitString.random(challenge_len, api.rng)
+    st, p = fe.gen(api.eval(sid, s), api.rng)
+    return s, st, p
+
+
+def reproduce(api: PartyHandle, sid: str, challenge: BitString, fe: FuzzyExtractor,
+              helper: HelperData) -> Optional[BitString]:
+    """Rep on the token's answer to challenge; None when the token refuses
+    or answers with a width fe cannot take, so a check can reject instead
+    of crash."""
+    response = api.eval(sid, challenge)
+    if response is None or response.n != fe.source_len:
+        return None
+    return fe.rep(response, helper)
+
+
 def mask_commitment(st: BitString, x: BitString, r: BitString, width: int) -> BitString:
     """c = st XOR (x spread across its strides AND r)."""
     return st ^ (spread(x, width) & r)
@@ -115,32 +139,14 @@ def probe_outputs(response: Optional[BitString], fe: FuzzyExtractor,
     return fe.gen(response, rng)
 
 
-def read_token(api: PartyHandle, sid: str, challenge: BitString,
-               fe: FuzzyExtractor) -> Optional[BitString]:
-    """The token's answer to challenge; None when it refuses or answers
-    with a width fe cannot take, so a check can reject instead of crash."""
-    response = api.eval(sid, challenge)
-    if response is None or response.n != fe.source_len:
-        return None
-    return response
-
-
 @dataclass(frozen=True)
 class TestQuery:
-    """Random-challenge fingerprint taken before a token is handed away."""
+    """Random-challenge fingerprint taken before a token is handed away:
+    an enrolment, TestQuery(*enroll(...))."""
 
     challenge: BitString
     secret: BitString
     helper: HelperData
 
     def verify(self, api: PartyHandle, sid: str, fe: FuzzyExtractor) -> bool:
-        response = read_token(api, sid, self.challenge, fe)
-        return response is not None and fe.rep(response, self.helper) == self.secret
-
-
-def record_test_query(api: PartyHandle, sid: str, challenge_len: int,
-                      fe: FuzzyExtractor) -> TestQuery:
-    challenge = BitString.random(challenge_len, api.rng)
-    response = api.eval(sid, challenge)
-    st, p = fe.gen(response, api.rng)
-    return TestQuery(challenge, st, p)
+        return reproduce(api, sid, self.challenge, fe, self.helper) == self.secret

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from ..bits import BitString
 from ..functionality import NO_CHANNEL_BUDGETS
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import Outcome, commit_step, mask_commitment, open_step, read_token
+from .common import Outcome, commit_step, enroll, mask_commitment, open_step, reproduce
 from .params import CpufParams
 
 __all__ = ["CpufSender", "CpufReceiver", "run_cpuf"]
@@ -37,9 +37,7 @@ class CpufSender:
         """Create the token, pick s, extract; returns the helper string."""
         api, p = self.api, self.params
         api.create_honest(self.SID, p.pair.puf)
-        self.s = BitString.random(p.n, api.rng)
-        sigma = api.eval(self.SID, self.s)
-        self.st, self.helper = p.pair.fe.gen(sigma, api.rng)
+        self.s, self.st, self.helper = enroll(api, self.SID, p.n, p.pair.fe)
         return self.helper.concat()
 
     def send_token(self, receiver: str) -> None:
@@ -80,11 +78,8 @@ class CpufReceiver:
         p = self.params
         if s is None or x is None or s.n != p.n or x.n != p.k:
             return None
-        sigma = read_token(self.api, self.token_sid, s, p.pair.fe)
-        if sigma is None:
-            return None
-        st = p.pair.fe.rep(sigma, self.helper)
-        if self.c == mask_commitment(st, x, self.r, p.l):
+        st = reproduce(self.api, self.token_sid, s, p.pair.fe, self.helper)
+        if st is not None and self.c == mask_commitment(st, x, self.r, p.l):
             return x
         return None
 

@@ -24,8 +24,8 @@ from ..bits import BitString
 from ..functionality import NO_CHANNEL_BUDGETS
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import (Outcome, TestQuery, commit_step, mask_commitment, open_step,
-                     probe_outputs, read_token, record_test_query)
+from .common import (Outcome, TestQuery, commit_step, enroll, mask_commitment,
+                     open_step, probe_outputs, reproduce)
 from .params import OriginalExtPufParams
 
 __all__ = ["OriginalSender", "OriginalReceiver", "run_original_extpuf"]
@@ -52,6 +52,8 @@ class OriginalSender:
         api, p = self.api, self.params
         api.create_honest(self.SID_FIRST, p.first.puf)
         api.create_honest(self.SID_SECOND, p.second.puf)
+        # Not two enrolments: both challenges are drawn before either read,
+        # and enrolling in turn would change every seeded run of this flow.
         self.s1 = BitString.random(p.n, api.rng)
         self.s2 = BitString.random(p.n, api.rng)
         self.st1, self.p1 = p.first.fe.gen(api.eval(self.SID_FIRST, self.s1), api.rng)
@@ -89,7 +91,7 @@ class OriginalReceiver:
     def create_probe(self) -> None:
         p = self.params
         self.api.create_honest(self.PROBE_SID, p.probe.puf)
-        self.tq = record_test_query(self.api, self.PROBE_SID, p.probe.puf.n, p.probe.fe)
+        self.tq = TestQuery(*enroll(self.api, self.PROBE_SID, p.probe.puf.n, p.probe.fe))
 
     def send_probe(self, sender: str) -> None:
         self.api.handover(self.PROBE_SID, sender)
@@ -108,13 +110,13 @@ class OriginalReceiver:
 
     def draw_masks(self) -> tuple:
         p = self.params
-        self.r1 = BitString.random(p.k * p.l, self.api.rng)
+        self.r1 = BitString.random(p.mask_len, self.api.rng)
         self.r2 = BitString.random(p.cat_len * p.l, self.api.rng)
         return self.r1, self.r2
 
     def receive_commitments(self, c1: BitString, c2: BitString) -> None:
         p = self.params
-        if c1 is None or c1.n != p.k * p.l or c2 is None or c2.n != p.cat_len * p.l:
+        if c1 is None or c1.n != p.mask_len or c2 is None or c2.n != p.cat_len * p.l:
             raise ProtocolAbort("await-c")
         self.c1, self.c2 = c1, c2
 
@@ -131,28 +133,21 @@ class OriginalReceiver:
             return None
         if st_e.n != p.probe.fe.out_len or p_e_cat.n != p.probe.fe.helper_len:
             return None
-        response1 = read_token(self.api, self.first_sid, s1, p.first.fe)
-        if response1 is None:
+        st1 = reproduce(self.api, self.first_sid, s1, p.first.fe, self.p1)
+        if st1 is None:
             return None
-        st1 = p.first.fe.rep(response1, self.p1)
         # The published step reproduces st_2 from the first token, which
         # cannot succeed for honest runs; corrected reading uses the second.
+        # The literal replay is not even well-typed here: it reproduces None.
         source_sid = self.first_sid if p.strict_figure_decommit else self.second_sid
-        fe2 = p.second.fe
-        response2 = read_token(self.api, source_sid, s2, fe2)
-        if response2 is None:
-            return None  # the literal replay is not even well-typed here
-        st2 = fe2.rep(response2, self.p2)
-        if self.c1 != mask_commitment(st1, x, self.r1, p.l):
+        st2 = reproduce(self.api, source_sid, s2, p.second.fe, self.p2)
+        if st2 is None or self.c1 != mask_commitment(st1, x, self.r1, p.l):
             return None
         cat = st_e.concat(p_e_cat)
         if self.c2 != mask_commitment(st2, cat, self.r2, p.l):
             return None
-        probe_response = read_token(self.api, returned, p.code.enc(st1), p.probe.fe)
-        if probe_response is None:
-            return None
         p_e = HelperData.from_concat(p_e_cat, p.probe.fe.source_len)
-        if st_e != p.probe.fe.rep(probe_response, p_e):
+        if st_e != reproduce(self.api, returned, p.code.enc(st1), p.probe.fe, p_e):
             return None
         return x
 

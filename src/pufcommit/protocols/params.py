@@ -28,6 +28,7 @@ from ..puf import PufParams
 __all__ = ["CommitPair", "CpufParams", "ExtPufParams", "OriginalExtPufParams"]
 
 _SLACK = 16  # sketch-free bits beyond the extracted length
+_PROBE_D_MIN = 2  # d_min of every probe family; its code repeats each bit 2*d_min - 1 times
 
 
 def _pair(challenge_len: int, out_len: int, d_noise: int, d_min: int | None = None,
@@ -103,15 +104,13 @@ class ExtPufParams:
         return self.k * self.n
 
     @classmethod
-    def standard(cls, n: int, k: int, d_noise: int = 3,
-                 probe_d_min: int = 2) -> "ExtPufParams":
-        repeat = 2 * probe_d_min - 1
-        code = RepetitionCode(k * n, repeat)
+    def standard(cls, n: int, k: int, d_noise: int = 3) -> "ExtPufParams":
+        code = RepetitionCode(k * n, 2 * _PROBE_D_MIN - 1)
         return cls(
             n=n,
             k=k,
             main=_pair(n, k * n, d_noise),
-            probe=_pair(code.code_len, n, d_noise, d_min=probe_d_min),
+            probe=_pair(code.code_len, n, d_noise, d_min=_PROBE_D_MIN),
             code=code,
         )
 
@@ -163,12 +162,10 @@ class OriginalExtPufParams:
 
     @classmethod
     def standard(cls, n: int, k: int = 1, d_noise: int = 3,
-                 probe_d_min: int = 2,
                  strict_figure_decommit: bool = False) -> "OriginalExtPufParams":
         l = 3 * n
-        repeat = 2 * probe_d_min - 1
-        code = RepetitionCode(k * l, repeat)
-        probe = _pair(code.code_len, n, d_noise=1, d_min=probe_d_min, seed_bits=64)
+        code = RepetitionCode(k * l, 2 * _PROBE_D_MIN - 1)
+        probe = _pair(code.code_len, n, d_noise=1, d_min=_PROBE_D_MIN, seed_bits=64)
         cat = probe.fe.out_len + probe.fe.helper_len
         return cls(
             n=n,

@@ -165,10 +165,6 @@ class MaliciousPufMachine:
             BitString.zeros(program.state_bits) if program.state_bits else None
         )
 
-    @property
-    def response_len(self) -> int:
-        return self.program.response_len
-
     def step(self, kind: str, payload: BitString, oracle_rng: Random):
         """Run one transition; returns (response, outgoing), either may be None."""
         def oracle(challenge: BitString) -> BitString:

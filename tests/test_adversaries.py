@@ -86,9 +86,7 @@ def test_every_member_runs_to_its_expected_end():
                 assert out.commit_end > 0, strategy.strategy_id
 
 
-def test_ambiguous_query_strategy_unconstructible_against_revised_flow():
-    with pytest.raises(ProtocolAbort, match="unconstructible"):
-        AmbiguousQuerySender.against_revised_flow(EP, BitString.zeros(1), None)
+def test_ambiguous_query_strategy_commits_only_to_bit_0():
     with pytest.raises(ValueError, match="bit 0"):
         AmbiguousQuerySender(OP, BitString.from01("1"), None)
 

@@ -45,10 +45,21 @@ def test_costs_rejects_a_trial_count_it_would_ignore(capsys):
 
 def test_lemmas_subcommand(capsys):
     assert main(["lemmas", "--trials", "50", "--seed", "5"]) == EXIT_OK
+    assert "experiment : entropy-lemmas\n" in capsys.readouterr().out
 
 
 def test_props_subcommand(capsys):
     assert main(["props", "tq", "--trials", "40", "--n", "12"]) == EXIT_OK
+    assert "experiment : props-tq\n" in capsys.readouterr().out
+    assert main(["props", "cq", "--trials", "40"]) == EXIT_OK
+    assert "experiment : close-query\n" in capsys.readouterr().out
+
+
+def test_jobs_on_a_serial_experiment_exits_2(tmp_path: Path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("version: 1\nexperiment: props-crp\nn: 8\ntrials: 5\njobs: 3\n")
+    assert main(["experiment", str(cfg)]) == EXIT_CONFIG
+    assert "jobs:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [

@@ -98,6 +98,27 @@ def test_every_experiment_runs_from_a_config(experiment):
     assert report.name and "passed" in report.details
 
 
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_config_name_names_every_report(experiment):
+    cfg = ExperimentConfig(experiment=experiment, name="mine", n=8, k=1, n_strings=1,
+                           trials=2, seed=1, **TINY.get(experiment, {}))
+    assert run_experiment(cfg).name == "mine"
+
+
+# the experiments whose trials run in one process, whatever jobs says
+SERIAL = ["costs", "lemmas", "props-cq", "props-indist", "props-crp", "props-tq",
+          "fe-roundtrip", "fe-uniformity"]
+
+
+@pytest.mark.parametrize("experiment", SERIAL)
+def test_jobs_on_a_serial_experiment_is_a_config_error(experiment):
+    cfg = ExperimentConfig(experiment=experiment, n=8, k=1, trials=2, seed=1, jobs=3,
+                           **TINY.get(experiment, {}))
+    with pytest.raises(ConfigError) as err:
+        run_experiment(cfg)
+    assert err.value.path == "jobs"
+
+
 SUPPORTED = {
     "completeness": set(PROTOCOL_TABLE),
     "costs": set(PROTOCOL_TABLE) - {"blob-equalities"},
@@ -161,6 +182,7 @@ def test_lemmas_experiment():
     report = run_experiment(ExperimentConfig(
         experiment="lemmas", trials=100, seed=2, extras={"max_support": 5}))
     assert report.details["passed"]
+    assert report.details["tolerance"] == 0
 
 
 def test_props_experiments_small():

@@ -43,3 +43,14 @@ def test_token_layers_load_no_report_or_harness_module():
     assert "pufcommit.puf" in loaded and "pufcommit.fuzzy" in loaded
     assert [m for m in loaded
             if m == "pufcommit.report" or m.startswith("pufcommit.harness")] == []
+
+
+def test_lemma_suite_loads_no_report_or_harness_module():
+    # the entropy lemmas return counts; the lemmas experiment reports them
+    loaded = _fresh_python(
+        "import sys\n"
+        "import pufcommit.entropy\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('pufcommit')))\n").split()
+    assert "pufcommit.entropy" in loaded
+    assert [m for m in loaded
+            if m == "pufcommit.report" or m.startswith("pufcommit.harness")] == []
