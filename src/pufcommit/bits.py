@@ -18,6 +18,7 @@ __all__ = [
     "neighborhood_size",
     "spread",
     "stride_indices",
+    "stride_pattern",
 ]
 
 
@@ -36,10 +37,13 @@ class BitString:
             raise ValueError("LEN_MISMATCH: negative length")
         if value < 0 or value >> n:
             raise ValueError(f"LEN_MISMATCH: value does not fit in {n} bits")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "n", n)
+        BitString.value.__set__(self, value)
+        BitString.n.__set__(self, n)
 
     def __setattr__(self, *_):
+        raise AttributeError("BitString is immutable")
+
+    def __delattr__(self, _):
         raise AttributeError("BitString is immutable")
 
     def __reduce__(self):
@@ -159,6 +163,9 @@ class BitString:
 
     def take_stride(self, start: int, step: int) -> "BitString":
         """Bits at positions start, start+step, ... up to the end."""
+        if step < 1 or not 0 <= start <= self.n:
+            raise ValueError(
+                f"LEN_MISMATCH: stride from {start} by {step} of {self.n}")
         if step == 1:
             return self.slice(start, self.n)
         return self.restrict(range(start, self.n, step))
@@ -194,7 +201,9 @@ def stride_indices(j: int, k: int, width: int) -> list[int]:
 
 
 @lru_cache(maxsize=256)
-def _stride_pattern(k: int, width: int) -> int:
+def stride_pattern(k: int, width: int) -> int:
+    """Word with bits 0, k, ..., (width-1)k set: stride 0 of a k-bit string
+    spread over ``width`` blocks.  Stride j is this word shifted left by j."""
     p = 0
     for t in range(width):
         p |= 1 << (t * k)
@@ -208,15 +217,11 @@ def spread(x: BitString, width: int) -> BitString:
     position j, j+k, ..., j+(width-1)k.  This is the masking layout of the
     commitment strings: AND the result with a mask r so that bit j of x
     gates exactly r restricted to its stride.
+
+    It is one multiply, x * stride_pattern(k, width), with no carries: the
+    product is the sum of the copies x << tk for t < width, and since
+    x < 2^k each copy fills only bits tk .. tk+k-1, so no two copies
+    overlap and bit j of x lands on position j + tk of copy t.
     """
     k = x.n
-    pattern = _stride_pattern(k, width)
-    value = 0
-    xv = x.value
-    j = 0
-    while xv:
-        if xv & 1:
-            value |= pattern << j
-        xv >>= 1
-        j += 1
-    return BitString(value, k * width)
+    return BitString(x.value * stride_pattern(k, width), k * width)

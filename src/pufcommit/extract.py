@@ -4,12 +4,20 @@ The extractor plays the honest receiver; interface access means it can
 additionally read every query any party routed to honest tokens, which
 here is a read-only scan of the session event log.  For each sender
 query q to the probe token during the commit phase it decodes the
-codeword and tests, stride by stride, whether the commitment string c
-matches the unmasked or the masked secret:
+codeword to st and tests, stride by stride, whether the commitment string
+c matches the unmasked or the masked secret.  The test works on whole
+words.  For strings of kn bits let d = c xor st and let
+S_j = stride_pattern(k, n) << j be the mask of the stride
+I_j = {j, j+k, ..., j+(n-1)k}; then
 
-    c|I_j == st|I_j   and differs from st xor r there  -> bit 0
-    c|I_j == (st xor r)|I_j  and differs from st there -> bit 1
-    anything else (in particular r|I_j all-zero)       -> no candidate
+    plain:  d & S_j == 0          (c|I_j == st|I_j)
+    masked: (d xor r) & S_j == 0  (c|I_j == (st xor r)|I_j)
+
+    plain and not masked  -> bit 0
+    masked and not plain  -> bit 1
+    both or neither       -> no candidate
+
+A stride where r|I_j is all zero is always "both".
 
 Candidates are deduplicated by value; a retried query that decodes to
 the same string must not spoil extraction.  Exactly one distinct
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .bits import BitString
+from .bits import BitString, stride_pattern
 from .functionality import EventLog
 
 __all__ = [
@@ -45,18 +53,18 @@ def extract_from_query(st: BitString, c: BitString, r: BitString,
             f"LEN_MISMATCH: st={st.n}, c={c.n}, r={r.n} must agree")
     if k < 1 or st.n % k:
         raise ValueError(f"LEN_MISMATCH: length {st.n} is not a multiple of k={k}")
-    bits = []
+    d = c.value ^ st.value
+    e = d ^ r.value
+    stride = stride_pattern(k, st.n // k)
+    x = 0
     for j in range(k):
-        c_j = c.take_stride(j, k)
-        st_j = st.take_stride(j, k)
-        masked_j = st_j ^ r.take_stride(j, k)
-        if c_j == st_j and c_j != masked_j:
-            bits.append(0)
-        elif c_j == masked_j and c_j != st_j:
-            bits.append(1)
-        else:
+        plain = not d & stride
+        if plain == (not e & stride):
             return None
-    return BitString.from_bits(bits)
+        if not plain:
+            x |= 1 << j
+        stride <<= 1
+    return BitString(x, k)
 
 
 def probe_queries(log: EventLog, probe_sid: str, sender: str,

@@ -3,7 +3,7 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pufcommit.bits import (
@@ -43,6 +43,10 @@ def test_immutability_and_hash():
     b = BitString.from01("01")
     with pytest.raises(AttributeError):
         b.value = 3
+    for slot in ("value", "n"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(b, slot)
+    assert (b.value, b.n) == (2, 2)
     assert len({b, BitString.from01("01"), BitString.from01("10")}) == 2
 
 
@@ -126,9 +130,16 @@ def test_restrict_slice_concat():
     assert b.slice(1, 4).to01() == "101"
     assert b.take_stride(0, 2).to01() == "100"
     assert b.take_stride(1, 2).to01() == "110"
+    assert b.take_stride(6, 1) == b.take_stride(6, 4) == BitString.zeros(0)
     assert BitString.from01("10").concat(BitString.from01("01")).to01() == "1001"
     assert (~BitString.from01("10")).to01() == "01"
     assert b.flip([0, 5]).to01() == "010101"
+
+
+@pytest.mark.parametrize("start,step", [(2, -1), (7, 2), (7, 1), (0, 0), (-1, 2)])
+def test_take_stride_refuses_bad_arguments(start, step):
+    with pytest.raises(ValueError, match="LEN_MISMATCH"):
+        BitString.from01("10110").take_stride(start, step)
 
 
 def bitstrings(min_len=0, max_len=96):
@@ -144,6 +155,26 @@ def test_spread_strides_carry_their_bit(x, width):
     for j in range(k):
         stride = y.take_stride(j, k)
         assert stride == (BitString.ones(width) if x[j] else BitString.zeros(width))
+
+
+def _spread_per_bit(x, width):
+    """Reference: set every stride position of each set bit, one by one."""
+    value = 0
+    for j in range(x.n):
+        if x[j]:
+            for pos in stride_indices(j, x.n, width):
+                value |= 1 << pos
+    return BitString(value, x.n * width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=bitstrings(0, 200), width=st.integers(0, 64))
+@example(x=BitString.zeros(0), width=0)
+@example(x=BitString.zeros(0), width=5)
+@example(x=BitString.ones(7), width=0)
+@example(x=BitString.ones(200), width=64)
+def test_spread_matches_the_per_bit_loop(x, width):
+    assert spread(x, width) == _spread_per_bit(x, width)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 from random import Random
 
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pufcommit.bits import BitString, stride_indices
+from pufcommit.bits import BitString, spread, stride_indices
 from pufcommit.ecc import RepetitionCode
-from pufcommit.adversaries import AmbiguousQuerySender, NeverQuerySender
+from pufcommit.adversaries import AmbiguousQuerySender, NeverQuerySender, zoo
 from pufcommit.functionality import EventLog
 from pufcommit.extract import (
     extract_from_query,
@@ -52,20 +53,55 @@ def test_zero_mask_stride_yields_bot():
     assert extract_from_query(st, st, r, k) is None
 
 
+def _reference_extract(st, c, r, k):
+    """The stride test gathered stride by stride, as a reference."""
+    bits = []
+    for j in range(k):
+        c_j, st_j = c.take_stride(j, k), st.take_stride(j, k)
+        plain, masked = c_j == st_j, c_j == st_j ^ r.take_stride(j, k)
+        if plain == masked:
+            return None
+        bits.append(int(masked))
+    return BitString.from_bits(bits)
+
+
 def test_bot_block_characterization_exhaustive():
-    # block j yields no bit exactly when its mask stride is zero or the
-    # commitment stride is neither the plain nor the masked secret
-    k, n = 2, 2
-    for st_v, c_v, r_v in product(range(16), repeat=3):
-        st, c, r = BitString(st_v, 4), BitString(c_v, 4), BitString(r_v, 4)
-        result = extract_from_query(st, c, r, k)
-        expect_bot = False
-        for j in range(k):
-            idx = stride_indices(j, k, n)
-            c_j, st_j, r_j = c.restrict(idx), st.restrict(idx), r.restrict(idx)
-            if r_j.weight == 0 or (c_j != st_j and c_j != st_j ^ r_j):
-                expect_bot = True
-        assert (result is None) == expect_bot
+    # the word-wise test returns exactly the per-stride reference; block j
+    # yields no bit exactly when its mask stride is zero or the commitment
+    # stride is neither the plain nor the masked secret
+    for k, n in [(1, 4), (2, 2), (4, 1), (3, 1)]:
+        size = k * n
+        for st_v, c_v, r_v in product(range(1 << size), repeat=3):
+            st, c, r = (BitString(st_v, size), BitString(c_v, size),
+                        BitString(r_v, size))
+            result = extract_from_query(st, c, r, k)
+            assert result == _reference_extract(st, c, r, k)
+            expect_bot = False
+            for j in range(k):
+                idx = stride_indices(j, k, n)
+                c_j, st_j, r_j = c.restrict(idx), st.restrict(idx), r.restrict(idx)
+                if r_j.weight == 0 or (c_j != st_j and c_j != st_j ^ r_j):
+                    expect_bot = True
+            assert (result is None) == expect_bot
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), k=st.integers(1, 8), n=st.integers(1, 24),
+       kind=st.sampled_from(["plain", "masked", "random"]))
+def test_word_wise_extraction_matches_the_per_stride_reference(data, k, n, kind):
+    size = k * n
+
+    def bits(length):
+        return BitString(data.draw(st.integers(0, (1 << length) - 1)), length)
+
+    secret = bits(size)
+    # r keeps only the strides a random k-bit word selects, so zero
+    # strides are common
+    r = bits(size) & spread(bits(k), n)
+    c = {"plain": lambda: secret,
+         "masked": lambda: secret ^ (spread(bits(k), n) & r),
+         "random": lambda: bits(size)}[kind]()
+    assert extract_from_query(secret, c, r, k) == _reference_extract(secret, c, r, k)
 
 
 def test_length_checks():
@@ -213,3 +249,49 @@ def test_the_true_secret_extracts_x_when_no_stride_of_r_is_zero(case):
     if all(r.take_stride(j, k).value for j in range(k)):
         c = mask_commitment(secret, x, r, width)
         assert extract_from_query(secret, c, r, k) == x
+
+
+REVISED_SENDERS = [s for s in zoo() if s.role == "sender"
+                   and s.protocol in ("extpuf", "collextpuf")]
+
+
+def zoo_extractions() -> str:
+    """What the extractor returns for every revised-flow zoo sender over
+    20 seeds, against run_extpuf and against run_collective (N = 4): one
+    line per committed run, each value as to01 and None as '-'."""
+    def shown(found):
+        return " ".join("-" if v is None else v.to01() for v in found)
+
+    lines = []
+    for s in REVISED_SENDERS:
+        for seed in range(20):
+            rng = Random(f"{s.strategy_id}/{seed}")
+            values = [BitString.random(EP.k, rng) for _ in range(4)]
+            single = run_extpuf(EP, values[0], seed, sender_factory=s.factory)
+            if single.committed:
+                found = [run_extractor_modified(single.extraction_inputs())]
+                lines.append(f"{s.strategy_id} extpuf {seed} {shown(found)}")
+            many = run_collective(EP, values, seed, sender_factory=s.factory)
+            if many.committed:
+                found = run_extractor_collective(many.extraction_inputs())
+                lines.append(f"{s.strategy_id} collective {seed} {shown(found)}")
+    return "\n".join(lines)
+
+
+ZOO_EXTRACTIONS_SHA256 = (
+    "3bab6b290892759d7f785276bc610d9aaf550c1cd468cf1c81183301aafb6cca")
+
+
+def test_zoo_extractions_are_pinned():
+    digest = hashlib.sha256(zoo_extractions().encode()).hexdigest()
+    assert digest == ZOO_EXTRACTIONS_SHA256
+
+
+def test_zoo_extraction_gathers_no_strides(monkeypatch):
+    # the extractor tests whole words: no run or extraction gathers a stride
+    def refuse(*_):
+        raise AssertionError("a stride was gathered bit by bit")
+
+    monkeypatch.setattr(BitString, "take_stride", refuse)
+    monkeypatch.setattr(BitString, "restrict", refuse)
+    assert zoo_extractions()
