@@ -115,7 +115,7 @@ class SubstitutingReturnSender(CollectiveSender):
     DECOY_SID = "coll/decoy"
 
     def return_probe(self, receiver):
-        self.api.create_honest(self.DECOY_SID, self.params.probe.puf)
+        self.api.create(self.DECOY_SID, self.params.probe.puf)
         self.api.handover(self.DECOY_SID, receiver)
 
 
@@ -139,7 +139,7 @@ class ChattyTokenSender(CollectiveSender):
 
     def create_token(self):
         p = self.params
-        self.api.create_malicious(self.sid, p.main.puf, chatty_program(p.main.puf.rg))
+        self.api.create(self.sid, p.main.puf, chatty_program())
 
     def leaked_messages(self) -> list:
         return [m for m in self.api.inbox() if m[0] == "outmsg"]
@@ -150,8 +150,7 @@ class _UncheckedProbeReceiver(CollectiveReceiver):
     takes back whatever token returns without a fingerprint check."""
 
     def create_probe(self):
-        self.api.create_malicious(self.probe_sid, self.params.probe.puf,
-                                  self.probe_program())
+        self.api.create(self.probe_sid, self.params.probe.puf, self.probe_program())
 
     def verify_return(self):
         returned = self.api.take_handover()
@@ -183,7 +182,7 @@ class AbortingProbeReceiver(_UncheckedProbeReceiver):
     the commit phase with all-zero probe outputs rather than abort."""
 
     def probe_program(self):
-        return silent_program(self.params.probe.fe.source_len)
+        return silent_program()
 
     def check_opening(self, *args):
         return None  # nothing this receiver accepts is meaningful
@@ -206,10 +205,7 @@ class EGuessCompilerSender(HonestCompilerSender):
         return self.b ^ (j % 2)  # first blob of the pair carries b, second not-b
 
     def equality_message(self):
-        return [
-            self.shares[share_index(2 * t, g)] ^ self.shares[share_index(2 * t + 1, g)]
-            for t, g in enumerate(self.guess)
-        ]
+        return [self.pair_xor(t, g) for t, g in enumerate(self.guess)]
 
     def decommit_choice(self, b_hint=None):
         want = self.b if b_hint is None else b_hint
@@ -278,8 +274,7 @@ class SimulatorCompilerSender(HonestCompilerSender):
             if e_t is None:
                 y.append(self.api.rng.getrandbits(1))
             else:
-                y.append(self.shares[share_index(2 * t, e_t)]
-                         ^ self.shares[share_index(2 * t + 1, e_t)])
+                y.append(self.pair_xor(t, e_t))
         return y
 
     def on_e_opened(self, e_bits):

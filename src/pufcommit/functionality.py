@@ -188,8 +188,7 @@ class CommPufFunctionality:
         instance = sample_puf(params, self.rng)
         machine = None
         if mode == "malicious":
-            inner = instance if program.wants_inner else None
-            machine = MaliciousPufMachine(program, self.budgets.k_state, inner)
+            machine = MaliciousPufMachine(program, self.budgets.k_state, instance)
         self.tokens[sid] = _TokenRecord(
             sid=sid, mode=mode, instance=instance, owner=sender,
             creator=sender, machine=machine,

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..bits import BitString
+from ..protocols import CHANNELS
 from ..report import ExperimentReport
 from ..session import count_resources
 from .config import ConfigError, ExperimentConfig, load_config
@@ -59,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("costs", help="token and exchange-phase accounting")
     p.add_argument("protocol", choices=PROTOCOL_TABLE)
-    p.add_argument("--mode", choices=["collective", "per-string"],
-                   default="collective")
+    p.add_argument("--mode", choices=CHANNELS, default="collective")
     p.add_argument("--k", type=int, default=1)
     _add_common(p, trials=1, n=16)
 
@@ -119,13 +119,6 @@ def _flags(args) -> dict:
             if getattr(args, key, None) is not None}
 
 
-def _costs_preset(args) -> dict:
-    # one honest run settles the accounting, so more trials would be ignored
-    if args.trials != 1:
-        raise ConfigError("trials", f"costs runs exactly one trial, not {args.trials}")
-    return dict(experiment="costs", protocol=args.protocol, mode=args.mode, k=args.k)
-
-
 @dataclass(frozen=True)
 class _Command:
     preset: Callable   # args -> config fields; they win over the common flags
@@ -146,7 +139,9 @@ _COMMANDS = {
     "experiment": _Command(lambda a: dict(vars(load_config(a.config)), **_flags(a))),
     "uc-sim": _Command(
         lambda a: dict(experiment="uc-sim", case=a.case, name=f"uc-sim/{a.case}")),
-    "costs": _Command(_costs_preset, _costs_line),
+    "costs": _Command(
+        lambda a: dict(experiment="costs", protocol=a.protocol, mode=a.mode, k=a.k),
+        _costs_line),
     "lemmas": _Command(
         lambda a: dict(experiment="lemmas", extras={"max_support": a.max_support})),
     "props": _Command(lambda a: dict(experiment=f"props-{a.property}")),

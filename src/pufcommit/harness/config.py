@@ -42,6 +42,7 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         from ..adversaries import zoo
+        from ..protocols import CHANNELS
         from .experiments import EXPERIMENTS, EXTRAS, PROTOCOL_TABLE
 
         hints = get_type_hints(ExperimentConfig)
@@ -75,7 +76,7 @@ class ExperimentConfig:
             raise ConfigError("n_strings", "at least one committed string required")
         if self.d_noise < 0 or self.d_noise % 2 == 0:
             raise ConfigError("d_noise", "noise bound must be odd (block width 2t+1)")
-        if self.mode not in ("collective", "per-string"):
+        if self.mode not in CHANNELS:
             raise ConfigError("mode", f"unknown channel mode {self.mode!r}")
         if self.case not in ("receiver", "sender"):
             raise ConfigError("case", f"unknown corruption case {self.case!r}")

@@ -31,7 +31,6 @@ from ..protocols import (
     CpufParams,
     ExtPufParams,
     OriginalExtPufParams,
-    run_blob_equalities,
     run_collective,
     run_cpuf,
     run_original_extpuf,
@@ -133,8 +132,8 @@ PROTOCOL_TABLE = {
     ),
     "blob-equalities": ProtocolEntry(
         params=lambda cfg: cfg,
-        run=lambda cfg, values, seed: run_blob_equalities(cfg.n, values[0], seed,
-                                                          d_noise=cfg.d_noise),
+        run=lambda cfg, values, seed: run_uccompiler(cfg.n, values[0], seed,
+                                                     open_phase=False, d_noise=cfg.d_noise),
         experiments=frozenset({"completeness"}),
         strings=None,
         honest_ok=lambda values, out: out.committed,
@@ -294,6 +293,10 @@ def _hiding_trial(cfg: ExperimentConfig, i: int) -> Counter:
 def _costs_run(cfg: ExperimentConfig) -> ExperimentReport:
     entry = _entry(cfg)
     _honest_only(cfg)
+    # one honest run settles the accounting, so more trials would be ignored
+    if cfg.trials != 1:
+        raise ConfigError("trials", f"costs runs exactly one trial, not {cfg.trials}; "
+                                    f"set trials: 1")
     values = entry.sample(cfg, _trial_rng(cfg, "input", 0))
     out = _run(entry, cfg, values, _tseed(cfg, "run", 0))
     ok = entry.honest_ok(values, out)

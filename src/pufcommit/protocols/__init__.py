@@ -10,12 +10,7 @@ from .collective import (
     run_collective_commit,
     run_extpuf,
 )
-from .compiler import (
-    CompilerOutcome,
-    open_uccompiler,
-    run_blob_equalities,
-    run_uccompiler,
-)
+from .compiler import CHANNELS, CompilerOutcome, open_uccompiler, run_uccompiler
 
 __all__ = [
     "CommitPair",
@@ -39,5 +34,5 @@ __all__ = [
     "CompilerOutcome",
     "run_uccompiler",
     "open_uccompiler",
-    "run_blob_equalities",
+    "CHANNELS",
 ]

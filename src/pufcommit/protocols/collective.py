@@ -61,7 +61,7 @@ class CollectiveSender:
         self.probe_sid: Optional[str] = None
 
     def create_token(self) -> None:
-        self.api.create_honest(self.sid, self.params.main.puf)
+        self.api.create(self.sid, self.params.main.puf)
 
     def setup(self) -> list[BitString]:
         api, p = self.api, self.params
@@ -123,7 +123,7 @@ class CollectiveReceiver:
 
     def create_probe(self) -> None:
         p = self.params
-        self.api.create_honest(self.probe_sid, p.probe.puf)
+        self.api.create(self.probe_sid, p.probe.puf)
         self.tq = TestQuery(*enroll(self.api, self.probe_sid, p.probe.puf.n, p.probe.fe))
 
     def send_probe(self, sender: str) -> None:

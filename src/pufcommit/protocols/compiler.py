@@ -18,16 +18,19 @@ Decommit: the sender picks l_t in {2t, 2t+1} per pair and opens both
 shares of blob l_t; the receiver accepts if some single bit b explains
 every opened pair.
 
-Channels: the commitments ride on the collective commitment core,
-either as one instance per direction over all its strings (two tokens,
-two exchange phases each) or, in the per-string compatibility mode, as
-one single-string instance (N = 1) per committed string.
+Channels: the commitments ride on the collective commitment core, and
+`CHANNELS` maps each channel mode to the class that decides everything
+the mode changes.  `collective` runs one instance per direction over all
+its strings (two tokens, two exchange phases each) and commits the n
+challenge bits as n one-bit strings; only it can be extracted.
+`per-string`, the compatibility mode, runs one single-string instance
+(N = 1) per committed string and commits the challenge bits as one n-bit
+string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 from ..bits import BitString
@@ -39,6 +42,7 @@ from .params import ExtPufParams
 
 __all__ = [
     "share_index",
+    "CHANNELS",
     "CollectiveChannel",
     "PerStringChannel",
     "HonestCompilerSender",
@@ -46,7 +50,6 @@ __all__ = [
     "CompilerOutcome",
     "run_uccompiler",
     "open_uccompiler",
-    "run_blob_equalities",
     "blob_equalities_check",
 ]
 
@@ -61,7 +64,8 @@ def share_index(blob: int, eps: int) -> int:
 # ---------------------------------------------------------------------------
 
 class CollectiveChannel:
-    """All strings of one direction under a single collective instance."""
+    """All strings of one direction under a single collective instance; the
+    challenge bits ride as one-bit strings."""
 
     def __init__(self, session: Session, params: ExtPufParams,
                  sender_name: str, receiver_name: str, label: str):
@@ -83,24 +87,29 @@ class CollectiveChannel:
     def open(self, index: int) -> Optional[BitString]:
         return open_index(self.outcome, index, receiver_name=self.receiver_name)
 
+    def commit_bits(self, bits: list[int]) -> bool:
+        return self.commit([BitString(bit, 1) for bit in bits])
+
+    def open_bits(self) -> Optional[list[int]]:
+        """The committed bits, or None from the first opening that fails."""
+        bits = []
+        for t in range(self.outcome.receiver.n_strings):
+            bit = self.open(t)
+            if bit is None:
+                return None
+            bits.append(bit.value)
+        return bits
+
     def extraction_inputs(self) -> dict:
         return self.outcome.extraction_inputs()
 
 
-class PerStringChannel:
+class PerStringChannel(CollectiveChannel):
     """Compatibility mode: one single-string (N = 1) instance per committed
-    string."""
-
-    def __init__(self, session: Session, params: ExtPufParams,
-                 sender_name: str, receiver_name: str, label: str):
-        self.session = session
-        self.params = params
-        self.sender_name = sender_name
-        self.receiver_name = receiver_name
-        self.label = label
-        self.instances: list[CollectiveChannel] = []
+    string; the challenge bits ride as one string."""
 
     def commit(self, values: list[BitString]) -> bool:
+        self.instances: list[CollectiveChannel] = []
         for i, value in enumerate(values):
             instance = CollectiveChannel(self.session, self.params, self.sender_name,
                                          self.receiver_name, f"{self.label}{i}/")
@@ -111,6 +120,19 @@ class PerStringChannel:
 
     def open(self, index: int) -> Optional[BitString]:
         return self.instances[index].open(0)
+
+    def commit_bits(self, bits: list[int]) -> bool:
+        return self.commit([BitString.from_bits(bits)])
+
+    def open_bits(self) -> Optional[list[int]]:
+        string = self.open(0)
+        return None if string is None else list(string)
+
+    def extraction_inputs(self) -> dict:
+        raise ProtocolAbort("extract-needs-collective")
+
+
+CHANNELS = {"collective": CollectiveChannel, "per-string": PerStringChannel}
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +163,12 @@ class HonestCompilerSender:
             self.shares.extend([b0, value ^ b0])
         return [BitString(v, 1) for v in self.shares]
 
+    def pair_xor(self, t: int, eps: int) -> int:
+        """XOR of the eps-shares of pair t's two blobs."""
+        return self.shares[share_index(2 * t, eps)] ^ self.shares[share_index(2 * t + 1, eps)]
+
     def equality_message(self) -> list[int]:
-        return [
-            self.shares[share_index(2 * t, 0)] ^ self.shares[share_index(2 * t + 1, 0)]
-            for t in range(self.n)
-        ]
+        return [self.pair_xor(t, 0) for t in range(self.n)]
 
     def on_e_opened(self, e_bits: list[int]) -> None:
         self.e_bits = e_bits
@@ -215,22 +238,10 @@ class CompilerOutcome(Outcome):
 
 def _hand_extraction(channel, party) -> None:
     """Give a party that needs it the extraction of every string committed
-    on channel; only a collective channel can be extracted."""
-    if not party.needs_extraction:
-        return
-    if not isinstance(channel, CollectiveChannel):
-        raise ProtocolAbort("extract-needs-collective")
-    extracted = run_extractor_collective(channel.extraction_inputs())
-    party.set_extracted([x.value if x is not None else None for x in extracted])
-
-
-def _make_channel(mode, session, params_bits, params_string, sender, receiver, label):
-    if mode == "collective":
-        return CollectiveChannel(session, params_bits, sender, receiver, label)
-    if mode == "per-string":
-        params = params_string if label == "e/" else params_bits
-        return PerStringChannel(session, params, sender, receiver, label)
-    raise ValueError(f"unknown channel mode {mode!r}")
+    on channel; a channel that cannot be extracted aborts the run."""
+    if party.needs_extraction:
+        extracted = run_extractor_collective(channel.extraction_inputs())
+        party.set_extracted([x.value if x is not None else None for x in extracted])
 
 
 def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
@@ -238,36 +249,33 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
                    receiver_factory: Callable = HonestCompilerReceiver,
                    open_phase: bool = True,
                    d_noise: int = 3) -> CompilerOutcome:
-    """Run the compiled bit commitment end to end.
+    """Run the compiled bit commitment end to end over CHANNELS[mode].
 
     A party that declares needs_extraction (a simulator) gets the
     straight-line extraction of the channel the other party commits on.
     """
+    channel = CHANNELS.get(mode)
+    if channel is None:
+        raise ValueError(f"unknown channel mode {mode!r}")
     session = Session(seed, budgets=EXTPUF_BUDGETS)
     params_bits = ExtPufParams.standard(n, 1, d_noise=d_noise)
-    params_string = (ExtPufParams.standard(n, n, d_noise=d_noise)
-                     if mode == "per-string" else None)
+    params_e = (ExtPufParams.standard(n, n, d_noise=d_noise)
+                if mode == "per-string" else params_bits)
 
     S = sender_factory(n, b, session.handle_for("S"))
     R = receiver_factory(n, session.handle_for("R"))
     outcome = CompilerOutcome(session, sender=S, receiver=R)
 
     # direction R -> S: the challenge bits; R is the channel sender
-    e_channel = _make_channel(mode, session, params_bits, params_string, "R", "S", "e/")
+    e_channel = channel(session, params_e, "R", "S", "e/")
     # direction S -> R: the blob shares
-    blob_channel = _make_channel(mode, session, params_bits, params_string, "S", "R",
-                                 "blob/")
+    blob_channel = channel(session, params_bits, "S", "R", "blob/")
     outcome.e_channel = e_channel
     outcome.blob_channel = blob_channel
 
     def commit():
         session.phase("R", "choose-e")
-        e_bits = R.choose_e()
-        if mode == "per-string":
-            e_values = [BitString.from_bits(e_bits)]
-        else:
-            e_values = [BitString(bit, 1) for bit in e_bits]
-        if not e_channel.commit(e_values):
+        if not e_channel.commit_bits(R.choose_e()):
             raise ProtocolAbort("e-commit")
         _hand_extraction(e_channel, S)
 
@@ -280,18 +288,9 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
         # equality subprotocol
         session.phase("S", "equalities")
         y_bits = session.msg("S", "R", "y", list(S.equality_message()))
-        if mode == "per-string":
-            e_str = e_channel.open(0)
-            if e_str is None:
-                raise ProtocolAbort("e-open")
-            e_opened = list(e_str)
-        else:
-            e_opened = []
-            for t in range(n):
-                bit = e_channel.open(t)
-                if bit is None:
-                    raise ProtocolAbort("e-open")
-                e_opened.append(bit.value)
+        e_opened = e_channel.open_bits()
+        if e_opened is None:
+            raise ProtocolAbort("e-open")
         S.on_e_opened(e_opened)
         opened: dict[int, Optional[BitString]] = {}
         for idx in S.equality_open_indices():
@@ -344,36 +343,3 @@ def blob_equalities_check(y_bits: list[int], e_bits: list[int],
         if a is None or c is None or y_bits[t] != a ^ c:
             return False
     return True
-
-
-class _TweakedSender(HonestCompilerSender):
-    """Honest but for two sets of pair indices: in each `unequal` pair the
-    second blob carries the flipped bit, and each `tampered` pair's
-    equality bit is inverted."""
-
-    def __init__(self, n: int, b: int, api, unequal: frozenset, tampered: frozenset):
-        super().__init__(n, b, api)
-        self.unequal = unequal
-        self.tampered = tampered
-
-    def blob_value(self, j):
-        return self.b ^ 1 if (j // 2 in self.unequal and j % 2 == 1) else self.b
-
-    def equality_message(self):
-        y = super().equality_message()
-        return [y_t ^ 1 if t in self.tampered else y_t for t, y_t in enumerate(y)]
-
-
-def run_blob_equalities(n: int, b: int, seed: int,
-                        unequal_pairs: tuple = (),
-                        tamper_y_pairs: tuple = (),
-                        d_noise: int = 3) -> CompilerOutcome:
-    """Commit-phase-only run exercising the equality subprotocol.
-
-    unequal_pairs: pair indices whose second blob carries the flipped bit.
-    tamper_y_pairs: pair indices whose equality bit the sender inverts.
-    """
-    sender = partial(_TweakedSender, unequal=frozenset(unequal_pairs),
-                     tampered=frozenset(tamper_y_pairs))
-    return run_uccompiler(n, b, seed, sender_factory=sender,
-                          open_phase=False, d_noise=d_noise)

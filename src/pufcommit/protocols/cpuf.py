@@ -36,7 +36,7 @@ class CpufSender:
     def setup(self) -> BitString:
         """Create the token, pick s, extract; returns the helper string."""
         api, p = self.api, self.params
-        api.create_honest(self.SID, p.pair.puf)
+        api.create(self.SID, p.pair.puf)
         self.s, self.st, self.helper = enroll(api, self.SID, p.n, p.pair.fe)
         return self.helper.concat()
 

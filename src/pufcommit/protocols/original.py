@@ -50,8 +50,8 @@ class OriginalSender:
 
     def setup(self) -> tuple:
         api, p = self.api, self.params
-        api.create_honest(self.SID_FIRST, p.first.puf)
-        api.create_honest(self.SID_SECOND, p.second.puf)
+        api.create(self.SID_FIRST, p.first.puf)
+        api.create(self.SID_SECOND, p.second.puf)
         # Not two enrolments: both challenges are drawn before either read,
         # and enrolling in turn would change every seeded run of this flow.
         self.s1 = BitString.random(p.n, api.rng)
@@ -90,7 +90,7 @@ class OriginalReceiver:
 
     def create_probe(self) -> None:
         p = self.params
-        self.api.create_honest(self.PROBE_SID, p.probe.puf)
+        self.api.create(self.PROBE_SID, p.probe.puf)
         self.tq = TestQuery(*enroll(self.api, self.PROBE_SID, p.probe.puf.n, p.probe.fe))
 
     def send_probe(self, sender: str) -> None:

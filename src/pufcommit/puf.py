@@ -139,8 +139,6 @@ class MachineProgram:
     name: str
     state_bits: int
     fn: ProgramFn
-    response_len: int
-    wants_inner: bool = True
 
 
 class MaliciousPufMachine:
@@ -182,7 +180,7 @@ class MaliciousPufMachine:
         return response, outgoing
 
 
-def query_logging_program(response_len: int, log_bits: int) -> MachineProgram:
+def query_logging_program(log_bits: int) -> MachineProgram:
     """Keeps the most recent query prefix in state; needs log_bits of memory."""
     def fn(kind, payload, state, oracle):
         if kind != "query":
@@ -190,7 +188,7 @@ def query_logging_program(response_len: int, log_bits: int) -> MachineProgram:
         keep = payload.slice(0, min(log_bits, payload.n))
         pad = BitString.zeros(log_bits - keep.n)
         return oracle(payload), keep.concat(pad), None
-    return MachineProgram("query-logger", log_bits, fn, response_len)
+    return MachineProgram("query-logger", log_bits, fn)
 
 
 def replay_on_marker_program(response_len: int, marker: BitString) -> MachineProgram:
@@ -208,20 +206,20 @@ def replay_on_marker_program(response_len: int, marker: BitString) -> MachinePro
         keep = payload.slice(0, min(state_bits, payload.n))
         keep = keep.concat(BitString.zeros(state_bits - keep.n))
         return oracle(payload), keep, None
-    return MachineProgram("replay-on-marker", state_bits, fn, response_len)
+    return MachineProgram("replay-on-marker", state_bits, fn)
 
 
-def chatty_program(response_len: int) -> MachineProgram:
+def chatty_program() -> MachineProgram:
     """Answers honestly but tries to send every query back to its creator."""
     def fn(kind, payload, state, oracle):
         if kind == "query":
             return oracle(payload), None, payload
         return None, None, payload
-    return MachineProgram("chatty", 0, fn, response_len)
+    return MachineProgram("chatty", 0, fn)
 
 
-def silent_program(response_len: int) -> MachineProgram:
+def silent_program() -> MachineProgram:
     """Refuses to answer: models an aborting token."""
     def fn(kind, payload, state, oracle):
         return None, None, None
-    return MachineProgram("silent", 0, fn, response_len, wants_inner=False)
+    return MachineProgram("silent", 0, fn)

@@ -151,17 +151,12 @@ class PartyHandle:
 
     # -- token lifecycle ------------------------------------------------------
 
-    def create_honest(self, sid: str, params: PufParams) -> str:
-        deliveries = self.session.functionality.handle(
-            ("init", sid, self.name, "honest", params))
-        if not deliveries:
-            raise ProtocolAbort(f"init({sid})")
-        self.session.route(deliveries, expect_for=self.name)
-        return sid
-
-    def create_malicious(self, sid: str, params: PufParams, program: MachineProgram) -> str:
-        deliveries = self.session.functionality.handle(
-            ("init", sid, self.name, "malicious", params, program))
+    def create(self, sid: str, params: PufParams,
+               program: Optional[MachineProgram] = None) -> str:
+        """Create a token: honest, or a malicious machine running program."""
+        init = (("init", sid, self.name, "honest", params) if program is None
+                else ("init", sid, self.name, "malicious", params, program))
+        deliveries = self.session.functionality.handle(init)
         if not deliveries:
             raise ProtocolAbort(f"init({sid})")
         self.session.route(deliveries, expect_for=self.name)

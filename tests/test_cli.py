@@ -5,6 +5,8 @@ import pytest
 import yaml
 
 from pufcommit.harness.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, main
+from pufcommit.harness.config import ExperimentConfig
+from pufcommit.protocols import CHANNELS, run_uccompiler
 
 
 def test_demo_runs(capsys):
@@ -41,6 +43,41 @@ def test_costs_rejects_a_trial_count_it_would_ignore(capsys):
         assert main(["costs", "cpuf", "--n", "8", "--trials", trials]) == EXIT_CONFIG
         assert "trials:" in capsys.readouterr().err
     assert main(["costs", "cpuf", "--n", "8", "--trials", "1"]) == EXIT_OK
+
+
+def test_costs_config_runs_exactly_one_trial(tmp_path: Path, capsys):
+    cfg = tmp_path / "costs.yaml"
+    for trials_line, code in (("trials: 5\n", EXIT_CONFIG), ("", EXIT_CONFIG),
+                              ("trials: 1\n", EXIT_OK)):
+        cfg.write_text("version: 1\nexperiment: costs\nprotocol: cpuf\nn: 8\n"
+                       + trials_line)
+        assert main(["experiment", str(cfg)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_CONFIG:
+            assert "trials:" in err and "set trials: 1" in err
+    # the flag overrides the file, and is held to the same rule
+    assert main(["experiment", str(cfg), "--trials", "3"]) == EXIT_CONFIG
+    assert "set trials: 1" in capsys.readouterr().err
+
+
+def test_channel_modes_are_the_keys_of_the_channel_table(tmp_path: Path, capsys):
+    for mode in CHANNELS:
+        assert main(["costs", "uccompiler", "--mode", mode, "--n", "3"]) == EXIT_OK
+        assert ExperimentConfig(experiment="costs", protocol="uccompiler", mode=mode,
+                                trials=1).validate()
+        assert run_uccompiler(3, 1, seed=5, mode=mode).accepted
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["costs", "uccompiler", "--mode", "bulk"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "(choose from " + ", ".join(map(repr, CHANNELS)) + ")" in capsys.readouterr().err
+    cfg = tmp_path / "bulk.yaml"
+    cfg.write_text("version: 1\nexperiment: costs\nprotocol: uccompiler\nmode: bulk\n"
+                   "trials: 1\n")
+    assert main(["experiment", str(cfg)]) == EXIT_CONFIG
+    assert "mode: unknown channel mode 'bulk'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="unknown channel mode 'bulk'"):
+        run_uccompiler(3, 1, seed=5, mode="bulk")
 
 
 def test_lemmas_subcommand(capsys):

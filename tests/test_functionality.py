@@ -96,7 +96,7 @@ def test_malformed_messages_raise():
 def test_malicious_machine_and_outgoing_budget():
     budgets = Budgets(k_state=0, k_in=None, k_out=20)
     func, _ = make(budgets=budgets)
-    func.handle(("init", "m", "P1", "malicious", P, chatty_program(16)))
+    func.handle(("init", "m", "P1", "malicious", P, chatty_program()))
     s = BitString.random(8, Random(5))
     deliveries = func.handle(("eval", "m", "P1", s))
     kinds = [msg[0] for _, msg in deliveries]
@@ -111,7 +111,7 @@ def test_malicious_machine_and_outgoing_budget():
 
 def test_outgoing_dropped_entirely_at_zero_budget():
     func, _ = make(budgets=Budgets(k_state=0, k_in=None, k_out=0))
-    func.handle(("init", "m", "P1", "malicious", P, chatty_program(16)))
+    func.handle(("init", "m", "P1", "malicious", P, chatty_program()))
     deliveries = func.handle(("eval", "m", "P1", BitString.zeros(8)))
     assert [msg[0] for _, msg in deliveries] == ["response"]
     assert func.counters("m") == (0, 0)
@@ -119,7 +119,7 @@ def test_outgoing_dropped_entirely_at_zero_budget():
 
 def test_incoming_budget_debited_before_machine_runs():
     func, log = make(budgets=Budgets(k_state=0, k_in=10, k_out=None))
-    func.handle(("init", "m", "P1", "malicious", P, chatty_program(16)))
+    func.handle(("init", "m", "P1", "malicious", P, chatty_program()))
     first = func.handle(("inmsg", "m", "P1", BitString.zeros(8)))
     assert [msg[0] for _, msg in first] == ["outmsg"]
     over = func.handle(("inmsg", "m", "P1", BitString.zeros(8)))
@@ -136,7 +136,7 @@ def test_state_budget_enforced_at_creation():
 
     func, _ = make(budgets=Budgets(k_state=0, k_in=None, k_out=0))
     with pytest.raises(ValueError, match="STATE_BUDGET"):
-        func.handle(("init", "m", "P1", "malicious", P, query_logging_program(16, 8)))
+        func.handle(("init", "m", "P1", "malicious", P, query_logging_program(8)))
 
 
 def test_stateless_machine_replay_is_order_independent():
@@ -144,7 +144,7 @@ def test_stateless_machine_replay_is_order_independent():
 
     def run(order, seed):
         func, _ = make(budgets=Budgets(k_state=0, k_in=None, k_out=0), seed=seed)
-        func.handle(("init", "m", "P1", "malicious", P, chatty_program(16)))
+        func.handle(("init", "m", "P1", "malicious", P, chatty_program()))
         out = {}
         for idx in order:
             deliveries = func.handle(("eval", "m", "P1", queries[idx]))
@@ -160,7 +160,7 @@ def test_stateless_machine_replay_is_order_independent():
 
 def test_no_channel_router_drops_every_inmsg():
     func, log = make(budgets=NO_CHANNEL_BUDGETS)
-    func.handle(("init", "m", "P1", "malicious", P, chatty_program(16)))
+    func.handle(("init", "m", "P1", "malicious", P, chatty_program()))
     # a 0-bit message would fit a zero budget; it must not step the machine
     for sid, m_in in (("m", BitString.zeros(0)), ("m", BitString.random(8, Random(4))),
                       ("missing", BitString.zeros(8))):
@@ -174,14 +174,14 @@ def test_no_channel_router_drops_every_inmsg():
     audit_budgets(func)
     # the budgets are the router's: an init cannot bring its own
     with pytest.raises(ValueError, match="MALFORMED"):
-        func.handle(("init", "m2", "P1", "malicious", P, chatty_program(16),
+        func.handle(("init", "m2", "P1", "malicious", P, chatty_program(),
                      Budgets(k_state=0, k_in=None, k_out=8)))
 
 
 def test_budget_and_ownership_audits_on_a_busy_log():
     func, _ = make(budgets=Budgets(k_state=0, k_in=32, k_out=16))
     func.handle(("init", "a", "P1", "honest", P))
-    func.handle(("init", "m", "P2", "malicious", P, chatty_program(16)))
+    func.handle(("init", "m", "P2", "malicious", P, chatty_program()))
     rng = Random(6)
     for _ in range(10):
         func.handle(("eval", "a", "P1", BitString.random(8, rng)))

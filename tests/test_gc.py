@@ -16,14 +16,9 @@ from pufcommit.bits import BitString
 from pufcommit.harness.config import ExperimentConfig
 from pufcommit.harness.experiments import run_experiment
 from pufcommit.prf import derive_seed
-from pufcommit.protocols import (
-    run_blob_equalities,
-    run_extpuf,
-    run_original_extpuf,
-    run_uccompiler,
-)
+from pufcommit.protocols import run_extpuf, run_original_extpuf, run_uccompiler
 from pufcommit.session import Session
-from test_protocols import EP2, OP, OUTCOME_CASES, X2
+from test_protocols import EP2, OP, OUTCOME_CASES, X2, run_equalities
 
 # each faulty sender class is built once here: a class is itself cyclic
 FAULTY = {runner: type("Faulty", (honest,), {faults["commit-abort"][0]:
@@ -37,10 +32,9 @@ RUNS = {
                                   run(FAULTY[runner], True))
        for runner, (run, _, _) in OUTCOME_CASES.items()},
     "run_uccompiler-per-string": lambda: run_uccompiler(4, 1, 13020, mode="per-string"),
-    "run_blob_equalities-unequal": lambda: run_blob_equalities(4, 1, 13021,
-                                                               unequal_pairs=(1,)),
-    "run_blob_equalities-tampered": lambda: run_blob_equalities(4, 0, 13022,
-                                                                tamper_y_pairs=(0, 2)),
+    # the equality subprotocol runs keep the ids they had as run_blob_equalities
+    "run_blob_equalities-unequal": lambda: run_equalities(4, 1, 13021, unequal=(1,)),
+    "run_blob_equalities-tampered": lambda: run_equalities(4, 0, 13022, tampered=(0, 2)),
     "run_original_extpuf-ambiguous": lambda: run_original_extpuf(
         OP, BitString.from01("0"), 13023, sender_factory=AmbiguousQuerySender),
     "run_extpuf-substituting-returner": lambda: run_extpuf(

@@ -85,24 +85,27 @@ TINY = {
     "binding": {"protocol": "cpuf", "adversary": "equivocating-open-cpuf"},
     "hiding": {"protocol": "cpuf"},
     "extraction": {"protocol": "extpuf", "adversary": "all-senders"},
-    "costs": {"protocol": "cpuf"},
+    "costs": {"protocol": "cpuf", "trials": 1},
     "lemmas": {"extras": {"max_support": 3}},
 }
 
 
+def _tiny(experiment, **fields):
+    """A small config of experiment; TINY's fields win over the defaults."""
+    return ExperimentConfig(**{**dict(experiment=experiment, n=8, k=1, n_strings=1,
+                                      trials=2, seed=1),
+                               **fields, **TINY.get(experiment, {})})
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_every_experiment_runs_from_a_config(experiment):
-    cfg = ExperimentConfig(experiment=experiment, n=8, k=1, n_strings=1, trials=2,
-                           seed=1, **TINY.get(experiment, {}))
-    report = run_experiment(cfg)
+    report = run_experiment(_tiny(experiment))
     assert report.name and "passed" in report.details
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_config_name_names_every_report(experiment):
-    cfg = ExperimentConfig(experiment=experiment, name="mine", n=8, k=1, n_strings=1,
-                           trials=2, seed=1, **TINY.get(experiment, {}))
-    assert run_experiment(cfg).name == "mine"
+    assert run_experiment(_tiny(experiment, name="mine")).name == "mine"
 
 
 # the experiments whose trials run in one process, whatever jobs says
@@ -112,8 +115,7 @@ SERIAL = ["costs", "lemmas", "props-cq", "props-indist", "props-crp", "props-tq"
 
 @pytest.mark.parametrize("experiment", SERIAL)
 def test_jobs_on_a_serial_experiment_is_a_config_error(experiment):
-    cfg = ExperimentConfig(experiment=experiment, n=8, k=1, trials=2, seed=1, jobs=3,
-                           **TINY.get(experiment, {}))
+    cfg = _tiny(experiment, jobs=3)
     with pytest.raises(ConfigError) as err:
         run_experiment(cfg)
     assert err.value.path == "jobs"
@@ -227,6 +229,53 @@ def test_seeded_game_reports_are_pinned(game):
     report = run_experiment(ExperimentConfig(**SEEDED_GAMES[game]))
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == GAME_REPORT_SHA256[game]
+
+
+# sha256 of report.to_json() for the compiled commitment's reports, taken
+# before the channel table: moving the channel mode into the channel
+# classes must leave every report byte-identical
+SEEDED_COMPILER_REPORTS = {
+    "completeness-uccompiler": dict(experiment="completeness", protocol="uccompiler",
+                                    n=6, trials=20, seed=2),
+    "completeness-uccompiler-per-string": dict(
+        experiment="completeness", protocol="uccompiler", mode="per-string", n=3,
+        trials=10, seed=2),
+    "completeness-blob-equalities": dict(experiment="completeness",
+                                         protocol="blob-equalities", n=6, trials=20,
+                                         seed=2),
+    "costs-uccompiler": dict(experiment="costs", protocol="uccompiler", n=8, trials=1,
+                             seed=2),
+    "costs-uccompiler-per-string": dict(experiment="costs", protocol="uccompiler",
+                                        mode="per-string", n=4, trials=1, seed=2),
+    "uc-sim-receiver": dict(experiment="uc-sim", case="receiver", n=6, trials=40,
+                            seed=2),
+    "uc-sim-e-guessing-sender": dict(experiment="uc-sim", case="sender",
+                                     adversary="e-guessing-sender", n=4, trials=40,
+                                     seed=2),
+}
+COMPILER_REPORT_SHA256 = {
+    "completeness-uccompiler":
+        "9cf010dcca0ae46333b8549e5d3245863bf44d7f51c0d7804896fcd80bcf3cf9",
+    "completeness-uccompiler-per-string":
+        "0078a020556e29047cba2a35918cd40bb09c85a7029eca70c4c6d9f3adb3ab4b",
+    "completeness-blob-equalities":
+        "f6daa4988cf2dde6b5dd86266c0d4c3f9ec930705c17be211b0f7bd8ff73eea1",
+    "costs-uccompiler":
+        "f2465a54653668336be8eed5aff8f0a0407125e44dff1dda5f03578d51c680f6",
+    "costs-uccompiler-per-string":
+        "bce7753aa7ed974a152597b8b5b167d3a1184ec7424abe660790ed68aebc5c80",
+    "uc-sim-receiver":
+        "65d238a3039ca19297435e5644fe7533333f823a971af463385abf96af4b072c",
+    "uc-sim-e-guessing-sender":
+        "8835cc2c89219364273b5196426485d8632af4db865bcfdef472c860ad24df99",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEEDED_COMPILER_REPORTS))
+def test_seeded_compiler_reports_are_pinned(case):
+    report = run_experiment(ExperimentConfig(**SEEDED_COMPILER_REPORTS[case]))
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == COMPILER_REPORT_SHA256[case]
 
 
 def test_fe_experiments_small():

@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from functools import partial
 from random import Random
 
 import pytest
@@ -13,6 +14,7 @@ from pufcommit.adversaries import (
     EquivocatingCollectiveSender,
     EquivocatingCpufSender,
     NeverQuerySender,
+    SimulatorCompilerSender,
     SubstitutingReturnSender,
 )
 from pufcommit.protocols import (
@@ -24,7 +26,6 @@ from pufcommit.protocols import (
     OriginalExtPufParams,
     OriginalSender,
     open_index,
-    run_blob_equalities,
     run_collective,
     run_cpuf,
     run_extpuf,
@@ -134,12 +135,12 @@ def short_program(rg: int) -> MachineProgram:
     """Answers every query with rg - 1 zero bits."""
     def fn(kind, payload, state, oracle):
         return (BitString.zeros(rg - 1) if kind == "query" else None), None, None
-    return MachineProgram("short", 0, fn, rg - 1, wants_inner=False)
+    return MachineProgram("short", 0, fn)
 
 
 # answer programs of a token that a check can only reject: no answer, or
 # an answer one bit short of the family's response width
-REFUSING = {"silent": silent_program, "short": short_program}
+REFUSING = {"silent": lambda rg: silent_program(), "short": short_program}
 
 
 def handing_over_refusing(sender, puf_of, program):
@@ -147,7 +148,7 @@ def handing_over_refusing(sender, puf_of, program):
     one, if it has two) answers every query through program(rg)."""
     def swap(self, receiver):
         puf = puf_of(self.params)
-        self.api.create_malicious("refusing", puf, program(puf.rg))
+        self.api.create("refusing", puf, program(puf.rg))
         self.api.handover("refusing", receiver)
         if isinstance(self, OriginalSender):
             self.api.handover(self.SID_SECOND, receiver)
@@ -413,17 +414,41 @@ def test_blob_equalities_pure_check_exhaustive_per_pair():
         assert outcomes == [True, False, True, False]
 
 
+class TweakedSender(HonestCompilerSender):
+    """Honest but for two sets of pair indices: in each `unequal` pair the
+    second blob carries the flipped bit, and each `tampered` pair's
+    equality bit is inverted."""
+
+    def __init__(self, n, b, api, unequal=(), tampered=()):
+        super().__init__(n, b, api)
+        self.unequal = frozenset(unequal)
+        self.tampered = frozenset(tampered)
+
+    def blob_value(self, j):
+        return self.b ^ 1 if (j // 2 in self.unequal and j % 2 == 1) else self.b
+
+    def equality_message(self):
+        y = super().equality_message()
+        return [y_t ^ 1 if t in self.tampered else y_t for t, y_t in enumerate(y)]
+
+
+def run_equalities(n, b, seed, unequal=(), tampered=()):
+    """Commit phase only, so the equality subprotocol decides the run."""
+    sender = partial(TweakedSender, unequal=unequal, tampered=tampered)
+    return run_uccompiler(n, b, seed, sender_factory=sender, open_phase=False)
+
+
 def test_blob_equalities_protocol_runs():
     # honest: passes
-    out = run_blob_equalities(4, 1, seed=12000)
+    out = run_equalities(4, 1, seed=12000)
     assert out.committed
     # tampered equality bit: fails for both challenge values
-    out = run_blob_equalities(4, 1, seed=12001, tamper_y_pairs=(2,))
+    out = run_equalities(4, 1, seed=12001, tampered=(2,))
     assert not out.committed and out.abort_step == "blob-equalities"
     # one unequal pair: fails for half of the challenges
     fails = 0
     for i in range(60):
-        out = run_blob_equalities(4, 0, seed=12100 + i, unequal_pairs=(1,))
+        out = run_equalities(4, 0, seed=12100 + i, unequal=(1,))
         fails += int(not out.committed)
     assert 15 <= fails <= 45  # approx half; exact law checked exhaustively above
 
@@ -449,6 +474,11 @@ SEEDED_RUNS = {
     "uccompiler-n8": lambda: run_uccompiler(8, 1, seed=25),
     "collective-never-query": lambda: run_collective(
         EP, [X4, X4], seed=26, sender_factory=NeverQuerySender),
+    "uccompiler-per-string-n4": lambda: run_uccompiler(4, 1, seed=27, mode="per-string"),
+    "uccompiler-per-string-simulator": lambda: run_uccompiler(
+        4, 0, seed=28, mode="per-string", sender_factory=SimulatorCompilerSender),
+    "equalities-unequal-pair": lambda: run_equalities(4, 0, seed=28, unequal=(1,)),
+    "equalities-tampered-bit": lambda: run_equalities(4, 1, seed=30, tampered=(2,)),
 }
 LOG_SHA256 = {
     "cpuf": "eea0e4408ac6e28d82842ece468aa06adc2ec4bdc59988ab15637096570a991c",
@@ -457,6 +487,15 @@ LOG_SHA256 = {
     "original-ambiguous": "d4e4707de9ff1c9e17b220eb94d8ba4428e0f5a52b526347b43f8f692d606173",
     "uccompiler-n8": "a40305fd68a35e8fdc30e7cbffca8eab13a259efefab77c89790406b652ba8a1",
     "collective-never-query": "271279a115d2924439b0ec19d19f94584eca50c5c21630c68c24714d6b94b15e",
+    # taken before the channel table, and with the equality runs still in src/
+    "uccompiler-per-string-n4":
+        "c0414f4564217845b6f972644e41c92b0d966cb1923f44f561eccd190438f41a",
+    "uccompiler-per-string-simulator":
+        "b14c59aa2e2cb0b77ef8b5596afc56cfe94b1ed2dc890def6508fe3ced1308b8",
+    "equalities-unequal-pair":
+        "8d31bf38fb781ace7272e8ab0a236ec22c82f3bece0fcdc541ff1284dc915ef3",
+    "equalities-tampered-bit":
+        "9f11524b9073bb957ba17c9489ebca27c579a6a26009f616d47c5dd7951ab23d",
 }
 
 

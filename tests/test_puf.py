@@ -99,7 +99,7 @@ def test_passthrough_machine_tracks_inner_instance():
     # the chatty program answers through its embedded honest instance
     rng = Random(7)
     inner = sample_puf(params(d_noise=3, rg=64), rng)
-    machine = MaliciousPufMachine(chatty_program(64), k_state=0, inner=inner)
+    machine = MaliciousPufMachine(chatty_program(), k_state=0, inner=inner)
     s = BitString.random(16, rng)
     response, outgoing = machine.step("query", s, rng)
     assert outgoing == s
@@ -108,14 +108,14 @@ def test_passthrough_machine_tracks_inner_instance():
 
 def test_query_logger_rejected_without_state_budget():
     with pytest.raises(ValueError, match="STATE_BUDGET"):
-        MaliciousPufMachine(query_logging_program(32, log_bits=16), k_state=0)
+        MaliciousPufMachine(query_logging_program(log_bits=16), k_state=0)
 
 
 def test_runtime_state_writes_are_audited():
     def fn(kind, payload, state, oracle):
         return BitString.zeros(8), BitString.zeros(12), None
 
-    program = MachineProgram("overwriter", 4, fn, 8, wants_inner=False)
+    program = MachineProgram("overwriter", 4, fn)
     machine = MaliciousPufMachine(program, k_state=4)
     with pytest.raises(ValueError, match="STATE_BUDGET"):
         machine.step("query", BitString.zeros(4), Random(0))
@@ -124,11 +124,11 @@ def test_runtime_state_writes_are_audited():
 def test_chatty_and_silent_programs():
     rng = Random(9)
     inner = sample_puf(params(rg=32), rng)
-    chatty = MaliciousPufMachine(chatty_program(32), k_state=0, inner=inner)
+    chatty = MaliciousPufMachine(chatty_program(), k_state=0, inner=inner)
     s = BitString.random(16, rng)
     response, outgoing = chatty.step("query", s, rng)
     assert outgoing == s
-    silent = MaliciousPufMachine(silent_program(32), k_state=0)
+    silent = MaliciousPufMachine(silent_program(), k_state=0)
     assert silent.step("query", s, rng) == (None, None)
 
 

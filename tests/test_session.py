@@ -50,7 +50,7 @@ def test_curious_adversary_can_eval_in_transit():
     from pufcommit.puf import PufParams
 
     params = PufParams.standard(8, 16, d_noise=1)
-    api.create_honest("tok", params)
+    api.create("tok", params)
     probe_challenges["tok"] = BitString.zeros(8)
     api.handover("tok", "P2")
     assert len(adversary.observed) == 1
@@ -66,7 +66,7 @@ def test_mailbox_and_handover_api():
 
     a = session.handle_for("A")
     b = session.handle_for("B")
-    a.create_honest("t", PufParams.standard(8, 16, d_noise=1))
+    a.create("t", PufParams.standard(8, 16, d_noise=1))
     a.handover("t", "B")
     sid = b.take_handover()
     assert sid == "t"
