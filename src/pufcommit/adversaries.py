@@ -153,10 +153,7 @@ class _UncheckedProbeReceiver(CollectiveReceiver):
         self.api.create(self.probe_sid, self.params.probe.puf, self.probe_program())
 
     def verify_return(self):
-        returned = self.api.take_handover()
-        if returned is None:
-            raise ProtocolAbort("await-probe-return")
-        self.returned_probe = returned
+        self.returned_probe = self.api.take_handover("await-probe-return")
 
 
 class StatefulProbeReceiver(_UncheckedProbeReceiver):

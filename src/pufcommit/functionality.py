@@ -96,7 +96,7 @@ class EventLog:
     def append(self, kind: str, sid=None, sender=None, payload=None,
                deliveries=(), note: str = "") -> EventRecord:
         # deliveries is copied: the router hands the same list to its
-        # caller, and CuriousDelivery removes what it observed from it
+        # caller, and a delivery hook (a test's curious scheduler) may edit it
         rec = EventRecord(
             step=len(self.records), kind=kind, sid=sid, sender=sender,
             payload=payload, deliveries=list(deliveries), note=note,

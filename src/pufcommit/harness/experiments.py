@@ -84,7 +84,7 @@ class ProtocolEntry:
     experiments: frozenset             # the experiments defined for it
     strings: Optional[Callable] = lambda cfg: 1   # cfg -> k-bit strings; None: one bit
     honest_ok: Callable = _opened_as_sampled      # (values, outcome) -> honest run worked
-    cost: Callable = lambda cfg: None  # cfg -> expected (tokens, exchange phases)
+    cost: Optional[Callable] = None    # cfg -> expected (tokens, exchange phases)
     commit_view: Optional[Callable] = None        # (params, outcome) -> hiding view
     transcript: bool = False           # the demo prints an honest transcript
 
@@ -110,6 +110,7 @@ PROTOCOL_TABLE = {
         params=lambda cfg: _params(CpufParams, cfg.n, cfg.k, cfg.d_noise),
         run=lambda p, values, seed, **kw: run_cpuf(p, values[0], seed, **kw),
         experiments=frozenset({"completeness", "binding", "hiding", "costs"}),
+        cost=lambda cfg: (1, 1),
         commit_view=lambda p, out: dict(out.receiver_view, fe=p.pair.fe),
         transcript=True,
     ),
@@ -119,6 +120,7 @@ PROTOCOL_TABLE = {
         params=lambda cfg: _params(OriginalExtPufParams, cfg.n, cfg.k, cfg.d_noise),
         run=lambda p, values, seed, **kw: run_original_extpuf(p, values[0], seed, **kw),
         experiments=frozenset({"completeness", "costs"}),
+        cost=lambda cfg: (3, 3),
     ),
     # the compiler derives its channel bundles from n itself
     "uccompiler": ProtocolEntry(
@@ -132,7 +134,7 @@ PROTOCOL_TABLE = {
     ),
     "blob-equalities": ProtocolEntry(
         params=lambda cfg: cfg,
-        run=lambda cfg, values, seed: run_uccompiler(cfg.n, values[0], seed,
+        run=lambda cfg, values, seed: run_uccompiler(cfg.n, values[0], seed, mode=cfg.mode,
                                                      open_phase=False, d_noise=cfg.d_noise),
         experiments=frozenset({"completeness"}),
         strings=None,
@@ -303,11 +305,11 @@ def _costs_run(cfg: ExperimentConfig) -> ExperimentReport:
     expected = entry.cost(cfg)
     resources = count_resources(out.session.log)
     measured = (resources["pufs_created"], resources["exchange_phases"])
-    passed = ok and (expected is None or measured == expected)
+    passed = ok and measured == expected
     details = {
         "passed": passed,
         "measured": list(measured),
-        "expected": list(expected) if expected else None,
+        "expected": list(expected),
         "honest_run_accepted": ok,
     }
     return _report(cfg, int(passed), details, f"{cfg.experiment}/{cfg.protocol}/{cfg.mode}",
@@ -420,6 +422,9 @@ def _hiding(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _ucsim(cfg: ExperimentConfig) -> ExperimentReport:
+    if cfg.mode != "collective":
+        raise ConfigError("mode", f"uc-sim runs collective channels only, not "
+                                  f"{cfg.mode!r}: its simulators extract")
     counter = _run_trials(cfg, _ucsim_trial)
     real = {key[1]: val for key, val in counter.items()
             if isinstance(key, tuple) and key[0] == "real"}

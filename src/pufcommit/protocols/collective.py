@@ -35,7 +35,7 @@ from ..functionality import Budgets
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
 from .common import (Outcome, TestQuery, commit_step, enroll, mask_commitment,
-                     open_step, probe_outputs, reproduce)
+                     open_step, probe_outputs, reproduce, take_helper)
 from .params import ExtPufParams
 
 __all__ = ["CollectiveSender", "CollectiveReceiver", "run_collective",
@@ -58,7 +58,6 @@ class CollectiveSender:
         self.n_strings = len(values)
         self.api = api
         self.sid = f"{label}{self.SID}"
-        self.probe_sid: Optional[str] = None
 
     def create_token(self) -> None:
         self.api.create(self.sid, self.params.main.puf)
@@ -84,9 +83,7 @@ class CollectiveSender:
 
     def query_probe(self) -> None:
         """Query the probe on the codeword of every st^i; zeros where it refuses."""
-        self.probe_sid = self.api.take_handover()
-        if self.probe_sid is None:
-            raise ProtocolAbort("await-probe")
+        self.probe_sid = self.api.take_handover("await-probe")
         self.st_e = []
         self.p_e = []
         for st_i in self.st:
@@ -119,7 +116,6 @@ class CollectiveReceiver:
         self.n_strings = n_strings
         self.api = api
         self.probe_sid = f"{label}{self.PROBE_SID}"
-        self.tq: Optional[TestQuery] = None
 
     def create_probe(self) -> None:
         p = self.params
@@ -130,24 +126,15 @@ class CollectiveReceiver:
         self.api.handover(self.probe_sid, sender)
 
     def receive_token_and_helpers(self, helper_cats: list[BitString]) -> None:
-        p = self.params
-        self.token_sid = self.api.take_handover()
-        if self.token_sid is None or len(helper_cats) != self.n_strings or any(
-            h is None or h.n != p.main.fe.helper_len for h in helper_cats
-        ):
+        self.token_sid = self.api.take_handover("await-token")
+        if len(helper_cats) != self.n_strings:
             raise ProtocolAbort("await-token")
-        self.helpers = [
-            HelperData.from_concat(h, p.main.fe.source_len) for h in helper_cats
-        ]
+        self.helpers = [take_helper(h, self.params.main.fe, "await-token")
+                        for h in helper_cats]
 
     def verify_return(self) -> None:
-        """Accept whatever token came back, then hold it to the fingerprint."""
-        returned = self.api.take_handover()
-        if returned is None:
-            raise ProtocolAbort("await-probe-return")
-        self.returned_probe = returned
-        if not self.tq.verify(self.api, returned, self.params.probe.fe):
-            raise ProtocolAbort("TQ_FAIL")
+        """Take back whatever token came back, held to the fingerprint."""
+        self.returned_probe = self.tq.take_back(self.api, self.params.probe.fe)
 
     def draw_masks(self) -> list[BitString]:
         self.masks = [

@@ -1,6 +1,6 @@
 """Shared protocol pieces: the run outcome with its commit and opening
-steps, the two token steps every commitment is made of, stride masking,
-the return check and the probe-refused fallback.
+steps, the two token steps every commitment is made of, the one helper
+intake, stride masking, the one return check and the probe-refused fallback.
 
 Every commitment binds a string to a token the same way: `enroll` draws
 a fresh challenge, reads the token on it and runs Gen; `reproduce`
@@ -17,7 +17,7 @@ from ..fuzzy import FuzzyExtractor, HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
 
 __all__ = ["Outcome", "commit_step", "open_step", "enroll", "reproduce",
-           "mask_commitment", "probe_outputs", "TestQuery"]
+           "take_helper", "mask_commitment", "probe_outputs", "TestQuery"]
 
 
 @dataclass
@@ -124,6 +124,13 @@ def reproduce(api: PartyHandle, sid: str, challenge: BitString, fe: FuzzyExtract
     return fe.rep(response, helper)
 
 
+def take_helper(wire: Optional[BitString], fe: FuzzyExtractor, step: str) -> HelperData:
+    """The helper data sent for fe; give up at `step` if none came or its width is off."""
+    if wire is None or wire.n != fe.helper_len:
+        raise ProtocolAbort(step)
+    return HelperData.from_concat(wire, fe.source_len)
+
+
 def mask_commitment(st: BitString, x: BitString, r: BitString, width: int) -> BitString:
     """c = st XOR (x spread across its strides AND r)."""
     return st ^ (spread(x, width) & r)
@@ -148,5 +155,9 @@ class TestQuery:
     secret: BitString
     helper: HelperData
 
-    def verify(self, api: PartyHandle, sid: str, fe: FuzzyExtractor) -> bool:
-        return reproduce(api, sid, self.challenge, fe, self.helper) == self.secret
+    def take_back(self, api: PartyHandle, fe: FuzzyExtractor) -> str:
+        """The returned token's sid; give up at TQ_FAIL unless it has this fingerprint."""
+        sid = api.take_handover("await-probe-return")
+        if reproduce(api, sid, self.challenge, fe, self.helper) != self.secret:
+            raise ProtocolAbort("TQ_FAIL")
+        return sid

@@ -17,7 +17,8 @@ from typing import Callable, Optional
 from ..bits import BitString
 from ..functionality import NO_CHANNEL_BUDGETS
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import Outcome, commit_step, enroll, mask_commitment, open_step, reproduce
+from .common import (Outcome, commit_step, enroll, mask_commitment, open_step, reproduce,
+                     take_helper)
 from .params import CpufParams
 
 __all__ = ["CpufSender", "CpufReceiver", "run_cpuf"]
@@ -55,15 +56,10 @@ class CpufReceiver:
     def __init__(self, params: CpufParams, api: PartyHandle):
         self.params = params
         self.api = api
-        self.token_sid: Optional[str] = None
 
     def receive_token_and_helper(self, helper: BitString) -> None:
-        from ..fuzzy import HelperData
-        fe = self.params.pair.fe
-        self.token_sid = self.api.take_handover()
-        if self.token_sid is None or helper is None or helper.n != fe.helper_len:
-            raise ProtocolAbort("await-token")
-        self.helper = HelperData.from_concat(helper, fe.source_len)
+        self.token_sid = self.api.take_handover("await-token")
+        self.helper = take_helper(helper, self.params.pair.fe, "await-token")
 
     def draw_mask(self) -> BitString:
         self.r = BitString.random(self.params.mask_len, self.api.rng)

@@ -25,7 +25,7 @@ from ..functionality import NO_CHANNEL_BUDGETS
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
 from .common import (Outcome, TestQuery, commit_step, enroll, mask_commitment,
-                     open_step, probe_outputs, reproduce)
+                     open_step, probe_outputs, reproduce, take_helper)
 from .params import OriginalExtPufParams
 
 __all__ = ["OriginalSender", "OriginalReceiver", "run_original_extpuf"]
@@ -41,12 +41,9 @@ class OriginalSender:
         self.params = params
         self.x = x
         self.api = api
-        self.probe_sid: Optional[str] = None
 
     def receive_probe(self) -> None:
-        self.probe_sid = self.api.take_handover()
-        if self.probe_sid is None:
-            raise ProtocolAbort("await-probe")
+        self.probe_sid = self.api.take_handover("await-probe")
 
     def setup(self) -> tuple:
         api, p = self.api, self.params
@@ -86,7 +83,6 @@ class OriginalReceiver:
     def __init__(self, params: OriginalExtPufParams, api: PartyHandle):
         self.params = params
         self.api = api
-        self.tq: Optional[TestQuery] = None
 
     def create_probe(self) -> None:
         p = self.params
@@ -98,15 +94,10 @@ class OriginalReceiver:
 
     def receive_tokens_and_helpers(self, p1_cat: BitString, p2_cat: BitString) -> None:
         p = self.params
-        self.first_sid = self.api.take_handover()
-        self.second_sid = self.api.take_handover()
-        if self.first_sid is None or self.second_sid is None:
-            raise ProtocolAbort("await-tokens")
-        if (p1_cat is None or p1_cat.n != p.first.fe.helper_len
-                or p2_cat is None or p2_cat.n != p.second.fe.helper_len):
-            raise ProtocolAbort("await-tokens")
-        self.p1 = HelperData.from_concat(p1_cat, p.first.fe.source_len)
-        self.p2 = HelperData.from_concat(p2_cat, p.second.fe.source_len)
+        self.first_sid = self.api.take_handover("await-tokens")
+        self.second_sid = self.api.take_handover("await-tokens")
+        self.p1 = take_helper(p1_cat, p.first.fe, "await-tokens")
+        self.p2 = take_helper(p2_cat, p.second.fe, "await-tokens")
 
     def draw_masks(self) -> tuple:
         p = self.params
@@ -122,11 +113,7 @@ class OriginalReceiver:
 
     def check_opening(self, s1, s2, x, st_e, p_e_cat) -> Optional[BitString]:
         p = self.params
-        returned = self.api.take_handover()
-        if returned is None:
-            raise ProtocolAbort("await-probe-return")
-        if not self.tq.verify(self.api, returned, p.probe.fe):
-            raise ProtocolAbort("TQ_FAIL")
+        returned = self.tq.take_back(self.api, p.probe.fe)
         if any(v is None for v in (s1, s2, x, st_e, p_e_cat)):
             return None
         if s1.n != p.n or s2.n != p.n or x.n != p.k:
@@ -137,10 +124,8 @@ class OriginalReceiver:
         if st1 is None:
             return None
         # The published step reproduces st_2 from the first token, which
-        # cannot succeed for honest runs; corrected reading uses the second.
-        # The literal replay is not even well-typed here: it reproduces None.
-        source_sid = self.first_sid if p.strict_figure_decommit else self.second_sid
-        st2 = reproduce(self.api, source_sid, s2, p.second.fe, self.p2)
+        # cannot succeed for honest runs; the corrected reading uses the second.
+        st2 = reproduce(self.api, self.second_sid, s2, p.second.fe, self.p2)
         if st2 is None or self.c1 != mask_commitment(st1, x, self.r1, p.l):
             return None
         cat = st_e.concat(p_e_cat)

@@ -123,8 +123,8 @@ class OriginalExtPufParams:
 
     The published decommit step reproduces the second secret from the
     first token, which makes every honest decommitment fail; that reads
-    as a typo for the second token, so the corrected reading is the
-    default and ``strict_figure_decommit`` replays the literal step.
+    as a typo for the second token, so the receiver runs the corrected
+    reading.
     """
 
     n: int
@@ -133,7 +133,6 @@ class OriginalExtPufParams:
     second: CommitPair    # carries st_E || p_E, extracted length m*l
     probe: CommitPair
     code: RepetitionCode  # k*l -> L
-    strict_figure_decommit: bool = False
 
     def __post_init__(self):
         if self.first.fe.out_len != self.k * self.l:
@@ -161,8 +160,7 @@ class OriginalExtPufParams:
         return self.k * self.l
 
     @classmethod
-    def standard(cls, n: int, k: int = 1, d_noise: int = 3,
-                 strict_figure_decommit: bool = False) -> "OriginalExtPufParams":
+    def standard(cls, n: int, k: int = 1, d_noise: int = 3) -> "OriginalExtPufParams":
         l = 3 * n
         code = RepetitionCode(k * l, 2 * _PROBE_D_MIN - 1)
         probe = _pair(code.code_len, n, d_noise=1, d_min=_PROBE_D_MIN, seed_bits=64)
@@ -174,5 +172,4 @@ class OriginalExtPufParams:
             second=_pair(n, cat * l, d_noise=1),
             probe=probe,
             code=code,
-            strict_figure_decommit=strict_figure_decommit,
         )

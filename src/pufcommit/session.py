@@ -5,7 +5,8 @@ labeled randomness stream per participant, all derived from a single
 master seed.  Protocol runners drive the parties phase by phase in a
 fixed order; the only scheduling freedom (when a handed-over token is
 actually delivered) belongs to the adversary hook, whose default
-completes every transfer immediately.
+completes every transfer immediately.  A party takes a delivered token
+with take_handover(step), which gives up at `step` when none is waiting.
 
 Everything that happens lands in the same ordered log: router events,
 direct protocol messages, phase annotations, exchange-phase markers and
@@ -55,25 +56,6 @@ class ImmediateDelivery:
     def on_invoke(self, session: "Session", sid: str, frm: str, to: str) -> None:
         session.route(session.functionality.handle(("ready", sid, ADVERSARY)))
         session.route(session.functionality.handle(("received", sid, ADVERSARY, frm)))
-
-
-class CuriousDelivery(ImmediateDelivery):
-    """Evaluates every in-transit token once before delivering it."""
-
-    def __init__(self, challenge_for):
-        self.challenge_for = challenge_for
-        self.observed: list = []
-
-    def on_invoke(self, session, sid, frm, to):
-        challenge = self.challenge_for(sid)
-        if challenge is not None:
-            deliveries = session.functionality.handle(("eval", sid, ADVERSARY, challenge))
-            for recipient, message in list(deliveries):
-                if message[0] == "response" and recipient == ADVERSARY:
-                    self.observed.append((sid, message[2], message[3]))
-                    deliveries.remove((recipient, message))
-            session.route(deliveries)
-        super().on_invoke(session, sid, frm, to)
 
 
 class Session:
@@ -136,13 +118,9 @@ class Session:
                 self.mailboxes.setdefault(recipient, []).append(message)
         return answer
 
-    def transfer(self, sid: str, frm: str, to: str) -> None:
-        deliveries = self.functionality.handle(("handover", sid, frm, to))
-        self.route(deliveries)
-
 
 class PartyHandle:
-    """Capability a party uses to touch the functionality and the wire."""
+    """Capability a party uses to touch the functionality and its inbox."""
 
     def __init__(self, session: Session, name: str, rng: Random):
         self.session = session
@@ -172,24 +150,23 @@ class PartyHandle:
         return self.session.route(deliveries, expect_for=self.name)
 
     def handover(self, sid: str, to: str) -> None:
-        self.session.transfer(sid, self.name, to)
+        session = self.session
+        session.route(session.functionality.handle(("handover", sid, self.name, to)))
 
-    # -- wire and inbox ----------------------------------------------------------
-
-    def send(self, to: str, name: str, payload):
-        return self.session.msg(self.name, to, name, payload)
+    # -- inbox -------------------------------------------------------------------
 
     def inbox(self) -> list:
         return self.session.mailboxes.setdefault(self.name, [])
 
-    def take_handover(self) -> Optional[str]:
-        """Pop the next delivered token sid from the inbox, if any."""
+    def take_handover(self, step: str) -> str:
+        """Pop the next delivered token sid from the inbox; give up at `step`
+        when no handed-over token is waiting."""
         box = self.inbox()
         for i, message in enumerate(box):
             if message[0] == "handover":
                 box.pop(i)
                 return message[1]
-        return None
+        raise ProtocolAbort(step)
 
 
 # ---------------------------------------------------------------------------

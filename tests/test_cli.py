@@ -180,6 +180,14 @@ def test_ucsim_adversary_outside_its_case_is_a_config_error(
     assert "adversary" in capsys.readouterr().err
 
 
+def test_ucsim_refuses_channels_it_cannot_extract(tmp_path: Path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("version: 1\nexperiment: uc-sim\ncase: receiver\n"
+                   "mode: per-string\nn: 4\ntrials: 2\n")
+    assert main(["experiment", str(cfg)]) == EXIT_CONFIG
+    assert "mode: uc-sim runs collective channels only" in capsys.readouterr().err
+
+
 def test_assertion_failure_exit_code(tmp_path: Path, monkeypatch):
     # force a failing verdict through an experiment that cannot pass at
     # tiny n: uc-sim's distance bound, where extraction collisions dominate

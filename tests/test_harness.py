@@ -3,12 +3,16 @@ import json
 import pickle
 from pathlib import Path
 
+from dataclasses import replace
+
 import pytest
 
 from pufcommit.adversaries import zoo
 from pufcommit.harness.config import ConfigError, ExperimentConfig, load_config
 from pufcommit.harness.experiments import EXPERIMENTS, PROTOCOL_TABLE, run_experiment
+from pufcommit.protocols import CpufSender
 from pufcommit.report import ExperimentReport, wilson_interval
+from pufcommit.session import count_resources
 
 
 def test_wilson_interval_basics():
@@ -178,6 +182,43 @@ def test_costs_experiment():
         experiment="costs", protocol="extpuf", n=8, k=2, trials=1, seed=1))
     assert report.details["measured"] == [2, 2]
     assert report.details["passed"]
+
+
+@pytest.mark.parametrize("protocol,counts", [("cpuf", [1, 1]),
+                                             ("original-extpuf", [3, 3])])
+def test_costs_checks_the_tokens_of_the_protocols_without_channels(protocol, counts):
+    report = run_experiment(ExperimentConfig(
+        experiment="costs", protocol=protocol, n=8, trials=1, seed=1))
+    assert report.details["expected"] == report.details["measured"] == counts
+    assert report.details["passed"]
+
+
+def test_costs_fails_when_a_run_differs_from_the_table(monkeypatch):
+    class SpareTokenSender(CpufSender):
+        def setup(self):
+            self.api.create("cpuf/spare", self.params.pair.puf)
+            return super().setup()
+
+    entry = PROTOCOL_TABLE["cpuf"]
+    monkeypatch.setitem(PROTOCOL_TABLE, "cpuf", replace(
+        entry, run=lambda p, values, seed, **kw: entry.run(
+            p, values, seed, sender_factory=SpareTokenSender, **kw)))
+    report = run_experiment(ExperimentConfig(
+        experiment="costs", protocol="cpuf", n=8, trials=1, seed=1))
+    assert report.details["measured"] == [2, 1]
+    assert report.details["expected"] == [1, 1]
+    assert report.details["honest_run_accepted"] and not report.details["passed"]
+
+
+@pytest.mark.parametrize("mode,tokens", [("collective", 4), ("per-string", 8 * 4 + 2)])
+def test_blob_equalities_runs_the_configured_channel_mode(mode, tokens):
+    cfg = ExperimentConfig(experiment="completeness", protocol="blob-equalities",
+                           mode=mode, n=4, trials=1, seed=1)
+    entry = PROTOCOL_TABLE["blob-equalities"]
+    out = entry.run(entry.params(cfg), [1], 5)
+    resources = count_resources(out.session.log)
+    assert out.committed
+    assert (resources["pufs_created"], resources["exchange_phases"]) == (tokens, tokens)
 
 
 def test_lemmas_experiment():

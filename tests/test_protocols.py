@@ -24,6 +24,7 @@ from pufcommit.protocols import (
     CpufSender,
     ExtPufParams,
     OriginalExtPufParams,
+    OriginalReceiver,
     OriginalSender,
     open_index,
     run_collective,
@@ -359,11 +360,20 @@ def test_original_flow_completeness_and_mask_lengths():
     assert out.receiver_view["r"].n == OP.k * OP.l
 
 
+class LiteralFigureReceiver(OriginalReceiver):
+    """Replays the published decommit step, which reproduces st_2 from the
+    first token."""
+
+    def receive_tokens_and_helpers(self, p1_cat, p2_cat):
+        super().receive_tokens_and_helpers(p1_cat, p2_cat)
+        self.second_sid = self.first_sid
+
+
 def test_original_strict_figure_decommit_breaks_completeness():
-    strict = OriginalExtPufParams.standard(8, 1, strict_figure_decommit=True)
     rejected = 0
     for i in range(10):
-        out = run_original_extpuf(strict, BitString.from01("1"), seed=9100 + i)
+        out = run_original_extpuf(OP, BitString.from01("1"), seed=9100 + i,
+                                  receiver_factory=LiteralFigureReceiver)
         rejected += int(out.accepted is False)
     assert rejected == 10
 
@@ -497,6 +507,105 @@ LOG_SHA256 = {
     "equalities-tampered-bit":
         "9f11524b9073bb957ba17c9489ebca27c579a6a26009f616d47c5dd7951ab23d",
 }
+
+
+def _with(party, **hooks):
+    """`party` with each named hook replaced."""
+    return type(party.__name__, (party,), hooks)
+
+
+def _keep(self, to):
+    """A hand-over that never happens: the token stays where it is."""
+
+
+def _return_decoy(self, receiver):
+    """Hands back a fresh token of the probe family in place of the probe."""
+    self.api.create("orig/decoy", self.params.probe.puf)
+    self.api.handover("orig/decoy", receiver)
+
+
+# case -> (run, the step its commit or opening gives up at); one run for
+# every way a party can be left without the token or helper it waits for
+INTAKE_RUNS = {
+    "cpuf-token-kept": (lambda: run_cpuf(
+        CP, X4, seed=31, sender_factory=_with(CpufSender, send_token=_keep)),
+        "await-token"),
+    "cpuf-helper-short": (lambda: run_cpuf(
+        CP, X4, seed=32, sender_factory=short_seed(CpufSender, "pair")), "await-token"),
+    "collective-token-kept": (lambda: run_collective(
+        EP, [X4, X4], seed=33, sender_factory=_with(CollectiveSender, send_token=_keep)),
+        "await-token"),
+    "collective-helper-short": (lambda: run_collective(
+        EP, [X4, X4], seed=42, sender_factory=short_seed(CollectiveSender, "main")),
+        "await-token"),
+    "collective-probe-unsent": (lambda: run_collective(
+        EP, [X4, X4], seed=34,
+        receiver_factory=_with(CollectiveReceiver, send_probe=_keep)), "await-probe"),
+    "collective-probe-kept": (lambda: run_collective(
+        EP, [X4, X4], seed=35,
+        sender_factory=_with(CollectiveSender, return_probe=_keep)), "await-probe-return"),
+    "collective-probe-kept-unchecked": (lambda: run_collective(
+        EP, [X4, X4], seed=36, sender_factory=_with(CollectiveSender, return_probe=_keep),
+        receiver_factory=AbortingProbeReceiver), "await-probe-return"),
+    "collective-substituted-probe": (lambda: run_collective(
+        EP, [X4, X4], seed=37, sender_factory=SubstitutingReturnSender), "TQ_FAIL"),
+    "original-one-token": (lambda: run_original_extpuf(
+        OP, BitString.from01("1"), seed=38, sender_factory=_with(
+            OriginalSender,
+            send_tokens=lambda self, to: self.api.handover(self.SID_FIRST, to))),
+        "await-tokens"),
+    "original-helper-short": (lambda: run_original_extpuf(
+        OP, BitString.from01("1"), seed=43,
+        sender_factory=short_seed(OriginalSender, "second")), "await-tokens"),
+    "original-probe-unsent": (lambda: run_original_extpuf(
+        OP, BitString.from01("1"), seed=39,
+        receiver_factory=_with(OriginalReceiver, send_probe=_keep)), "await-probe"),
+    "original-probe-kept": (lambda: run_original_extpuf(
+        OP, BitString.from01("1"), seed=40,
+        sender_factory=_with(OriginalSender, return_probe=_keep)), "await-probe-return"),
+    "original-substituted-probe": (lambda: run_original_extpuf(
+        OP, BitString.from01("1"), seed=41,
+        sender_factory=_with(OriginalSender, return_probe=_return_decoy)), "TQ_FAIL"),
+}
+SEEDED_RUNS.update({case: run for case, (run, _) in INTAKE_RUNS.items()})
+# taken before the party handle gave up by itself and the helper intake
+# and the return check were each written once
+LOG_SHA256.update({
+    "cpuf-token-kept":
+        "83662d5ea7026635466ab18d2f1f01778bc3e8eef71c64ba29c339a55f1dad4a",
+    "cpuf-helper-short":
+        "3875bf5a519a37f97c73793e4a1f41a4fb5db24b3691c361bab8172999ce3482",
+    "collective-token-kept":
+        "60a1dca1f02b6b53a639fdbdd49467ff26b6301289e50ea75cbeaaab91691d5b",
+    "collective-helper-short":
+        "68138d47585e6cd14ad3572258ff68a5cb8c26b7d888c0e4fa6fccea15bd2a7f",
+    "collective-probe-unsent":
+        "8e61cd1ae00be803d13211191894dd8b2f8d9c7e379b03f959ae915996982296",
+    "collective-probe-kept":
+        "0bb547d5841602f4e1150fed434b9c1056480833212c8e8f6c54f01736653937",
+    "collective-probe-kept-unchecked":
+        "d91f0064e6f4a7c34ec9e623bfad8dedf6a38e267082f8bcecddde8c2754e22f",
+    "collective-substituted-probe":
+        "19c57166af4f3ab74695fc530c7837dd53d5e1c98950112344da6c351ad10649",
+    "original-one-token":
+        "bdeb011714d2e6c371487b5906a143520982c43f73945bd20264198b5e8581ab",
+    "original-helper-short":
+        "9c685ddbb1cef893da90f63b517a71e8545ced771c84f926d9c026f7b9c0245d",
+    "original-probe-unsent":
+        "296e3aac527cb6e642087eb17aa67b9d34b54c97a820c359db2c33bab7117cb0",
+    "original-probe-kept":
+        "09555d583033a0b1863d3497ec98c2991e332f01259d26b06f77ef38f66f6946",
+    "original-substituted-probe":
+        "3c95145d09d006496c3a8fcba64402aba07c039c59b47e7968f568474c0a37e8",
+})
+
+
+@pytest.mark.parametrize("case", sorted(INTAKE_RUNS))
+def test_intake_runs_give_up_at_their_step(case):
+    run, step = INTAKE_RUNS[case]
+    out = run()
+    assert out.abort_step == step and out.accepted is False
+    assert out.session.log.records[-1].payload == f"abort:{step}"
 
 
 @pytest.mark.parametrize("case", sorted(SEEDED_RUNS))

@@ -1,12 +1,34 @@
+import pytest
+
 from pufcommit.bits import BitString
-from pufcommit.functionality import Budgets
+from pufcommit.functionality import ADVERSARY, Budgets
 from pufcommit.protocols import CpufParams, ExtPufParams, run_cpuf, run_extpuf
 from pufcommit.session import (
-    CuriousDelivery,
+    ImmediateDelivery,
+    ProtocolAbort,
     Session,
     count_resources,
     message_shapes,
 )
+
+
+class CuriousDelivery(ImmediateDelivery):
+    """Evaluates every in-transit token once before delivering it."""
+
+    def __init__(self, challenge_for):
+        self.challenge_for = challenge_for
+        self.observed: list = []
+
+    def on_invoke(self, session, sid, frm, to):
+        challenge = self.challenge_for(sid)
+        if challenge is not None:
+            deliveries = session.functionality.handle(("eval", sid, ADVERSARY, challenge))
+            for recipient, message in list(deliveries):
+                if message[0] == "response" and recipient == ADVERSARY:
+                    self.observed.append((sid, message[2], message[3]))
+                    deliveries.remove((recipient, message))
+            session.route(deliveries)
+        super().on_invoke(session, sid, frm, to)
 
 
 def test_same_seed_gives_byte_identical_logs():
@@ -68,8 +90,27 @@ def test_mailbox_and_handover_api():
     b = session.handle_for("B")
     a.create("t", PufParams.standard(8, 16, d_noise=1))
     a.handover("t", "B")
-    sid = b.take_handover()
+    sid = b.take_handover("await-token")
     assert sid == "t"
-    assert b.take_handover() is None
-    a.send("B", "hello", BitString.from01("1"))
+    with pytest.raises(ProtocolAbort):
+        b.take_handover("await-token")
+    session.msg("A", "B", "hello", BitString.from01("1"))
     assert session.log.records[-1].note == "hello"
+
+
+def test_take_handover_gives_up_at_its_step_when_nothing_was_handed_over():
+    from pufcommit.puf import PufParams
+
+    session = Session(9)
+    a = session.handle_for("A")
+    with pytest.raises(ProtocolAbort) as empty:
+        a.take_handover("await-probe")
+    assert empty.value.step == "await-probe"
+    # the creator's inbox then holds only `initialized` and `received`
+    a.create("t", PufParams.standard(8, 16, d_noise=1))
+    a.handover("t", "B")
+    assert [m[0] for m in a.inbox()] == ["initialized", "received"]
+    with pytest.raises(ProtocolAbort) as after:
+        a.take_handover("await-probe-return")
+    assert after.value.step == "await-probe-return"
+    assert len(a.inbox()) == 2
