@@ -36,7 +36,7 @@ __all__ = [
     "avg_min_entropy_matrix",
     "statistical_distance",
     "histogram_distance",
-    "check_entropy_lemmas",
+    "lemma_violations",
 ]
 
 
@@ -209,24 +209,10 @@ _CHECKS = {
 }
 
 
-def check_entropy_lemmas(trials: int, max_support: int = 8,
-                         seed: int = 0) -> tuple[dict, int]:
-    """Exhaustively verify the entropy inequalities on random joints.
-
-    Each trial samples fresh distributions with supports of size at most
-    ``max_support`` and compares both sides of every inequality exactly.
-    Returns (violations per lemma, trials with any violation): a violation
-    is counted, never raised.
-    """
-    rng = Random(seed)
-    violations = dict.fromkeys(_CHECKS, 0)
-    failed_trials = 0
-    for _ in range(trials):
-        bad = False
-        for name, check in _CHECKS.items():
-            if any(lhs > rhs for lhs, rhs in check(rng, max_support)):
-                violations[name] += 1
-                bad = True
-        if bad:
-            failed_trials += 1
-    return violations, failed_trials
+def lemma_violations(rng: Random, max_support: int = 8) -> dict:
+    """One trial of the suite: draw fresh distributions with supports of
+    size at most ``max_support`` from rng, compare both sides of every
+    inequality exactly, and return {lemma: violated}.  A violation is
+    reported, never raised; the caller counts trials."""
+    return {name: any(lhs > rhs for lhs, rhs in check(rng, max_support))
+            for name, check in _CHECKS.items()}

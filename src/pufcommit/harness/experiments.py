@@ -1,10 +1,12 @@
 """Experiment driver: every acceptance experiment as a pure function of
 (config, master seed).
 
-Per-trial seeds are derived from the master seed by counter, trials are
-independent, and aggregation is a commutative counter merge, so trials
-may run in any order and across worker processes without changing the
-report.  Wall time is measured but kept out of the canonical report.
+Every experiment runs its trials through `_run_trials`, except `costs`,
+whose one honest trial settles the accounting.  Trial i draws only from
+streams seeded by (master seed, label, i), and aggregation is a
+commutative counter merge, so trials may run in any order and across
+worker processes without changing the report.  Wall time is measured but
+kept out of the canonical report.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Optional
 
 from ..adversaries import AmbiguousQuerySender, zoo
 from ..bits import BitString, hamming_distance
-from ..entropy import check_entropy_lemmas, histogram_distance
+from ..entropy import histogram_distance, lemma_violations
 from ..extract import run_extractor_collective, run_extractor_original
 from ..functionality import check_order_discipline
 from ..prf import derive_seed
@@ -37,7 +39,6 @@ from ..protocols import (
     run_uccompiler,
 )
 from ..protocols.common import mask_commitment, reproduce
-from ..protocols.params import _pair
 from .config import ConfigError, ExperimentConfig
 from .ucsim import (
     run_ideal_receiver_corrupt,
@@ -87,6 +88,7 @@ class ProtocolEntry:
     cost: Optional[Callable] = None    # cfg -> expected (tokens, exchange phases)
     commit_view: Optional[Callable] = None        # (params, outcome) -> hiding view
     transcript: bool = False           # the demo prints an honest transcript
+    channels: bool = False             # it runs the compiler's channels, so reads mode
 
     def sample(self, cfg: ExperimentConfig, rng: Random) -> list:
         if self.strings is None:
@@ -131,6 +133,7 @@ PROTOCOL_TABLE = {
         strings=None,
         cost=lambda cfg: ((4, 4) if cfg.mode == "collective"
                           else (8 * cfg.n + 2, 8 * cfg.n + 2)),
+        channels=True,
     ),
     "blob-equalities": ProtocolEntry(
         params=lambda cfg: cfg,
@@ -139,6 +142,7 @@ PROTOCOL_TABLE = {
         experiments=frozenset({"completeness"}),
         strings=None,
         honest_ok=lambda values, out: out.committed,
+        channels=True,
     ),
 }
 
@@ -147,6 +151,8 @@ def _entry(cfg: ExperimentConfig) -> ProtocolEntry:
     entry = PROTOCOL_TABLE.get(cfg.protocol)
     if entry is None or cfg.experiment not in entry.experiments:
         raise ConfigError("protocol", f"{cfg.experiment} undefined for {cfg.protocol!r}")
+    if cfg.mode != "collective" and not entry.channels:
+        raise ConfigError("mode", f"{cfg.protocol} runs no channels, so no {cfg.mode!r} ones")
     return entry
 
 
@@ -277,7 +283,6 @@ def _hiding_trial(cfg: ExperimentConfig, i: int) -> Counter:
     b = rng.getrandbits(1)
     view = _commit_view(cfg, b, _tseed(cfg, "run", i))
     x0, x1 = BitString.zeros(cfg.k), BitString.ones(cfg.k)
-    guess = None
     for _ in range(2):  # the baseline reconstruction attempt, twice
         q = BitString.random(cfg.n, rng)
         st_guess = reproduce(view["api"], view["token"], q, view["fe"], view["helper"])
@@ -287,7 +292,7 @@ def _hiding_trial(cfg: ExperimentConfig, i: int) -> Counter:
         if view["c"] == mask_commitment(st_guess, x1, view["r"], view["width"]):
             guess = 1
             break
-    if guess is None:
+    else:
         guess = rng.getrandbits(1)
     return Counter(success=int(guess == b))
 
@@ -299,6 +304,9 @@ def _costs_run(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.trials != 1:
         raise ConfigError("trials", f"costs runs exactly one trial, not {cfg.trials}; "
                                     f"set trials: 1")
+    if cfg.jobs != 1:
+        raise ConfigError("jobs", f"costs runs one trial in one process, not on "
+                                  f"{cfg.jobs} workers")
     values = entry.sample(cfg, _trial_rng(cfg, "input", 0))
     out = _run(entry, cfg, values, _tseed(cfg, "run", 0))
     ok = entry.honest_ok(values, out)
@@ -313,7 +321,7 @@ def _costs_run(cfg: ExperimentConfig) -> ExperimentReport:
         "honest_run_accepted": ok,
     }
     return _report(cfg, int(passed), details, f"{cfg.experiment}/{cfg.protocol}/{cfg.mode}",
-                   trials=1, resources=resources)
+                   resources=resources)
 
 
 def _ucsim_trial(cfg: ExperimentConfig, i: int) -> Counter:
@@ -367,58 +375,60 @@ def _run_trials(cfg: ExperimentConfig, trial: Callable) -> Counter:
 
 
 def _report(cfg: ExperimentConfig, successes: int, details: dict, name: str = "",
-            trials: Optional[int] = None, aborts: Optional[dict] = None,
-            resources: Optional[dict] = None) -> ExperimentReport:
+            aborts: Optional[dict] = None, resources: Optional[dict] = None) -> ExperimentReport:
     """Every report the harness returns.  It takes the config's name, else
     `name`, else experiment/protocol/adversary; a trial that neither
     succeeded nor aborted failed."""
-    trials = cfg.trials if trials is None else trials
     aborts = aborts or {}
     return ExperimentReport(
         name=cfg.name or name or f"{cfg.experiment}/{cfg.protocol or '-'}/{cfg.adversary}",
-        trials=trials, successes=successes,
-        failures=trials - successes - sum(aborts.values()),
+        trials=cfg.trials, successes=successes,
+        failures=cfg.trials - successes - sum(aborts.values()),
         aborts_by_step=aborts, details=details, resources=resources or {},
     )
 
 
-def _counter_report(cfg: ExperimentConfig, counter: Counter) -> ExperimentReport:
+def _counter_report(cfg: ExperimentConfig, counter: Counter,
+                    name: str = "") -> ExperimentReport:
     successes = counter.pop("success", 0)
     aborts = {key.split(":", 1)[1]: val for key, val in counter.items()
               if key.startswith("abort:")}
     details = {key: val for key, val in counter.items() if not key.startswith("abort:")}
-    return _report(cfg, successes, details, aborts=aborts)
+    return _report(cfg, successes, details, name, aborts=aborts)
+
+
+def _tagged(counter: Counter, tag: str) -> dict:
+    """The histogram that trials merged into counter under (tag, key) keys."""
+    return {key[1]: val for key, val in counter.items()
+            if isinstance(key, tuple) and key[0] == tag}
 
 
 # ---------------------------------------------------------------------------
 # Runners: each takes the config and returns the report with its verdict
 # ---------------------------------------------------------------------------
 
-def _serial(run: Callable) -> Callable:
-    """The runner of an experiment whose trials never reach the worker pool,
-    so it refuses more than one job."""
-    def checked(cfg: ExperimentConfig) -> ExperimentReport:
-        if cfg.jobs > 1:
-            raise ConfigError("jobs", f"{cfg.experiment} runs its trials in one "
-                                      f"process, not on {cfg.jobs} workers")
-        return run(cfg)
-    return checked
-
-
-def _every_trial(trial: Callable) -> Callable:
-    """The runner of an experiment that passes when every trial succeeds."""
+def _counted(trial: Callable, verdict: Callable, name: str = "") -> Callable:
+    """The runner of an experiment whose report tallies the merged trial
+    counters; verdict(cfg, report) returns the details it adds, "passed"
+    among them."""
     def run(cfg: ExperimentConfig) -> ExperimentReport:
-        report = _counter_report(cfg, _run_trials(cfg, trial))
-        report.details["passed"] = report.successes == cfg.trials
+        report = _counter_report(cfg, _run_trials(cfg, trial), name)
+        report.details.update(verdict(cfg, report))
         return report
     return run
 
 
-def _hiding(cfg: ExperimentConfig) -> ExperimentReport:
-    report = _counter_report(cfg, _run_trials(cfg, _hiding_trial))
+def _every_trial(cfg: ExperimentConfig, report: ExperimentReport) -> dict:
+    """The verdict of an experiment that passes when every trial succeeds."""
+    return {"passed": report.successes == cfg.trials}
+
+
+def _guessing_game(cfg: ExperimentConfig, report: ExperimentReport) -> dict:
+    """The verdict of a game whose trial succeeds when the distinguisher
+    guesses a hidden coin: it passes while the advantage over a coin flip
+    stays within HIDING_BOUND."""
     advantage = abs(report.p_hat - 0.5)
-    report.details.update(advantage=advantage, passed=advantage <= HIDING_BOUND)
-    return report
+    return {"advantage": advantage, "passed": advantage <= HIDING_BOUND}
 
 
 def _ucsim(cfg: ExperimentConfig) -> ExperimentReport:
@@ -426,10 +436,7 @@ def _ucsim(cfg: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("mode", f"uc-sim runs collective channels only, not "
                                   f"{cfg.mode!r}: its simulators extract")
     counter = _run_trials(cfg, _ucsim_trial)
-    real = {key[1]: val for key, val in counter.items()
-            if isinstance(key, tuple) and key[0] == "real"}
-    ideal = {key[1]: val for key, val in counter.items()
-             if isinstance(key, tuple) and key[0] == "ideal"}
+    real, ideal = _tagged(counter, "real"), _tagged(counter, "ideal")
     sd = histogram_distance(real, ideal)
     ambiguous = counter.get("sim_ambiguous_abort", 0)
     passed = sd <= SD_BOUND
@@ -450,177 +457,164 @@ def _ucsim(cfg: ExperimentConfig) -> ExperimentReport:
     return _report(cfg, cfg.trials, details)
 
 
-def _lemmas(cfg: ExperimentConfig) -> ExperimentReport:
+def _max_support(cfg: ExperimentConfig) -> int:
     max_support = cfg.extras.get("max_support", 8)
     if not isinstance(max_support, int) or not 2 <= max_support <= 8:
         raise ConfigError("max_support", f"{max_support!r} is not a support "
                           "size in 2..8, the range the suite enumerates")
-    violations, failed = check_entropy_lemmas(cfg.trials, max_support, cfg.seed)
-    details = {"violations": violations, "max_support": max_support, "tolerance": 0,
-               "passed": failed == 0}
-    return _report(cfg, cfg.trials - failed, details, "entropy-lemmas")
+    return max_support
+
+
+def _lemmas_trial(cfg: ExperimentConfig, i: int) -> Counter:
+    violated = lemma_violations(_trial_rng(cfg, "lemmas", i), _max_support(cfg))
+    return Counter({("violated", lemma): int(bad) for lemma, bad in violated.items()},
+                   success=int(not any(violated.values())))
+
+
+def _lemmas(cfg: ExperimentConfig) -> ExperimentReport:
+    counter = _run_trials(cfg, _lemmas_trial)
+    details = {"violations": _tagged(counter, "violated"), "max_support": _max_support(cfg),
+               "tolerance": 0, "passed": counter["success"] == cfg.trials}
+    return _report(cfg, counter["success"], details, "entropy-lemmas")
 
 
 # ---------------------------------------------------------------------------
-# Family-level games without the router
+# Family-level games without the router: one trial each, on the "game"
+# stream, and the verdict that judges them
 # ---------------------------------------------------------------------------
 
-def _close_queries(cfg: ExperimentConfig) -> ExperimentReport:
-    """Blind-guess baseline for landing a query inside the d_min ball.
+def _enrolled(pair, rng: Random) -> tuple:
+    """A fresh instance of pair's family, a random challenge s, and the
+    (st, p) that Gen makes of the instance's response to s."""
+    inst = sample_puf(pair.puf, rng)
+    s = BitString.random(pair.puf.n, rng)
+    st, p = pair.fe.gen(inst.respond(s, rng), rng)
+    return inst, s, st, p
 
-    The adversary holds (sigma, instance) and fires `queries` uniform
-    queries; a trial succeeds if any lands within d_min of the secret
-    challenge, and the baseline should stay under 10x the ball fraction.
-    At n <= 10 the report also carries a plug-in estimate of how much a
-    response reveals about its challenge: -log2 of the maximum pooled
-    challenge frequency, which should approach n because the keyed map
-    carries no challenge information.
-    """
+
+def _queries(cfg: ExperimentConfig) -> int:
     queries = cfg.extras.get("queries", 8)
     if type(queries) is not int or queries < 1:
         raise ConfigError("queries", f"{queries!r} is not a positive number of "
                           "queries per trial")
-    params = PufParams.standard(cfg.n, 8 * ((cfg.n + 7) // 8), d_noise=1)
-    rng = Random(cfg.seed)
-    hits = 0
-    for _ in range(cfg.trials):
-        inst = sample_puf(params, rng)
-        s = BitString.random(params.n, rng)
-        inst.respond(s, rng)
-        got = False
-        for _ in range(queries):
-            q = BitString.random(params.n, rng)
-            inst.respond(q, rng)
-            if hamming_distance(q, s) < params.d_min:
-                got = True
-        hits += got
-    rate = hits / cfg.trials
-    bound = 10.0 * params.ball_fraction()
-    details = {"hit_rate": rate, "bound": bound, "within_bound": rate <= bound,
-               "passed": rate <= bound, "queries_per_trial": queries}
-    if cfg.n <= 10:
-        samples = min(1 << (cfg.n + 6), 1 << 16)
-        rng = Random(cfg.seed)
-        counts: Counter = Counter()
-        for _ in range(samples):
-            inst = sample_puf(params, rng)
-            s = BitString.random(params.n, rng)
-            inst.respond(s, rng)  # response drawn; independent of s by construction
-            counts[s.value] += 1
-        details["preimage_entropy_estimate"] = -math.log2(max(counts.values()) / samples)
-    return _report(cfg, hits, details, "close-query")
+    return queries
 
 
-def _test_queries(cfg: ExperimentConfig) -> ExperimentReport:
-    """Detection rate of the random-challenge return check.
+def _close_query_trial(cfg: ExperimentConfig, i: int) -> Counter:
+    """The adversary holds (sigma, instance) and fires `queries` uniform
+    queries; it succeeds if any lands within d_min of the secret challenge."""
+    params = _params(PufParams, cfg.n, 8 * ((cfg.n + 7) // 8), 1)
+    rng = _trial_rng(cfg, "game", i)
+    inst = sample_puf(params, rng)
+    s = BitString.random(params.n, rng)
+    inst.respond(s, rng)
+    got = False
+    for _ in range(_queries(cfg)):
+        q = BitString.random(params.n, rng)
+        inst.respond(q, rng)
+        got |= hamming_distance(q, s) < params.d_min
+    return Counter(success=int(got))
 
-    The challenger records (s, st, p) from its own probe instance, gets
+
+def _close_query_verdict(cfg: ExperimentConfig, report: ExperimentReport) -> dict:
+    """Blind-guess baseline for landing a query inside the d_min ball: the
+    hit rate should stay under 10x the ball fraction."""
+    rate = report.p_hat
+    bound = 10.0 * _params(PufParams, cfg.n, 8 * ((cfg.n + 7) // 8), 1).ball_fraction()
+    return {"hit_rate": rate, "bound": bound, "within_bound": rate <= bound,
+            "passed": rate <= bound, "queries_per_trial": _queries(cfg)}
+
+
+def _test_query_trial(cfg: ExperimentConfig, i: int) -> Counter:
+    """The challenger records (s, st, p) from its own probe instance, gets
     back either a fresh instance or the one it sent, and re-runs the
-    reproduction check.  It passes when at least 99% of substitutions are
-    flagged and no honest return is.
-    """
+    reproduction check: once substituted on the "game" stream, once
+    returned honestly on the "honest" stream."""
     pair = _params(ExtPufParams, cfg.n, 1, cfg.d_noise).probe
 
-    def reproduced(substitute: bool, rng: Random) -> int:
-        count = 0
-        for _ in range(cfg.trials):
-            inst = sample_puf(pair.puf, rng)
-            s = BitString.random(pair.puf.n, rng)
-            st, p = pair.fe.gen(inst.respond(s, rng), rng)
-            returned = sample_puf(pair.puf, rng) if substitute else inst
-            count += pair.fe.rep(returned.respond(s, rng), p) == st
-        return count
+    def reproduced(substitute: bool, rng: Random) -> bool:
+        inst, s, st, p = _enrolled(pair, rng)
+        returned = sample_puf(pair.puf, rng) if substitute else inst
+        return pair.fe.rep(returned.respond(s, rng), p) == st
 
-    detected = cfg.trials - reproduced(True, Random(cfg.seed))
-    false_positives = cfg.trials - reproduced(False, Random(derive_seed(cfg.seed, "honest")))
-    rate = detected / cfg.trials
-    details = {
-        "passed": rate >= 0.99 and false_positives == 0,
-        "detection_rate": rate,
-        "honest_false_positives": false_positives,
-    }
-    return _report(cfg, detected, details, cfg.experiment)
+    return Counter(
+        success=int(not reproduced(True, _trial_rng(cfg, "game", i))),
+        honest_false_positives=int(not reproduced(False, _trial_rng(cfg, "honest", i))))
 
 
-def _indist_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def _test_query_verdict(cfg: ExperimentConfig, report: ExperimentReport) -> dict:
+    """Detection rate of the random-challenge return check: it passes when
+    at least 99% of substitutions are flagged and no honest return is."""
+    return {"detection_rate": report.p_hat, "passed": report.p_hat >= 0.99
+            and report.details["honest_false_positives"] == 0}
+
+
+def _indist_trial(cfg: ExperimentConfig, i: int) -> Counter:
     """Baseline distinguisher for extracted-versus-uniform: it queries the
     instance away from the secret challenge and tries to reproduce the
     candidate string; failing that it flips a coin."""
-    pair = _pair(cfg.n, cfg.n, d_noise=1)
-    rng = Random(cfg.seed)
-    wins = 0
-    for _ in range(cfg.trials):
-        inst = sample_puf(pair.puf, rng)
-        s = BitString.random(cfg.n, rng)
-        st, p = pair.fe.gen(inst.respond(s, rng), rng)
-        b = rng.getrandbits(1)
-        shown = BitString.random(pair.fe.out_len, rng) if b else st
-        guess = None
-        for _ in range(4):
-            q = BitString.random(cfg.n, rng)
-            if hamming_distance(q, s) < pair.puf.d_min:
-                continue
-            if pair.fe.rep(inst.respond(q, rng), p) == shown:
-                guess = 0
-                break
-        if guess is None:
-            guess = rng.getrandbits(1)
-        wins += int(guess == b)
-    advantage = abs(wins / cfg.trials - 0.5)
-    details = {"advantage": advantage, "passed": advantage <= HIDING_BOUND}
-    return _report(cfg, wins, details, cfg.experiment)
+    pair = _params(ExtPufParams, cfg.n, 1, 1).main
+    rng = _trial_rng(cfg, "game", i)
+    inst, s, st, p = _enrolled(pair, rng)
+    b = rng.getrandbits(1)
+    shown = BitString.random(pair.fe.out_len, rng) if b else st
+    for _ in range(4):
+        q = BitString.random(cfg.n, rng)
+        if (hamming_distance(q, s) >= pair.puf.d_min
+                and pair.fe.rep(inst.respond(q, rng), p) == shown):
+            guess = 0
+            break
+    else:
+        guess = rng.getrandbits(1)
+    return Counter(success=int(guess == b))
 
 
-def _crp_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def _crp_trial(cfg: ExperimentConfig, i: int) -> Counter:
     """Baseline forger: queries the instance wherever it likes, then must
-    name a fresh far-away challenge together with a reproducible secret.
-    A positive pass here is evidence for the assumption, not a proof."""
-    pair = _pair(cfg.n, cfg.n, d_noise=1)
-    rng = Random(cfg.seed)
-    forged = 0
-    for _ in range(cfg.trials):
-        inst = sample_puf(pair.puf, rng)
-        queries = [BitString.random(cfg.n, rng) for _ in range(8)]
-        st, p = pair.fe.gen(inst.respond(queries[0], rng), rng)
-        while True:
-            s = BitString.random(cfg.n, rng)
-            if all(hamming_distance(s, q) >= pair.puf.d_min for q in queries):
-                break
-        if pair.fe.rep(inst.respond(s, rng), p) == st:
-            forged += 1
-    rate = forged / cfg.trials
-    details = {"forgery_rate": rate, "passed": rate <= 0.01}
-    return _report(cfg, cfg.trials - forged, details, cfg.experiment)
+    name a fresh far-away challenge together with a reproducible secret;
+    the trial succeeds when the forgery fails."""
+    pair = _params(ExtPufParams, cfg.n, 1, 1).main
+    rng = _trial_rng(cfg, "game", i)
+    inst = sample_puf(pair.puf, rng)
+    queries = [BitString.random(cfg.n, rng) for _ in range(8)]
+    st, p = pair.fe.gen(inst.respond(queries[0], rng), rng)
+    while True:
+        s = BitString.random(cfg.n, rng)
+        if all(hamming_distance(s, q) >= pair.puf.d_min for q in queries):
+            break
+    return Counter(success=int(pair.fe.rep(inst.respond(s, rng), p) != st))
 
 
-def _fe_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
+def _crp_verdict(cfg: ExperimentConfig, report: ExperimentReport) -> dict:
+    """A positive pass here is evidence for the assumption, not a proof."""
+    rate = report.failures / cfg.trials
+    return {"forgery_rate": rate, "passed": rate <= 0.01}
+
+
+def _fe_roundtrip_trial(cfg: ExperimentConfig, i: int) -> Counter:
     pair = _params(ExtPufParams, cfg.n, cfg.k, cfg.d_noise).main
-    rng = Random(cfg.seed)
-    ok = 0
-    for _ in range(cfg.trials):
-        inst = sample_puf(pair.puf, rng)
-        s = BitString.random(pair.puf.n, rng)
-        st, p = pair.fe.gen(inst.respond(s, rng), rng)
-        ok += int(pair.fe.rep(inst.respond(s, rng), p) == st)
-    return _report(cfg, ok, {"passed": ok == cfg.trials}, cfg.experiment)
+    rng = _trial_rng(cfg, "game", i)
+    inst, s, st, p = _enrolled(pair, rng)
+    return Counter(success=int(pair.fe.rep(inst.respond(s, rng), p) == st))
+
+
+def _fe_uniformity_trial(cfg: ExperimentConfig, i: int) -> Counter:
+    """The 4-bit projections of one extracted string, fresh instance per
+    trial, and of one uniform string."""
+    pair = _params(ExtPufParams, cfg.n, cfg.k, cfg.d_noise).main
+    rng = _trial_rng(cfg, "game", i)
+    _, _, st, _ = _enrolled(pair, rng)
+    return Counter({("real", st.value & 0xF): 1,
+                    ("unif", rng.getrandbits(pair.fe.out_len) & 0xF): 1})
 
 
 def _fe_uniformity(cfg: ExperimentConfig) -> ExperimentReport:
-    """Extracted-string-versus-uniform histograms on a 4-bit projection,
-    fresh instance per sample; sampling noise dominates the distance."""
-    pair = _params(ExtPufParams, cfg.n, cfg.k, cfg.d_noise).main
-    rng = Random(cfg.seed)
-    real: Counter = Counter()
-    unif: Counter = Counter()
-    for _ in range(cfg.trials):
-        inst = sample_puf(pair.puf, rng)
-        s = BitString.random(pair.puf.n, rng)
-        st, p = pair.fe.gen(inst.respond(s, rng), rng)
-        real[st.value & 0xF] += 1
-        unif[rng.getrandbits(pair.fe.out_len) & 0xF] += 1
-    sd = histogram_distance(real, unif)
+    """Extracted-string-versus-uniform histograms; sampling noise dominates
+    the distance."""
+    counter = _run_trials(cfg, _fe_uniformity_trial)
+    sd = histogram_distance(_tagged(counter, "real"), _tagged(counter, "unif"))
     return _report(cfg, cfg.trials, {"feature_sd": sd, "passed": sd <= SD_BOUND},
-                   cfg.experiment)
+                   "fe-uniformity")
 
 
 # ---------------------------------------------------------------------------
@@ -628,21 +622,21 @@ def _fe_uniformity(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 EXPERIMENTS = {
-    "completeness": _every_trial(_completeness_trial),
-    "attack-original": _every_trial(_attack_original_trial),
-    "attack-neutralized": _every_trial(_neutralized_trial),
-    "binding": _every_trial(_binding_trial),
-    "hiding": _hiding,
-    "extraction": _every_trial(_extraction_trial),
-    "costs": _serial(_costs_run),
-    "lemmas": _serial(_lemmas),
+    "completeness": _counted(_completeness_trial, _every_trial),
+    "attack-original": _counted(_attack_original_trial, _every_trial),
+    "attack-neutralized": _counted(_neutralized_trial, _every_trial),
+    "binding": _counted(_binding_trial, _every_trial),
+    "hiding": _counted(_hiding_trial, _guessing_game),
+    "extraction": _counted(_extraction_trial, _every_trial),
+    "costs": _costs_run,
+    "lemmas": _lemmas,
     "uc-sim": _ucsim,
-    "props-cq": _serial(_close_queries),
-    "props-indist": _serial(_indist_experiment),
-    "props-crp": _serial(_crp_experiment),
-    "props-tq": _serial(_test_queries),
-    "fe-roundtrip": _serial(_fe_roundtrip),
-    "fe-uniformity": _serial(_fe_uniformity),
+    "props-cq": _counted(_close_query_trial, _close_query_verdict, "close-query"),
+    "props-indist": _counted(_indist_trial, _guessing_game, "props-indist"),
+    "props-crp": _counted(_crp_trial, _crp_verdict, "props-crp"),
+    "props-tq": _counted(_test_query_trial, _test_query_verdict, "props-tq"),
+    "fe-roundtrip": _counted(_fe_roundtrip_trial, _every_trial, "fe-roundtrip"),
+    "fe-uniformity": _fe_uniformity,
 }
 
 # the config extras each experiment reads; validation refuses any other

@@ -134,6 +134,11 @@ class PerStringChannel(CollectiveChannel):
 
 CHANNELS = {"collective": CollectiveChannel, "per-string": PerStringChannel}
 
+# Least mask width of a one-bit channel string.  The collective extractor
+# matches another index's query with probability about 2(N-1)/2^width
+# (N = 4n on the blob channel), so n-bit masks collide at small n.
+_CHANNEL_WIDTH = 24
+
 
 # ---------------------------------------------------------------------------
 # Compiler-level parties
@@ -258,7 +263,7 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
     if channel is None:
         raise ValueError(f"unknown channel mode {mode!r}")
     session = Session(seed, budgets=EXTPUF_BUDGETS)
-    params_bits = ExtPufParams.standard(n, 1, d_noise=d_noise)
+    params_bits = ExtPufParams.standard(max(n, _CHANNEL_WIDTH), 1, d_noise=d_noise)
     params_e = (ExtPufParams.standard(n, n, d_noise=d_noise)
                 if mode == "per-string" else params_bits)
 

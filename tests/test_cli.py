@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import yaml
 
 from pufcommit.harness.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, main
 from pufcommit.harness.config import ExperimentConfig
+from pufcommit.harness.experiments import PROTOCOL_TABLE
 from pufcommit.protocols import CHANNELS, run_uccompiler
 
 
@@ -94,7 +96,8 @@ def test_props_subcommand(capsys):
 
 def test_jobs_on_a_serial_experiment_exits_2(tmp_path: Path, capsys):
     cfg = tmp_path / "exp.yaml"
-    cfg.write_text("version: 1\nexperiment: props-crp\nn: 8\ntrials: 5\njobs: 3\n")
+    cfg.write_text("version: 1\nexperiment: costs\nprotocol: cpuf\nn: 8\ntrials: 1\n"
+                   "jobs: 3\n")
     assert main(["experiment", str(cfg)]) == EXIT_CONFIG
     assert "jobs:" in capsys.readouterr().err
 
@@ -188,15 +191,30 @@ def test_ucsim_refuses_channels_it_cannot_extract(tmp_path: Path, capsys):
     assert "mode: uc-sim runs collective channels only" in capsys.readouterr().err
 
 
-def test_assertion_failure_exit_code(tmp_path: Path, monkeypatch):
-    # force a failing verdict through an experiment that cannot pass at
-    # tiny n: uc-sim's distance bound, where extraction collisions dominate
+def test_assertion_failure_exit_code(monkeypatch):
+    # a cost table that expects a second token fails the honest cpuf run,
+    # which creates one token in one exchange phase
+    monkeypatch.setitem(PROTOCOL_TABLE, "cpuf",
+                        replace(PROTOCOL_TABLE["cpuf"], cost=lambda cfg: (2, 2)))
+    assert main(["costs", "cpuf", "--n", "8"]) == EXIT_ASSERT
+
+
+@pytest.mark.parametrize("case", ["receiver", "sender"])
+def test_ucsim_passes_at_the_default_n(case):
+    # one-bit channel strings are masked by at least 24 bits, so the
+    # collective extractor does not confuse indices at n = 8
+    assert main(["uc-sim", case, "--trials", "60"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("protocol", ["cpuf", "extpuf", "collextpuf", "original-extpuf"])
+def test_mode_on_a_protocol_without_channels_exits_2(tmp_path: Path, capsys, protocol):
+    assert main(["costs", protocol, "--n", "8", "--mode", "per-string"]) == EXIT_CONFIG
+    assert "mode:" in capsys.readouterr().err
     cfg = tmp_path / "exp.yaml"
-    cfg.write_text(
-        "version: 1\nexperiment: uc-sim\ncase: receiver\n"
-        "n: 4\nd_noise: 1\ntrials: 30\nseed: 7\n"
-    )
-    assert main(["experiment", str(cfg)]) == EXIT_ASSERT
+    cfg.write_text(f"version: 1\nexperiment: completeness\nprotocol: {protocol}\n"
+                   "mode: per-string\nn: 8\ntrials: 2\n")
+    assert main(["experiment", str(cfg)]) == EXIT_CONFIG
+    assert f"mode: {protocol} runs no channels" in capsys.readouterr().err
 
 
 def test_ucsim_subcommand_small():

@@ -7,9 +7,9 @@ import pytest
 from pufcommit import entropy
 from pufcommit.entropy import (
     avg_min_entropy_matrix,
-    check_entropy_lemmas,
     guessing_weight,
     histogram_distance,
+    lemma_violations,
     max_entropy,
     min_entropy,
     statistical_distance,
@@ -101,6 +101,21 @@ def test_chain_rule_constant_extra_is_tight():
     flat = [[v for cell in row for v in cell] for row in with_const]
     assert guessing_weight(flat) == guessing_weight(w)
     assert max_entropy(1) == 0.0
+
+
+def check_entropy_lemmas(trials: int, max_support: int = 8,
+                         seed: int = 0) -> tuple[dict, int]:
+    """The suite over one stream: (violations per lemma, trials with any
+    violation)."""
+    rng = Random(seed)
+    violations = dict.fromkeys(entropy._CHECKS, 0)
+    failed_trials = 0
+    for _ in range(trials):
+        violated = lemma_violations(rng, max_support)
+        for name, bad in violated.items():
+            violations[name] += bad
+        failed_trials += any(violated.values())
+    return violations, failed_trials
 
 
 def test_lemma_suite_small_run():

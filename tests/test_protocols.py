@@ -495,17 +495,19 @@ LOG_SHA256 = {
     "extpuf": "894facfe956af516d48517f83555d09a6055b8ba94a6ed57379930eecefa5b70",
     "collective": "ed93223e1f0a1bc265a9e97a4535e7e6564b72e5b79ad18f377849ff25f7638c",
     "original-ambiguous": "d4e4707de9ff1c9e17b220eb94d8ba4428e0f5a52b526347b43f8f692d606173",
-    "uccompiler-n8": "a40305fd68a35e8fdc30e7cbffca8eab13a259efefab77c89790406b652ba8a1",
+    "uccompiler-n8": "c11c6c1e6e4c7b610ba42f50bcfb79551996450b2147dc6293e7b44b3d647f3a",
     "collective-never-query": "271279a115d2924439b0ec19d19f94584eca50c5c21630c68c24714d6b94b15e",
-    # taken before the channel table, and with the equality runs still in src/
+    # taken before the channel table, and with the equality runs still in
+    # src/; uccompiler-n8, uccompiler-per-string-n4 and the two equality runs
+    # were re-taken when one-bit channel strings got masks of at least 24 bits
     "uccompiler-per-string-n4":
-        "c0414f4564217845b6f972644e41c92b0d966cb1923f44f561eccd190438f41a",
+        "08322eb6ab69e7413abe9aa9e83dae234ca7851f73e003ed02f2b774a41dcd1f",
     "uccompiler-per-string-simulator":
         "b14c59aa2e2cb0b77ef8b5596afc56cfe94b1ed2dc890def6508fe3ced1308b8",
     "equalities-unequal-pair":
-        "8d31bf38fb781ace7272e8ab0a236ec22c82f3bece0fcdc541ff1284dc915ef3",
+        "6ba0eae21aeb30ba7bc82824313664000d0a5fc57e318ba6b93dc7b245360038",
     "equalities-tampered-bit":
-        "9f11524b9073bb957ba17c9489ebca27c579a6a26009f616d47c5dd7951ab23d",
+        "9941e20bf08e445ad5b4f35f238720ecc0a1ed32bebc40652873b2de9309e99c",
 }
 
 

@@ -134,12 +134,6 @@ def test_chatty_and_silent_programs():
 
 # -- family games, as the props experiments run them ---------------------------
 
-def test_preimage_entropy_estimate():
-    report = run_experiment(ExperimentConfig(experiment="props-cq", n=8, trials=10,
-                                             seed=3))
-    assert report.details["preimage_entropy_estimate"] >= 8 - 1.0
-
-
 def test_close_query_baseline_within_budget():
     report = run_experiment(ExperimentConfig(experiment="props-cq", n=8, trials=1000,
                                              seed=4, extras={"queries": 8}))
