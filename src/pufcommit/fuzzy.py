@@ -20,11 +20,16 @@ bits j of w.  Two evaluation orders give the same bits:
 
 * by output row, one masked parity per output bit; cheapest for narrow
   outputs, where out_len big-int ANDs cost less than a table build;
-* by source byte (the method of Four Russians): for each byte v of w at
-  bit position 8p, XOR table[v] >> 8p into the output, where table[v] is
-  the XOR of T >> b over the set bits b of v.  T is cut into segments of
-  _SEGMENT_BYTES source bytes so that every shift stays short and a
-  table holds only out_len + 8 * _SEGMENT_BYTES bits per entry.
+* by source byte (the method of Four Russians): T is cut into segments
+  of _SEGMENT_BYTES source bytes, and each segment gets a table whose
+  entry table[v] is the XOR of its T >> b over the set bits b of v, so an
+  entry holds only out_len + 8 * _SEGMENT_BYTES bits.  The byte v of w at
+  offset q inside its segment adds table[v] >> 8q to the output, so the
+  loop XORs that entry unshifted into column q, which all segments share,
+  and one Horner pass from the highest column down, value = (value >> 8)
+  ^ columns[q], yields the sum of columns[q] >> 8q.  That is the same sum
+  regrouped, since a right shift distributes over XOR and two shifts by 8
+  are one by 16: one XOR per source byte and one shift per column.
 
 The order is chosen by out_len alone, at a crossover measured on CPython
 3.11 (_BYTE_TABLE_MIN_OUT).
@@ -57,9 +62,12 @@ __all__ = ["HelperData", "FuzzyExtractor", "check_matching", "reset_reading_memo
 # Narrowest output hashed by byte tables.  Below it the per-row loop is
 # faster: at out_len 128 the two orders tie, at 192 tables win by 1.1-1.8x.
 _BYTE_TABLE_MIN_OUT = 192
-# Source bytes per table segment.  Of 128 to 512, 256 was fastest on the
-# widest hash here (25 392 -> 8 448 bits: about 2.6 ms a call on CPython
-# 3.11, against 40-50 ms by rows), with a table of about 330 KB.
+# Source bytes per table segment.  On the widest hash here (25 392 ->
+# 8 448 bits: about 1.8 ms a call on CPython 3.11 on a 2-core Xeon host,
+# against 40-50 ms by rows), 192, 256 and 320 tie and 512 is slower.  While
+# it runs, the hash holds a table and a column list of _SEGMENT_BYTES
+# entries each, both of (out_len + 8 * _SEGMENT_BYTES) bits per entry:
+# about 0.33 MB apiece on that hash.
 _SEGMENT_BYTES = 256
 # Key and value bits the reading memo may hold before it empties itself.
 # A session resets it, but Gens made outside any session (the harness's
@@ -89,7 +97,7 @@ def _toeplitz_by_bytes(toeplitz: int, wv: int, n_in: int, n_out: int) -> int:
     data = wv.to_bytes((n_in + 7) // 8, "little")
     seg_mask = (1 << (n_out + 8 * _SEGMENT_BYTES)) - 1
     table = [0] * 256
-    value = 0
+    columns = [0] * min(_SEGMENT_BYTES, len(data))
     for start in range(0, len(data), _SEGMENT_BYTES):
         seg = (toeplitz >> (8 * start)) & seg_mask
         bit = 1
@@ -98,11 +106,12 @@ def _toeplitz_by_bytes(toeplitz: int, wv: int, n_in: int, n_out: int) -> int:
             for v in range(bit, bit << 1):
                 table[v] = table[v ^ bit] ^ row
             bit <<= 1
-        shift = 0
-        for v in data[start:start + _SEGMENT_BYTES]:
+        for q, v in enumerate(data[start:start + _SEGMENT_BYTES]):
             if v:
-                value ^= table[v] >> shift
-            shift += 8
+                columns[q] ^= table[v]
+    value = 0
+    for column in reversed(columns):  # sum of columns[q] >> 8q, by Horner
+        value = (value >> 8) ^ column
     return value & ((1 << n_out) - 1)
 
 

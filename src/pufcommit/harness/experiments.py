@@ -327,7 +327,7 @@ def _costs_run(cfg: ExperimentConfig) -> ExperimentReport:
 def _ucsim_trial(cfg: ExperimentConfig, i: int) -> Counter:
     rng = _trial_rng(cfg, "bit", i)
     b = rng.getrandbits(1)
-    counter: Counter = Counter(success=1)
+    counter: Counter = Counter()
     if cfg.case == "receiver":
         _honest_only(cfg)
         real, _ = run_real_world(cfg.n, b, _tseed(cfg, "real", i),

@@ -188,6 +188,22 @@ def test_byte_tables_match_row_loop_at_every_width(data):
             == reference_rows(toeplitz, wv, n_out))
 
 
+def test_byte_tables_pick_one_window_per_unit_vector_and_are_linear():
+    # the last of three segments is 20 bits short, so its missing columns
+    # must still carry what the two full segments put there
+    n_in, n_out = 2 * SEGMENT_BITS + 20, 200
+    rng = Random(3)
+    toeplitz = rng.getrandbits(n_in + n_out - 1)
+    out_mask = (1 << n_out) - 1
+    for j in (0, 7, 8, SEGMENT_BITS - 1, SEGMENT_BITS, SEGMENT_BITS + 8, n_in - 1):
+        assert (fuzzy._toeplitz_by_bytes(toeplitz, 1 << j, n_in, n_out)
+                == (toeplitz >> j) & out_mask), j
+    a, b = rng.getrandbits(n_in), rng.getrandbits(n_in)
+    assert (fuzzy._toeplitz_by_bytes(toeplitz, a ^ b, n_in, n_out)
+            == fuzzy._toeplitz_by_bytes(toeplitz, a, n_in, n_out)
+            ^ fuzzy._toeplitz_by_bytes(toeplitz, b, n_in, n_out))
+
+
 def test_widest_hash_in_use_matches_row_loop():
     # the original flow's second token: 25 392 -> 8 448 bits, 13 segments
     fe = FuzzyExtractor(source_len=25392, out_len=8448, t=1, m_req=25392)

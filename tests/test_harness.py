@@ -126,13 +126,16 @@ def test_jobs_on_a_serial_experiment_is_a_config_error(experiment):
 
 @pytest.mark.parametrize("experiment", sorted(set(EXPERIMENTS) - set(SERIAL)))
 def test_workers_change_no_report(experiment):
-    # every trial draws its own streams, so splitting the trials over two
-    # workers changes nothing but the recorded job count; 41 trials give the
-    # sampled games outcomes that a stream shared across trials would change
-    one, two = (run_experiment(_tiny(experiment, trials=41, jobs=jobs)).to_canonical_dict()
-                for jobs in (1, 2))
-    assert one["resources"].pop("jobs") == 1 and two["resources"].pop("jobs") == 2
-    assert one == two
+    # every trial draws its own streams, so splitting the trials over workers
+    # changes nothing but the recorded job count; 41 trials give the sampled
+    # games outcomes that a stream shared across trials would change, and
+    # split unevenly over 3 workers (14, 14, 13)
+    one = run_experiment(_tiny(experiment, trials=41)).to_canonical_dict()
+    assert one["resources"].pop("jobs") == 1
+    for jobs in (2, 3):
+        split = run_experiment(_tiny(experiment, trials=41, jobs=jobs)).to_canonical_dict()
+        assert split["resources"].pop("jobs") == jobs
+        assert split == one, jobs
 
 
 SUPPORTED = {
@@ -172,19 +175,6 @@ def test_completeness_experiment_and_determinism():
     other = run_experiment(ExperimentConfig(
         experiment="completeness", protocol="extpuf", n=8, k=2, trials=6, seed=10))
     assert other.successes == 6  # different seed, same verdict
-
-
-def test_parallel_jobs_match_sequential():
-    base = ExperimentConfig(experiment="completeness", protocol="cpuf",
-                            n=8, k=2, trials=8, seed=4)
-    seq = run_experiment(base)
-    par = run_experiment(ExperimentConfig(
-        experiment="completeness", protocol="cpuf", n=8, k=2, trials=8, seed=4,
-        jobs=3))
-    assert seq.to_canonical_dict()["successes"] == par.to_canonical_dict()["successes"]
-    a, b = seq.to_canonical_dict(), par.to_canonical_dict()
-    a["resources"].pop("jobs"), b["resources"].pop("jobs")
-    assert a == b
 
 
 def test_costs_experiment():
