@@ -41,9 +41,11 @@ class ExperimentConfig:
     extras: dict = field(default_factory=dict)
 
     def validate(self) -> "ExperimentConfig":
+        """The one refusal point: the field checks, then the experiment
+        row's, so no config it accepts is refused once its trials start."""
         from ..adversaries import zoo
         from ..protocols import CHANNELS
-        from .experiments import EXPERIMENTS, EXTRAS, PROTOCOL_TABLE
+        from .experiments import EXPERIMENTS, PROTOCOL_TABLE
 
         hints = get_type_hints(ExperimentConfig)
         for f in fields(self):
@@ -58,8 +60,9 @@ class ExperimentConfig:
             raise ConfigError("experiment",
                               f"unknown experiment {self.experiment!r}; "
                               f"one of {', '.join(EXPERIMENTS)}")
+        row = EXPERIMENTS[self.experiment]
         for key in self.extras:
-            if key not in EXTRAS.get(self.experiment, ()):
+            if key not in row.extras:
                 raise ConfigError(key, f"{self.experiment} reads no such config key")
         if self.protocol is not None and self.protocol not in PROTOCOL_TABLE:
             raise ConfigError("protocol", f"unknown protocol {self.protocol!r}")
@@ -82,10 +85,14 @@ class ExperimentConfig:
             raise ConfigError("case", f"unknown corruption case {self.case!r}")
         if self.jobs < 1:
             raise ConfigError("jobs", "at least one worker")
+        for check in row.checks:
+            check(self)
         return self
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """The config a YAML file names, parsed only: `run_experiment` validates
+    it once the command-line flags have won."""
     raw = yaml.safe_load(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ConfigError("", "config must be a mapping")
@@ -101,5 +108,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
             extras[key] = value
     if "experiment" not in named:
         raise ConfigError("experiment", "missing required field")
-    cfg = ExperimentConfig(extras=extras, **named)
-    return cfg.validate()
+    return ExperimentConfig(extras=extras, **named)

@@ -1,12 +1,15 @@
 """Experiment driver: every acceptance experiment as a pure function of
 (config, master seed).
 
-Every experiment runs its trials through `_run_trials`, except `costs`,
-whose one honest trial settles the accounting.  Trial i draws only from
-streams seeded by (master seed, label, i), and aggregation is a
-commutative counter merge, so trials may run in any order and across
-worker processes without changing the report.  Wall time is measured but
-kept out of the canonical report.
+Every experiment is one `Experiment` row, run one way: validation runs
+the row's checks, `_run_trials` merges its trial counters (costs' one
+trial too), `_report` tallies them and the verdict, a pure function of
+the config and the merged counters, adds its details.  String keys are
+tallied and detailed, (tag, key) keys are for the verdict alone, and
+("resources", key) counts are the report's resources.  Trial i draws only
+from streams seeded by (master seed, label, i), so trials may run in any
+order and across worker processes without changing the report.  Wall
+time is measured but kept out of the canonical report.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 from multiprocessing import get_context
 from random import Random
 from typing import Callable, Optional
@@ -40,13 +43,9 @@ from ..protocols import (
 )
 from ..protocols.common import mask_commitment, reproduce
 from .config import ConfigError, ExperimentConfig
-from .ucsim import (
-    run_ideal_receiver_corrupt,
-    run_ideal_sender_corrupt,
-    run_real_world,
-)
+from .ucsim import run_ideal_receiver_corrupt, run_ideal_sender_corrupt, run_real_world
 
-__all__ = ["run_experiment", "EXPERIMENTS", "EXTRAS", "PROTOCOL_TABLE"]
+__all__ = ["run_experiment", "Experiment", "EXPERIMENTS", "PROTOCOL_TABLE"]
 
 HIDING_BOUND = 0.02
 SD_BOUND = 0.02
@@ -147,55 +146,124 @@ PROTOCOL_TABLE = {
 }
 
 
-def _entry(cfg: ExperimentConfig) -> ProtocolEntry:
+def _senders(cfg: ExperimentConfig) -> list:
+    """cfg.protocol's zoo senders that cfg.adversary names, or all of them."""
+    senders = [s for s in zoo() if s.role == "sender" and s.protocol == cfg.protocol]
+    if cfg.adversary == "all-senders":
+        return senders
+    return [s for s in senders if s.strategy_id == cfg.adversary]
+
+
+def _extra(cfg: ExperimentConfig, key: str):
+    """cfg's value of an extra key its experiment reads, else the default."""
+    return cfg.extras.get(key, EXPERIMENTS[cfg.experiment].extras[key])
+
+
+# ---------------------------------------------------------------------------
+# Config checks: validation runs a row's checks before its first trial
+# ---------------------------------------------------------------------------
+
+def _entry(cfg: ExperimentConfig) -> None:
     entry = PROTOCOL_TABLE.get(cfg.protocol)
     if entry is None or cfg.experiment not in entry.experiments:
         raise ConfigError("protocol", f"{cfg.experiment} undefined for {cfg.protocol!r}")
     if cfg.mode != "collective" and not entry.channels:
         raise ConfigError("mode", f"{cfg.protocol} runs no channels, so no {cfg.mode!r} ones")
-    return entry
-
-
-def _run(entry: ProtocolEntry, cfg: ExperimentConfig, values: list, seed: int, **kw):
-    return entry.run(entry.params(cfg), values, seed, **kw)
 
 
 def _honest_only(cfg: ExperimentConfig) -> None:
-    """Completeness, hiding, costs and the uc-sim receiver case run honest
-    parties only."""
+    """Completeness, hiding, costs and uc-sim's receiver case run honest parties."""
     if cfg.adversary != "honest":
         raise ConfigError("adversary", f"{cfg.experiment} runs no adversary "
                                        f"strategy, not {cfg.adversary!r}")
 
 
-def _senders(cfg: ExperimentConfig, all_senders: bool = False) -> list:
-    """The zoo senders written for cfg.protocol that cfg.adversary names:
-    one strategy, or all of them under all-senders where the experiment
-    allows it."""
-    senders = [s for s in zoo() if s.role == "sender" and s.protocol == cfg.protocol]
-    if all_senders and cfg.adversary == "all-senders":
-        return senders
-    named = [s for s in senders if s.strategy_id == cfg.adversary]
-    if not named:
+def _named_sender(cfg: ExperimentConfig, all_senders: bool = False) -> None:
+    """cfg.adversary names a zoo sender of cfg.protocol, or all where allowed."""
+    if not _senders(cfg) or (cfg.adversary == "all-senders" and not all_senders):
         raise ConfigError("adversary", f"{cfg.experiment} on {cfg.protocol!r} needs "
                                        f"a zoo sender for it, not {cfg.adversary!r}")
-    return named
+
+
+def _one_trial(cfg: ExperimentConfig) -> None:
+    # one honest run settles the accounting, so more trials would be ignored
+    if cfg.trials != 1:
+        raise ConfigError("trials", f"costs runs exactly one trial, not {cfg.trials}; "
+                                    f"set trials: 1")
+    if cfg.jobs != 1:
+        raise ConfigError("jobs", f"costs runs one trial in one process, not on "
+                                  f"{cfg.jobs} workers")
+
+
+def _ucsim_case(cfg: ExperimentConfig) -> None:
+    """The simulators extract, so the channels are collective; the receiver
+    case runs honest parties, the sender case at most one compiler sender."""
+    if cfg.mode != "collective":
+        raise ConfigError("mode", f"uc-sim runs collective channels only, not "
+                                  f"{cfg.mode!r}: its simulators extract")
+    if cfg.case == "receiver":
+        _honest_only(cfg)
+    elif cfg.adversary != "honest":
+        _named_sender(replace(cfg, protocol="uccompiler"))
+
+
+def _support_range(cfg: ExperimentConfig) -> None:
+    max_support = _extra(cfg, "max_support")
+    if not isinstance(max_support, int) or not 2 <= max_support <= 8:
+        raise ConfigError("max_support", f"{max_support!r} is not a support "
+                          "size in 2..8, the range the suite enumerates")
+
+
+def _positive_queries(cfg: ExperimentConfig) -> None:
+    queries = _extra(cfg, "queries")
+    if type(queries) is not int or queries < 1:
+        raise ConfigError("queries", f"{queries!r} is not a positive number of "
+                          "queries per trial")
 
 
 # ---------------------------------------------------------------------------
-# Per-trial counters
+# Per-trial counters and the verdicts that read them merged
 # ---------------------------------------------------------------------------
+
+def _every_trial(cfg: ExperimentConfig, counter: Counter) -> dict:
+    """The verdict of an experiment that passes when every trial succeeds."""
+    return {"passed": counter["success"] == cfg.trials}
+
+
+def _sampled_run(cfg: ExperimentConfig, i: int, **kw) -> tuple:
+    """Trial i's values of cfg.protocol, and the outcome of a run on them."""
+    entry = PROTOCOL_TABLE[cfg.protocol]
+    values = entry.sample(cfg, _trial_rng(cfg, "input", i))
+    return values, entry.run(entry.params(cfg), values, _tseed(cfg, "run", i), **kw)
+
 
 def _completeness_trial(cfg: ExperimentConfig, i: int) -> Counter:
-    entry = _entry(cfg)
-    _honest_only(cfg)
-    values = entry.sample(cfg, _trial_rng(cfg, "input", i))
-    out = _run(entry, cfg, values, _tseed(cfg, "run", i))
-    ok = entry.honest_ok(values, out)
+    values, out = _sampled_run(cfg, i)
+    ok = PROTOCOL_TABLE[cfg.protocol].honest_ok(values, out)
     counter = Counter(success=int(ok))
     if not ok:
         counter[f"abort:{out.abort_step or 'reject'}"] += 1
     return counter
+
+
+def _costs_trial(cfg: ExperimentConfig, i: int) -> Counter:
+    """One honest run settles the accounting: it succeeds when the run
+    works and spends the tokens and exchange phases the table expects."""
+    values, out = _sampled_run(cfg, i)
+    ok = PROTOCOL_TABLE[cfg.protocol].honest_ok(values, out)
+    resources = count_resources(out.session.log)
+    measured = (resources["pufs_created"], resources["exchange_phases"])
+    return Counter({**{("resources", key): val for key, val in resources.items()},
+                    ("honest", "accepted"): int(ok),
+                    "success": int(ok and measured == PROTOCOL_TABLE[cfg.protocol].cost(cfg))})
+
+
+def _costs_verdict(cfg: ExperimentConfig, counter: Counter) -> dict:
+    resources = _tagged(counter, "resources")
+    return dict(_every_trial(cfg, counter),
+                measured=[resources["pufs_created"], resources["exchange_phases"]],
+                expected=list(PROTOCOL_TABLE[cfg.protocol].cost(cfg)),
+                honest_run_accepted=bool(counter[("honest", "accepted")]))
 
 
 def _attack_original_trial(cfg: ExperimentConfig, i: int) -> Counter:
@@ -232,23 +300,20 @@ def _neutralized_trial(cfg: ExperimentConfig, i: int) -> Counter:
 
 
 def _binding_trial(cfg: ExperimentConfig, i: int) -> Counter:
-    entry = _entry(cfg)
     (strategy,) = _senders(cfg)
-    values = entry.sample(cfg, _trial_rng(cfg, "input", i))
-    out = _run(entry, cfg, values, _tseed(cfg, "run", i),
-               sender_factory=strategy.factory)
+    _, out = _sampled_run(cfg, i, sender_factory=strategy.factory)
     broke = any(v is not None for v in out.opened.values())
     return Counter(success=int(not broke), bound_broken=int(broke))
 
 
 def _extraction_trial(cfg: ExperimentConfig, i: int) -> Counter:
-    entry = _entry(cfg)
+    entry = PROTOCOL_TABLE[cfg.protocol]
     counter: Counter = Counter(success=1)
-    for strategy in _senders(cfg, all_senders=True):
+    for strategy in _senders(cfg):
         rng = _trial_rng(cfg, f"input/{strategy.strategy_id}", i)
         seed = derive_seed(cfg.seed, "run", strategy.strategy_id, i)
         values = entry.sample(cfg, rng)
-        out = _run(entry, cfg, values, seed, sender_factory=strategy.factory)
+        out = entry.run(entry.params(cfg), values, seed, sender_factory=strategy.factory)
         if not out.committed:
             counter[f"commit-abort:{strategy.strategy_id}"] += 1
             continue
@@ -267,29 +332,24 @@ def _extraction_trial(cfg: ExperimentConfig, i: int) -> Counter:
     return counter
 
 
-def _commit_view(cfg: ExperimentConfig, b: int, seed: int) -> dict:
-    """Commit-phase-only run returning what the distinguisher may touch."""
-    entry = _entry(cfg)
-    _honest_only(cfg)
-    params = entry.params(cfg)
-    x = BitString.ones(cfg.k) if b else BitString.zeros(cfg.k)
-    out = entry.run(params, [x] * entry.strings(cfg), seed, open_phase=False)
-    return dict(entry.commit_view(params, out), token=out.receiver.token_sid,
-                api=out.receiver.api, width=params.mask_len // params.k)
-
-
 def _hiding_trial(cfg: ExperimentConfig, i: int) -> Counter:
+    entry = PROTOCOL_TABLE[cfg.protocol]
+    params = entry.params(cfg)
     rng = _trial_rng(cfg, "game", i)
     b = rng.getrandbits(1)
-    view = _commit_view(cfg, b, _tseed(cfg, "run", i))
     x0, x1 = BitString.zeros(cfg.k), BitString.ones(cfg.k)
+    # a commit-phase-only run; the distinguisher sees what the receiver holds
+    out = entry.run(params, [x1 if b else x0] * entry.strings(cfg), _tseed(cfg, "run", i),
+                    open_phase=False)
+    view, width = entry.commit_view(params, out), params.mask_len // params.k
     for _ in range(2):  # the baseline reconstruction attempt, twice
         q = BitString.random(cfg.n, rng)
-        st_guess = reproduce(view["api"], view["token"], q, view["fe"], view["helper"])
-        if view["c"] == mask_commitment(st_guess, x0, view["r"], view["width"]):
+        st_guess = reproduce(out.receiver.api, out.receiver.token_sid, q, view["fe"],
+                             view["helper"])
+        if view["c"] == mask_commitment(st_guess, x0, view["r"], width):
             guess = 0
             break
-        if view["c"] == mask_commitment(st_guess, x1, view["r"], view["width"]):
+        if view["c"] == mask_commitment(st_guess, x1, view["r"], width):
             guess = 1
             break
     else:
@@ -297,156 +357,38 @@ def _hiding_trial(cfg: ExperimentConfig, i: int) -> Counter:
     return Counter(success=int(guess == b))
 
 
-def _costs_run(cfg: ExperimentConfig) -> ExperimentReport:
-    entry = _entry(cfg)
-    _honest_only(cfg)
-    # one honest run settles the accounting, so more trials would be ignored
-    if cfg.trials != 1:
-        raise ConfigError("trials", f"costs runs exactly one trial, not {cfg.trials}; "
-                                    f"set trials: 1")
-    if cfg.jobs != 1:
-        raise ConfigError("jobs", f"costs runs one trial in one process, not on "
-                                  f"{cfg.jobs} workers")
-    values = entry.sample(cfg, _trial_rng(cfg, "input", 0))
-    out = _run(entry, cfg, values, _tseed(cfg, "run", 0))
-    ok = entry.honest_ok(values, out)
-    expected = entry.cost(cfg)
-    resources = count_resources(out.session.log)
-    measured = (resources["pufs_created"], resources["exchange_phases"])
-    passed = ok and measured == expected
-    details = {
-        "passed": passed,
-        "measured": list(measured),
-        "expected": list(expected),
-        "honest_run_accepted": ok,
-    }
-    return _report(cfg, int(passed), details, f"{cfg.experiment}/{cfg.protocol}/{cfg.mode}",
-                   resources=resources)
-
-
-def _ucsim_trial(cfg: ExperimentConfig, i: int) -> Counter:
-    rng = _trial_rng(cfg, "bit", i)
-    b = rng.getrandbits(1)
-    counter: Counter = Counter()
-    if cfg.case == "receiver":
-        _honest_only(cfg)
-        real, _ = run_real_world(cfg.n, b, _tseed(cfg, "real", i),
-                                 d_noise=cfg.d_noise)
-        ideal, _ = run_ideal_receiver_corrupt(cfg.n, b, _tseed(cfg, "ideal", i),
-                                              d_noise=cfg.d_noise)
-    else:
-        kwargs = {"d_noise": cfg.d_noise}
-        if cfg.adversary != "honest":
-            (strategy,) = _senders(replace(cfg, protocol="uccompiler"))
-            kwargs["sender_factory"] = strategy.factory
-        real, real_out = run_real_world(cfg.n, b, _tseed(cfg, "real", i), **kwargs)
-        ideal, ideal_out = run_ideal_sender_corrupt(cfg.n, b, _tseed(cfg, "ideal", i),
-                                                    **kwargs)
-        if ideal_out.abort_step == "sim-A-ambiguous":
-            counter["sim_ambiguous_abort"] += 1
-    counter[("real", real)] += 1
-    counter[("ideal", ideal)] += 1
-    return counter
-
-
-# ---------------------------------------------------------------------------
-# Trial loop with optional fork-based workers
-# ---------------------------------------------------------------------------
-
-def _run_range(args) -> Counter:
-    cfg, trial, lo, hi = args
-    total: Counter = Counter()
-    for i in range(lo, hi):
-        total.update(trial(cfg, i))
-    return total
-
-
-def _run_trials(cfg: ExperimentConfig, trial: Callable) -> Counter:
-    if cfg.jobs <= 1:
-        return _run_range((cfg, trial, 0, cfg.trials))
-    chunk = max(1, math.ceil(cfg.trials / cfg.jobs))
-    jobs = [(cfg, trial, lo, min(lo + chunk, cfg.trials))
-            for lo in range(0, cfg.trials, chunk)]
-    total: Counter = Counter()
-    with get_context("fork").Pool(cfg.jobs) as pool:
-        for partial in pool.imap_unordered(_run_range, jobs):
-            total.update(partial)
-    return total
-
-
-def _report(cfg: ExperimentConfig, successes: int, details: dict, name: str = "",
-            aborts: Optional[dict] = None, resources: Optional[dict] = None) -> ExperimentReport:
-    """Every report the harness returns.  It takes the config's name, else
-    `name`, else experiment/protocol/adversary; a trial that neither
-    succeeded nor aborted failed."""
-    aborts = aborts or {}
-    return ExperimentReport(
-        name=cfg.name or name or f"{cfg.experiment}/{cfg.protocol or '-'}/{cfg.adversary}",
-        trials=cfg.trials, successes=successes,
-        failures=cfg.trials - successes - sum(aborts.values()),
-        aborts_by_step=aborts, details=details, resources=resources or {},
-    )
-
-
-def _counter_report(cfg: ExperimentConfig, counter: Counter,
-                    name: str = "") -> ExperimentReport:
-    successes = counter.pop("success", 0)
-    aborts = {key.split(":", 1)[1]: val for key, val in counter.items()
-              if key.startswith("abort:")}
-    details = {key: val for key, val in counter.items() if not key.startswith("abort:")}
-    return _report(cfg, successes, details, name, aborts=aborts)
-
-
-def _tagged(counter: Counter, tag: str) -> dict:
-    """The histogram that trials merged into counter under (tag, key) keys."""
-    return {key[1]: val for key, val in counter.items()
-            if isinstance(key, tuple) and key[0] == tag}
-
-
-# ---------------------------------------------------------------------------
-# Runners: each takes the config and returns the report with its verdict
-# ---------------------------------------------------------------------------
-
-def _counted(trial: Callable, verdict: Callable, name: str = "") -> Callable:
-    """The runner of an experiment whose report tallies the merged trial
-    counters; verdict(cfg, report) returns the details it adds, "passed"
-    among them."""
-    def run(cfg: ExperimentConfig) -> ExperimentReport:
-        report = _counter_report(cfg, _run_trials(cfg, trial), name)
-        report.details.update(verdict(cfg, report))
-        return report
-    return run
-
-
-def _every_trial(cfg: ExperimentConfig, report: ExperimentReport) -> dict:
-    """The verdict of an experiment that passes when every trial succeeds."""
-    return {"passed": report.successes == cfg.trials}
-
-
-def _guessing_game(cfg: ExperimentConfig, report: ExperimentReport) -> dict:
+def _guessing_game(cfg: ExperimentConfig, counter: Counter) -> dict:
     """The verdict of a game whose trial succeeds when the distinguisher
     guesses a hidden coin: it passes while the advantage over a coin flip
     stays within HIDING_BOUND."""
-    advantage = abs(report.p_hat - 0.5)
+    advantage = abs(counter["success"] / cfg.trials - 0.5)
     return {"advantage": advantage, "passed": advantage <= HIDING_BOUND}
 
 
-def _ucsim(cfg: ExperimentConfig) -> ExperimentReport:
-    if cfg.mode != "collective":
-        raise ConfigError("mode", f"uc-sim runs collective channels only, not "
-                                  f"{cfg.mode!r}: its simulators extract")
-    counter = _run_trials(cfg, _ucsim_trial)
+def _ucsim_trial(cfg: ExperimentConfig, i: int) -> Counter:
+    """A real and an ideal run on one bit, the corrupted party in both."""
+    b = _trial_rng(cfg, "bit", i).getrandbits(1)
+    kwargs = {"d_noise": cfg.d_noise}
+    if cfg.adversary != "honest":
+        (strategy,) = _senders(replace(cfg, protocol="uccompiler"))
+        kwargs["sender_factory"] = strategy.factory
+    ideal_world = (run_ideal_receiver_corrupt if cfg.case == "receiver"
+                   else run_ideal_sender_corrupt)
+    real, _ = run_real_world(cfg.n, b, _tseed(cfg, "real", i), **kwargs)
+    ideal, ideal_out = ideal_world(cfg.n, b, _tseed(cfg, "ideal", i), **kwargs)
+    ambiguous = int(ideal_out.abort_step == "sim-A-ambiguous")
+    return Counter({("real", real): 1, ("ideal", ideal): 1,
+                    ("sim", "ambiguous-abort"): ambiguous}, success=1)
+
+
+def _ucsim_verdict(cfg: ExperimentConfig, counter: Counter) -> dict:
     real, ideal = _tagged(counter, "real"), _tagged(counter, "ideal")
     sd = histogram_distance(real, ideal)
-    ambiguous = counter.get("sim_ambiguous_abort", 0)
+    ambiguous = counter[("sim", "ambiguous-abort")]
     passed = sd <= SD_BOUND
-    details = {
-        "passed": passed,
-        "feature_sd": sd,
-        "distinct_features": len(set(real) | set(ideal)),
-        "sim_ambiguous_abort_rate": ambiguous / cfg.trials,
-        "e_guess_bound": 2.0 ** -cfg.n,
-    }
+    details = {"passed": passed, "feature_sd": sd, "e_guess_bound": 2.0 ** -cfg.n,
+               "distinct_features": len(set(real) | set(ideal)),
+               "sim_ambiguous_abort_rate": ambiguous / cfg.trials}
     if cfg.adversary == "e-guessing-sender":
         # the simulator-only abort fires exactly when the sender guessed
         # every challenge bit; its rate must sit on the 2^-n bound
@@ -454,28 +396,18 @@ def _ucsim(cfg: ExperimentConfig) -> ExperimentReport:
         details["abort_wilson95"] = [lo, hi]
         details["abort_consistent"] = lo <= 2.0 ** -cfg.n <= hi
         details["passed"] = passed and details["abort_consistent"]
-    return _report(cfg, cfg.trials, details)
-
-
-def _max_support(cfg: ExperimentConfig) -> int:
-    max_support = cfg.extras.get("max_support", 8)
-    if not isinstance(max_support, int) or not 2 <= max_support <= 8:
-        raise ConfigError("max_support", f"{max_support!r} is not a support "
-                          "size in 2..8, the range the suite enumerates")
-    return max_support
+    return details
 
 
 def _lemmas_trial(cfg: ExperimentConfig, i: int) -> Counter:
-    violated = lemma_violations(_trial_rng(cfg, "lemmas", i), _max_support(cfg))
+    violated = lemma_violations(_trial_rng(cfg, "lemmas", i), _extra(cfg, "max_support"))
     return Counter({("violated", lemma): int(bad) for lemma, bad in violated.items()},
                    success=int(not any(violated.values())))
 
 
-def _lemmas(cfg: ExperimentConfig) -> ExperimentReport:
-    counter = _run_trials(cfg, _lemmas_trial)
-    details = {"violations": _tagged(counter, "violated"), "max_support": _max_support(cfg),
-               "tolerance": 0, "passed": counter["success"] == cfg.trials}
-    return _report(cfg, counter["success"], details, "entropy-lemmas")
+def _lemmas_verdict(cfg: ExperimentConfig, counter: Counter) -> dict:
+    return dict(_every_trial(cfg, counter), violations=_tagged(counter, "violated"),
+                max_support=_extra(cfg, "max_support"), tolerance=0)
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +424,6 @@ def _enrolled(pair, rng: Random) -> tuple:
     return inst, s, st, p
 
 
-def _queries(cfg: ExperimentConfig) -> int:
-    queries = cfg.extras.get("queries", 8)
-    if type(queries) is not int or queries < 1:
-        raise ConfigError("queries", f"{queries!r} is not a positive number of "
-                          "queries per trial")
-    return queries
-
-
 def _close_query_trial(cfg: ExperimentConfig, i: int) -> Counter:
     """The adversary holds (sigma, instance) and fires `queries` uniform
     queries; it succeeds if any lands within d_min of the secret challenge."""
@@ -509,20 +433,20 @@ def _close_query_trial(cfg: ExperimentConfig, i: int) -> Counter:
     s = BitString.random(params.n, rng)
     inst.respond(s, rng)
     got = False
-    for _ in range(_queries(cfg)):
+    for _ in range(_extra(cfg, "queries")):
         q = BitString.random(params.n, rng)
         inst.respond(q, rng)
         got |= hamming_distance(q, s) < params.d_min
     return Counter(success=int(got))
 
 
-def _close_query_verdict(cfg: ExperimentConfig, report: ExperimentReport) -> dict:
+def _close_query_verdict(cfg: ExperimentConfig, counter: Counter) -> dict:
     """Blind-guess baseline for landing a query inside the d_min ball: the
     hit rate should stay under 10x the ball fraction."""
-    rate = report.p_hat
+    rate = counter["success"] / cfg.trials
     bound = 10.0 * _params(PufParams, cfg.n, 8 * ((cfg.n + 7) // 8), 1).ball_fraction()
     return {"hit_rate": rate, "bound": bound, "within_bound": rate <= bound,
-            "passed": rate <= bound, "queries_per_trial": _queries(cfg)}
+            "passed": rate <= bound, "queries_per_trial": _extra(cfg, "queries")}
 
 
 def _test_query_trial(cfg: ExperimentConfig, i: int) -> Counter:
@@ -542,11 +466,12 @@ def _test_query_trial(cfg: ExperimentConfig, i: int) -> Counter:
         honest_false_positives=int(not reproduced(False, _trial_rng(cfg, "honest", i))))
 
 
-def _test_query_verdict(cfg: ExperimentConfig, report: ExperimentReport) -> dict:
+def _test_query_verdict(cfg: ExperimentConfig, counter: Counter) -> dict:
     """Detection rate of the random-challenge return check: it passes when
     at least 99% of substitutions are flagged and no honest return is."""
-    return {"detection_rate": report.p_hat, "passed": report.p_hat >= 0.99
-            and report.details["honest_false_positives"] == 0}
+    rate = counter["success"] / cfg.trials
+    return {"detection_rate": rate,
+            "passed": rate >= 0.99 and counter["honest_false_positives"] == 0}
 
 
 def _indist_trial(cfg: ExperimentConfig, i: int) -> Counter:
@@ -585,9 +510,9 @@ def _crp_trial(cfg: ExperimentConfig, i: int) -> Counter:
     return Counter(success=int(pair.fe.rep(inst.respond(s, rng), p) != st))
 
 
-def _crp_verdict(cfg: ExperimentConfig, report: ExperimentReport) -> dict:
+def _crp_verdict(cfg: ExperimentConfig, counter: Counter) -> dict:
     """A positive pass here is evidence for the assumption, not a proof."""
-    rate = report.failures / cfg.trials
+    rate = (cfg.trials - counter["success"]) / cfg.trials
     return {"forgery_rate": rate, "passed": rate <= 0.01}
 
 
@@ -605,48 +530,119 @@ def _fe_uniformity_trial(cfg: ExperimentConfig, i: int) -> Counter:
     rng = _trial_rng(cfg, "game", i)
     _, _, st, _ = _enrolled(pair, rng)
     return Counter({("real", st.value & 0xF): 1,
-                    ("unif", rng.getrandbits(pair.fe.out_len) & 0xF): 1})
+                    ("unif", rng.getrandbits(pair.fe.out_len) & 0xF): 1, "success": 1})
 
 
-def _fe_uniformity(cfg: ExperimentConfig) -> ExperimentReport:
+def _fe_uniformity_verdict(cfg: ExperimentConfig, counter: Counter) -> dict:
     """Extracted-string-versus-uniform histograms; sampling noise dominates
     the distance."""
-    counter = _run_trials(cfg, _fe_uniformity_trial)
     sd = histogram_distance(_tagged(counter, "real"), _tagged(counter, "unif"))
-    return _report(cfg, cfg.trials, {"feature_sd": sd, "passed": sd <= SD_BOUND},
-                   "fe-uniformity")
+    return {"feature_sd": sd, "passed": sd <= SD_BOUND}
+
+
+# ---------------------------------------------------------------------------
+# Trial loop with optional fork-based workers, and the one report
+# ---------------------------------------------------------------------------
+
+def _run_range(args) -> Counter:
+    cfg, trial, lo, hi = args
+    total: Counter = Counter()
+    for i in range(lo, hi):
+        total.update(trial(cfg, i))
+    return total
+
+
+def _run_trials(cfg: ExperimentConfig, trial: Callable) -> Counter:
+    # Counter.update keeps the zero counts that reports print; + drops them
+    if cfg.jobs <= 1:
+        return _run_range((cfg, trial, 0, cfg.trials))
+    chunk = max(1, math.ceil(cfg.trials / cfg.jobs))
+    jobs = [(cfg, trial, lo, min(lo + chunk, cfg.trials))
+            for lo in range(0, cfg.trials, chunk)]
+    total: Counter = Counter()
+    # map returns only once every chunk is back, so leaving the block never
+    # terminates a pool whose task handler is still putting chunks
+    with get_context("fork").Pool(cfg.jobs) as pool:
+        for counts in pool.map(_run_range, jobs):
+            total.update(counts)
+    return total
+
+
+def _tagged(counter: Counter, tag: str) -> dict:
+    """The histogram that trials merged into counter under (tag, key) keys."""
+    return {key[1]: val for key, val in counter.items()
+            if isinstance(key, tuple) and key[0] == tag}
+
+
+def _report(cfg: ExperimentConfig, counter: Counter, name: str) -> ExperimentReport:
+    """Every report the harness returns.  It takes the config's name, else
+    the row's name filled in from the config.  "abort:<step>" counts are
+    aborts, a trial that neither succeeded nor aborted failed, every other
+    string key is a detail, and ("resources", key) counts are resources."""
+    named = {key: val for key, val in counter.items()
+             if isinstance(key, str) and key != "success"}
+    aborts = {key.split(":", 1)[1]: val for key, val in named.items()
+              if key.startswith("abort:")}
+    return ExperimentReport(
+        name=cfg.name or name.format(experiment=cfg.experiment, protocol=cfg.protocol or "-",
+                                     adversary=cfg.adversary, mode=cfg.mode),
+        trials=cfg.trials, successes=counter["success"],
+        failures=cfg.trials - counter["success"] - sum(aborts.values()),
+        aborts_by_step=aborts,
+        details={key: val for key, val in named.items() if not key.startswith("abort:")},
+        resources=_tagged(counter, "resources"),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Experiment table and entry point
 # ---------------------------------------------------------------------------
 
-EXPERIMENTS = {
-    "completeness": _counted(_completeness_trial, _every_trial),
-    "attack-original": _counted(_attack_original_trial, _every_trial),
-    "attack-neutralized": _counted(_neutralized_trial, _every_trial),
-    "binding": _counted(_binding_trial, _every_trial),
-    "hiding": _counted(_hiding_trial, _guessing_game),
-    "extraction": _counted(_extraction_trial, _every_trial),
-    "costs": _costs_run,
-    "lemmas": _lemmas,
-    "uc-sim": _ucsim,
-    "props-cq": _counted(_close_query_trial, _close_query_verdict, "close-query"),
-    "props-indist": _counted(_indist_trial, _guessing_game, "props-indist"),
-    "props-crp": _counted(_crp_trial, _crp_verdict, "props-crp"),
-    "props-tq": _counted(_test_query_trial, _test_query_verdict, "props-tq"),
-    "fe-roundtrip": _counted(_fe_roundtrip_trial, _every_trial, "fe-roundtrip"),
-    "fe-uniformity": _fe_uniformity,
-}
+@dataclass(frozen=True)
+class Experiment:
+    """trial(cfg, i) counts trial i; verdict(cfg, counter) gives the details,
+    "passed" among them; name is filled in from the config; checks(cfg)
+    refuse a config; extras maps each key read beyond the fields to its default."""
 
-# the config extras each experiment reads; validation refuses any other
-EXTRAS = {"lemmas": ("max_support",), "props-cq": ("queries",)}
+    trial: Callable
+    verdict: Callable
+    name: str = "{experiment}/{protocol}/{adversary}"
+    checks: tuple = ()
+    extras: dict = field(default_factory=dict)
+
+
+EXPERIMENTS = {
+    "completeness": Experiment(_completeness_trial, _every_trial,
+                               checks=(_entry, _honest_only)),
+    "attack-original": Experiment(_attack_original_trial, _every_trial),
+    "attack-neutralized": Experiment(_neutralized_trial, _every_trial),
+    "binding": Experiment(_binding_trial, _every_trial, checks=(_entry, _named_sender)),
+    "hiding": Experiment(_hiding_trial, _guessing_game, checks=(_entry, _honest_only)),
+    "extraction": Experiment(_extraction_trial, _every_trial,
+                             checks=(_entry, partial(_named_sender, all_senders=True))),
+    "costs": Experiment(_costs_trial, _costs_verdict, "{experiment}/{protocol}/{mode}",
+                        (_entry, _honest_only, _one_trial)),
+    "lemmas": Experiment(_lemmas_trial, _lemmas_verdict, "entropy-lemmas",
+                         (_support_range,), {"max_support": 8}),
+    "uc-sim": Experiment(_ucsim_trial, _ucsim_verdict, checks=(_ucsim_case,)),
+    "props-cq": Experiment(_close_query_trial, _close_query_verdict, "close-query",
+                           (_positive_queries,), {"queries": 8}),
+    "props-indist": Experiment(_indist_trial, _guessing_game, "props-indist"),
+    "props-crp": Experiment(_crp_trial, _crp_verdict, "props-crp"),
+    "props-tq": Experiment(_test_query_trial, _test_query_verdict, "props-tq"),
+    "fe-roundtrip": Experiment(_fe_roundtrip_trial, _every_trial, "fe-roundtrip"),
+    "fe-uniformity": Experiment(_fe_uniformity_trial, _fe_uniformity_verdict, "fe-uniformity"),
+}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    cfg.validate()
+    """Validate cfg, run its experiment's trials and return the report
+    with the verdict's details."""
+    row = EXPERIMENTS[cfg.validate().experiment]
     started = time.monotonic()
-    report = EXPERIMENTS[cfg.experiment](cfg)
+    counter = _run_trials(cfg, row.trial)
+    report = _report(cfg, counter, row.name)
+    report.details.update(row.verdict(cfg, counter))
     report.wall_time = time.monotonic() - started
     report.resources.setdefault("jobs", cfg.jobs)
     return report

@@ -5,9 +5,9 @@ into both worlds.  The real world runs the protocol as-is; the ideal
 world runs the reference commitment functionality with the matching
 simulator strategy carrying the protocol conversation.  Worlds are then
 compared as histograms of a small seed-stable feature tuple per run
-(message shapes, accept flags, final outputs, abort step, and a parity
-digest of the opened share bits); full-transcript equality would be too
-strong under independent randomness.
+(message shapes, accept flags, the abort step and the final output; the
+opened share bits stay out, see `world_features`); full-transcript
+equality would be too strong under independent randomness.
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ def run_ideal_receiver_corrupt(n: int, b: int, seed: int,
     with planted blobs.  When the functionality later opens, the
     simulator opens the blobs matching the revealed bit.
     """
-    fcom_log = EventLog()
-    fcom = BitCommitmentFunctionality(fcom_log)
+    fcom = BitCommitmentFunctionality(EventLog())
     fcom.handle(("commit", fcom.sender, b))
 
     outcome = run_uccompiler(
@@ -107,8 +106,7 @@ def run_ideal_sender_corrupt(n: int, b: int, seed: int,
     survives; abort when both bits do).  A decommitment is forwarded to
     the functionality only when the sender opens the extracted bit.
     """
-    fcom_log = EventLog()
-    fcom = BitCommitmentFunctionality(fcom_log)
+    fcom = BitCommitmentFunctionality(EventLog())
 
     outcome = run_uccompiler(
         n, b, seed,

@@ -62,6 +62,17 @@ def test_costs_config_runs_exactly_one_trial(tmp_path: Path, capsys):
     assert "set trials: 1" in capsys.readouterr().err
 
 
+def test_a_flag_can_make_a_config_file_valid(tmp_path: Path, capsys):
+    # the file is parsed alone and validated once the flags have won
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("version: 1\nexperiment: completeness\nprotocol: cpuf\nn: 8\nk: 2\n"
+                   "trials: 0\n")
+    assert main(["experiment", str(cfg), "--trials", "3"]) == EXIT_OK
+    assert "trials     : 3\n" in capsys.readouterr().out
+    cfg.write_text("version: 1\nexperiment: costs\nprotocol: cpuf\nn: 8\n")
+    assert main(["experiment", str(cfg), "--trials", "1"]) == EXIT_OK
+
+
 def test_channel_modes_are_the_keys_of_the_channel_table(tmp_path: Path, capsys):
     for mode in CHANNELS:
         assert main(["costs", "uccompiler", "--mode", mode, "--n", "3"]) == EXIT_OK

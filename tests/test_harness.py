@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 from dataclasses import replace
@@ -8,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from pufcommit.adversaries import zoo
+from pufcommit.harness import experiments
 from pufcommit.harness.config import ConfigError, ExperimentConfig, load_config
 from pufcommit.harness.experiments import EXPERIMENTS, PROTOCOL_TABLE, run_experiment
 from pufcommit.protocols import CpufSender
@@ -271,6 +275,168 @@ def test_seeded_game_reports_are_pinned(game):
     report = run_experiment(ExperimentConfig(**SEEDED_GAMES[game]))
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == GAME_REPORT_SHA256[game]
+
+
+# sha256 of report.to_json() for every experiment that no other pin covers,
+# taken while four experiments still built their reports by hand: one row
+# per experiment must leave every report byte-identical.  Completeness
+# reports record neither their seed nor their widths, so their pins check
+# the tally only
+SEEDED_REPORTS = {
+    "completeness-cpuf": dict(experiment="completeness", protocol="cpuf", n=8, k=2,
+                              trials=6, seed=1),
+    "completeness-extpuf": dict(experiment="completeness", protocol="extpuf", n=8, k=2,
+                                trials=6, seed=1),
+    "completeness-collextpuf": dict(experiment="completeness", protocol="collextpuf", n=8,
+                                    k=2, n_strings=3, trials=6, seed=1),
+    "completeness-original-extpuf": dict(experiment="completeness",
+                                         protocol="original-extpuf", n=8, k=1, trials=6,
+                                         seed=1),
+    "attack-original": dict(experiment="attack-original", n=16, k=1, trials=10, seed=7),
+    "attack-neutralized": dict(experiment="attack-neutralized", n=8, k=2, trials=6, seed=7),
+    "binding-cpuf": dict(experiment="binding", protocol="cpuf",
+                         adversary="equivocating-open-cpuf", n=8, k=2, trials=6, seed=4),
+    "hiding-extpuf": dict(experiment="hiding", protocol="extpuf", n=8, k=2, trials=30,
+                          seed=5),
+    "extraction-extpuf": dict(experiment="extraction", protocol="extpuf",
+                              adversary="all-senders", n=8, k=2, trials=6, seed=6),
+    "costs-cpuf": dict(experiment="costs", protocol="cpuf", n=8, trials=1),
+    "lemmas": dict(experiment="lemmas", trials=50, seed=9, extras={"max_support": 5}),
+    "uc-sim-sender": dict(experiment="uc-sim", case="sender", n=6, trials=20, seed=8),
+    "uc-sim-alternating-blob-sender": dict(experiment="uc-sim", case="sender",
+                                           adversary="alternating-blob-sender", n=6,
+                                           trials=20, seed=8),
+    "fe-roundtrip": dict(experiment="fe-roundtrip", n=8, k=2, trials=30, seed=11),
+    "fe-uniformity": dict(experiment="fe-uniformity", n=8, k=2, trials=200, seed=11),
+}
+REPORT_SHA256 = {
+    "completeness-cpuf":
+        "df66ba2c9fb4140cb81c81570296ca117ace2832f4fef5a3a61ec6d71867c8e3",
+    "completeness-extpuf":
+        "1abc252130bad32eba1c8089df0e3a3a08d004fbaee13600bad3e4b6e4619ac2",
+    "completeness-collextpuf":
+        "4a0f0d88c763e24de38f04bff4cc8803e76c259cd5b9a9826d69c3e9139e8890",
+    "completeness-original-extpuf":
+        "22178cbee29ade41473756a46fdb06b8c4d2d8a40220b9f7b58f928457c3a41f",
+    "attack-original":
+        "9562ff95b99a2b01e68b5bdf19ee093b074ed45c03102a37d5f327d1e1864dc7",
+    "attack-neutralized":
+        "3d0489ad9fd03daa5ee1395d1be709b8b94c020ded36f067aa9036055cd43071",
+    "binding-cpuf":
+        "3e736a6fbcfce1ec84c6e53c66285708c30b69b1de3d688fd5d629142a13002f",
+    "hiding-extpuf":
+        "e29a6b7915bf4a224082a1e64cd6ef365ab1f7a182eb31fe9133d39b6f13fb98",
+    "extraction-extpuf":
+        "c601289b31547b3ce0e2f9fb80bc12221bda597d1a254c093c9a81e8b8234dfd",
+    "costs-cpuf":
+        "d51342e025e98862fce4b89b3bb452e1c74fe4dd9f1c1631eb815e186488926d",
+    "lemmas":
+        "56f888584a348823ed01388437d38080a4a8a7e6a292d8523deb50a322342c0e",
+    "uc-sim-sender":
+        "c86e31e24fb4d2045ea1104310169fc7e030a23aa445bc75ba2974e947ee4628",
+    "uc-sim-alternating-blob-sender":
+        "22d0fb8c310f761755a1c845d9ddeab9575bee40f12f18039eb14ac0962d1a49",
+    "fe-roundtrip":
+        "d9dbcb490fd01296824b48fb0f0437fc21d84db16d377461fd88c1cab5f05ce9",
+    "fe-uniformity":
+        "e793b2f605555f61ba4f93f0b814f566a24211712d4b64b574693df5c026fb34",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEEDED_REPORTS))
+def test_seeded_experiment_reports_are_pinned(case):
+    report = run_experiment(ExperimentConfig(**SEEDED_REPORTS[case]))
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == REPORT_SHA256[case]
+
+
+# every config the suite expects to be refused, with the path it is refused on
+REFUSED = {
+    "binding-honest": (dict(experiment="binding", protocol="cpuf"), "adversary"),
+    "binding-a-receiver": (dict(experiment="binding", protocol="extpuf",
+                                adversary="stateful-probe-receiver"), "adversary"),
+    "binding-another-protocols-sender": (dict(experiment="binding", protocol="collextpuf",
+                                              adversary="equivocating-open-extpuf"),
+                                         "adversary"),
+    "extraction-honest": (dict(experiment="extraction", protocol="extpuf"), "adversary"),
+    "completeness-a-sender": (dict(experiment="completeness", protocol="cpuf",
+                                   adversary="honest-sender"), "adversary"),
+    "hiding-a-sender": (dict(experiment="hiding", protocol="extpuf",
+                             adversary="equivocating-open-extpuf"), "adversary"),
+    "costs-a-sender": (dict(experiment="costs", protocol="collextpuf",
+                            adversary="never-query-collective"), "adversary"),
+    "uc-sim-sender-all-senders": (dict(experiment="uc-sim", case="sender",
+                                       adversary="all-senders"), "adversary"),
+    "uc-sim-sender-revised-flow-sender": (dict(experiment="uc-sim", case="sender",
+                                               adversary="honest-sender"), "adversary"),
+    "uc-sim-receiver-a-sender": (dict(experiment="uc-sim", case="receiver",
+                                      adversary="e-guessing-sender"), "adversary"),
+    "uc-sim-per-string": (dict(experiment="uc-sim", mode="per-string"), "mode"),
+    **{f"per-string-{protocol}": (dict(experiment="completeness", protocol=protocol,
+                                       mode="per-string"), "mode")
+       for protocol in ("cpuf", "extpuf", "collextpuf", "original-extpuf")},
+    **{f"max-support-{value}": (dict(experiment="lemmas", extras={"max_support": value}),
+                                "max_support")
+       for value in (9, 1, 12, "many")},
+    **{f"queries-{value}": (dict(experiment="props-cq", extras={"queries": value}),
+                            "queries")
+       for value in (0, -3, "many")},
+    "costs-trials": (dict(experiment="costs", protocol="cpuf", trials=5), "trials"),
+    "costs-jobs": (dict(experiment="costs", protocol="cpuf", trials=1, jobs=3), "jobs"),
+    "extraction-blob-equalities": (dict(experiment="extraction", protocol="blob-equalities",
+                                        adversary="all-senders"), "protocol"),
+}
+
+
+def _refused(case, **fields):
+    config, path = REFUSED[case]
+    return ExperimentConfig(**{**dict(n=8, k=2, trials=2), **config, **fields}), path
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_validate_alone_refuses_every_refused_config(case):
+    cfg, path = _refused(case)
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_a_refused_config_starts_no_worker(monkeypatch, case):
+    # a config refused inside fork workers could hang the pool's exit
+    def no_pool(method):
+        raise AssertionError("a worker pool started for a refused config")
+
+    monkeypatch.setattr(experiments, "get_context", no_pool)
+    cfg, path = _refused(case, jobs=2)
+    with pytest.raises(ConfigError) as err:
+        run_experiment(cfg)
+    assert err.value.path == path
+
+
+def test_a_trial_that_raises_in_a_worker_does_not_hang_the_pool():
+    # imap_unordered let the pool's exit terminate it while its task handler
+    # was still putting chunks; that could block forever on the queue's lock
+    src = str(Path(experiments.__file__).resolve().parents[2])
+    code = (
+        "from pufcommit.harness.config import ExperimentConfig\n"
+        "from pufcommit.harness.experiments import _run_trials\n"
+        "def trial(cfg, i):\n"
+        "    if i % 2 == 0:\n"
+        "        raise ValueError(i)\n"
+        "cfg = ExperimentConfig(experiment='lemmas', trials=8, jobs=2)\n"
+        "for _ in range(50):\n"
+        "    try:\n"
+        "        _run_trials(cfg, trial)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('the trial error was lost')\n"
+        "print('done')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "done\n"
 
 
 # sha256 of report.to_json() for the compiled commitment's reports, taken
