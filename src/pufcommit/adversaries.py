@@ -205,11 +205,7 @@ class EGuessCompilerSender(HonestCompilerSender):
         return [self.pair_xor(t, g) for t, g in enumerate(self.guess)]
 
     def decommit_choice(self, b_hint=None):
-        want = self.b if b_hint is None else b_hint
-        self.chosen = []
-        for t in range(self.n):
-            blob = 2 * t if want == self.b else 2 * t + 1
-            self.chosen.append(blob)
+        self.chosen = [2 * t for t in range(self.n)]  # the blobs that carry b
         return self.chosen
 
 

@@ -33,20 +33,6 @@ bits j of w.  Two evaluation orders give the same bits:
 
 The order is chosen by out_len alone, at a crossover measured on CPython
 3.11 (_BYTE_TABLE_MIN_OUT).
-
-Rep skips the decode when it can.  Gen records the reading w it hashed,
-with st, under the helper's key: the extractor's widths and t, the seed
-and the sketch.  If Rep finds an entry there and w' is within t of its w
-in total, it returns the recorded st.  That is exactly what decoding
-gives: w XOR sketch is a codeword, so w' XOR sketch is that codeword plus
-at most t errors in total, hence at most t in any inner block; majority
-decoding then recovers w, and Rep hashes H_seed(w) = st.  The argument
-uses only that the entry came from a Gen with this key, so it holds for
-whichever entry sits there, even if two Gens collide on (seed, sketch).
-Any other reading is decoded, re-encoded and hashed as before.  Two honest
-readings of one challenge differ in fewer than d_noise <= t bits, so an
-honest opening never decodes.  A new Session empties the memo
-(reset_reading_memo), and so does passing _MEMO_MAX_BITS.
 """
 
 from __future__ import annotations
@@ -57,7 +43,7 @@ from .bits import BitString
 from .ecc import RepetitionCode
 from .prf import prf_bits
 
-__all__ = ["HelperData", "FuzzyExtractor", "check_matching", "reset_reading_memo"]
+__all__ = ["HelperData", "FuzzyExtractor", "check_matching"]
 
 # Narrowest output hashed by byte tables.  Below it the per-row loop is
 # faster: at out_len 128 the two orders tie, at 192 tables win by 1.1-1.8x.
@@ -69,22 +55,6 @@ _BYTE_TABLE_MIN_OUT = 192
 # entries each, both of (out_len + 8 * _SEGMENT_BYTES) bits per entry:
 # about 0.33 MB apiece on that hash.
 _SEGMENT_BYTES = 256
-# Key and value bits the reading memo may hold before it empties itself.
-# A session resets it, but Gens made outside any session (the harness's
-# fe-* and props-* loops) would otherwise pile up without end.  The
-# busiest session here, uccompiler at n = 64, holds about 0.8 Mbit.
-_MEMO_MAX_BITS = 1 << 23
-
-_memo: dict = {}
-_memo_bits = 0
-
-
-def reset_reading_memo() -> None:
-    """Forget every reading Gen recorded."""
-    global _memo_bits
-    _memo.clear()
-    _memo_bits = 0
-
 
 def _toeplitz_by_rows(toeplitz: int, wv: int, n_out: int) -> int:
     value = 0
@@ -168,19 +138,12 @@ class FuzzyExtractor:
         return self.source_len + self.seed_bits
 
     def gen(self, w: BitString, rng) -> tuple[BitString, HelperData]:
-        global _memo_bits
         if w.n != self.source_len:
             raise ValueError(f"LEN_MISMATCH: source of {w.n} bits, expected {self.source_len}")
         msg = BitString.random(self._inner.msg_len, rng)
         sketch = w ^ self._inner.enc(msg)
         seed = BitString.random(self.seed_bits, rng)
-        st = self._hash(seed, w)
-        bits = self.seed_bits + 2 * self.source_len + self.out_len
-        if _memo_bits + bits > _MEMO_MAX_BITS:
-            reset_reading_memo()
-        _memo[self._memo_key(seed, sketch)] = (w.value, st)
-        _memo_bits += bits
-        return st, HelperData(sketch, seed)
+        return self._hash(seed, w), HelperData(sketch, seed)
 
     def rep(self, w_prime: BitString, p: HelperData) -> BitString:
         if w_prime.n != self.source_len:
@@ -193,15 +156,8 @@ class FuzzyExtractor:
             raise ValueError(
                 f"LEN_MISMATCH: seed of {p.hash_seed.n} bits, expected {self.seed_bits}"
             )
-        known = _memo.get(self._memo_key(p.hash_seed, p.sketch))
-        if known is not None and (w_prime.value ^ known[0]).bit_count() <= self.t:
-            return known[1]
         recovered = p.sketch ^ self._inner.enc(self._inner.dec(w_prime ^ p.sketch))
         return self._hash(p.hash_seed, recovered)
-
-    def _memo_key(self, seed: BitString, sketch: BitString) -> tuple:
-        return (self.source_len, self.out_len, self.t, self.seed_bits,
-                seed.value, sketch.value)
 
     def _hash(self, seed: BitString, w: BitString) -> BitString:
         n_in, n_out = self.source_len, self.out_len

@@ -88,7 +88,7 @@ class CollectiveSender:
         self.p_e = []
         for st_i in self.st:
             st_e_i, p_e_i = probe_outputs(self.ask_probe(st_i),
-                                          self.params.probe.fe, self.api.rng)
+                                          self.params.probe.fe, self.api)
             self.st_e.append(st_e_i)
             self.p_e.append(p_e_i)
 

@@ -4,19 +4,20 @@ intake, stride masking, the one return check and the probe-refused fallback.
 
 Every commitment binds a string to a token the same way: `enroll` draws
 a fresh challenge, reads the token on it and runs Gen; `reproduce`
-re-reads the token on that challenge later and runs Rep on the helper."""
+re-reads the token on that challenge later and runs Rep on the helper.
+Every Gen of a run goes through `generate`, which records the reading in
+the session, and every Rep through `reproduce`, which reads that record."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from random import Random
 from typing import Callable, Optional
 
 from ..bits import BitString, spread
 from ..fuzzy import FuzzyExtractor, HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
 
-__all__ = ["Outcome", "commit_step", "open_step", "enroll", "reproduce",
+__all__ = ["Outcome", "commit_step", "open_step", "generate", "enroll", "reproduce",
            "take_helper", "mask_commitment", "probe_outputs", "TestQuery"]
 
 
@@ -105,11 +106,24 @@ def open_step(outcome: Outcome, slot: int, decommit: Callable[[], object],
     return value
 
 
+def _reading_key(fe: FuzzyExtractor, helper: HelperData) -> tuple:
+    return (fe.source_len, fe.out_len, fe.t, fe.seed_bits,
+            helper.hash_seed.value, helper.sketch.value)
+
+
+def generate(api: PartyHandle, fe: FuzzyExtractor,
+             reading: BitString) -> tuple[BitString, HelperData]:
+    """(st, p): Gen on reading, recorded in the session for `reproduce`."""
+    st, p = fe.gen(reading, api.rng)
+    api.session.readings[_reading_key(fe, p)] = (reading.value, st)
+    return st, p
+
+
 def enroll(api: PartyHandle, sid: str, challenge_len: int,
            fe: FuzzyExtractor) -> tuple[BitString, BitString, HelperData]:
     """(s, st, p): a fresh challenge s, and Gen on the token's answer to it."""
     s = BitString.random(challenge_len, api.rng)
-    st, p = fe.gen(api.eval(sid, s), api.rng)
+    st, p = generate(api, fe, api.eval(sid, s))
     return s, st, p
 
 
@@ -117,10 +131,23 @@ def reproduce(api: PartyHandle, sid: str, challenge: BitString, fe: FuzzyExtract
               helper: HelperData) -> Optional[BitString]:
     """Rep on the token's answer to challenge; None when the token refuses
     or answers with a width fe cannot take, so a check can reject instead
-    of crash."""
+    of crash.
+
+    An answer within t in total of a reading that `generate` recorded in
+    this session under fe's widths and this helper gets the recorded st
+    without decoding, which is what Rep returns: that Gen made w XOR
+    sketch a codeword, so an answer w' within t of w in total, hence
+    within t in every inner block, decodes back to w, and Rep hashes
+    H_seed(w) = st.  The argument holds for whichever Gen made the entry,
+    even if two collide on (seed, sketch).  Two honest readings of one
+    challenge differ in fewer than d_noise <= t bits, so an honest
+    opening never decodes; any other answer runs Rep in full."""
     response = api.eval(sid, challenge)
     if response is None or response.n != fe.source_len:
         return None
+    recorded = api.session.readings.get(_reading_key(fe, helper))
+    if recorded is not None and (response.value ^ recorded[0]).bit_count() <= fe.t:
+        return recorded[1]
     return fe.rep(response, helper)
 
 
@@ -137,13 +164,14 @@ def mask_commitment(st: BitString, x: BitString, r: BitString, width: int) -> Bi
 
 
 def probe_outputs(response: Optional[BitString], fe: FuzzyExtractor,
-                  rng: Random) -> tuple[BitString, HelperData]:
-    """(st_E, p_E) extracted from a probe answer; all-zero strings, and no
-    randomness drawn, when the probe refused (None or a wrong width)."""
+                  api: PartyHandle) -> tuple[BitString, HelperData]:
+    """(st_E, p_E) extracted from a probe answer; all-zero strings, with no
+    randomness drawn and nothing recorded, when the probe refused (None or
+    a wrong width)."""
     if response is None or response.n != fe.source_len:
         return (BitString.zeros(fe.out_len),
                 HelperData(BitString.zeros(fe.source_len), BitString.zeros(fe.seed_bits)))
-    return fe.gen(response, rng)
+    return generate(api, fe, response)
 
 
 @dataclass(frozen=True)

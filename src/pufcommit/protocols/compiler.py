@@ -87,6 +87,12 @@ class CollectiveChannel:
     def open(self, index: int) -> Optional[BitString]:
         return open_index(self.outcome, index, receiver_name=self.receiver_name)
 
+    @staticmethod
+    def bits_params(n: int, d_noise: int) -> ExtPufParams:
+        """The bundle commit_bits commits n bits under: one-bit strings,
+        masked at least _CHANNEL_WIDTH wide."""
+        return ExtPufParams.standard(max(n, _CHANNEL_WIDTH), 1, d_noise=d_noise)
+
     def commit_bits(self, bits: list[int]) -> bool:
         return self.commit([BitString(bit, 1) for bit in bits])
 
@@ -120,6 +126,11 @@ class PerStringChannel(CollectiveChannel):
 
     def open(self, index: int) -> Optional[BitString]:
         return self.instances[index].open(0)
+
+    @staticmethod
+    def bits_params(n: int, d_noise: int) -> ExtPufParams:
+        """The bundle commit_bits commits n bits under: one n-bit string."""
+        return ExtPufParams.standard(n, n, d_noise=d_noise)
 
     def commit_bits(self, bits: list[int]) -> bool:
         return self.commit([BitString.from_bits(bits)])
@@ -263,18 +274,16 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
     if channel is None:
         raise ValueError(f"unknown channel mode {mode!r}")
     session = Session(seed, budgets=EXTPUF_BUDGETS)
-    params_bits = ExtPufParams.standard(max(n, _CHANNEL_WIDTH), 1, d_noise=d_noise)
-    params_e = (ExtPufParams.standard(n, n, d_noise=d_noise)
-                if mode == "per-string" else params_bits)
 
     S = sender_factory(n, b, session.handle_for("S"))
     R = receiver_factory(n, session.handle_for("R"))
     outcome = CompilerOutcome(session, sender=S, receiver=R)
 
     # direction R -> S: the challenge bits; R is the channel sender
-    e_channel = channel(session, params_e, "R", "S", "e/")
-    # direction S -> R: the blob shares
-    blob_channel = channel(session, params_bits, "S", "R", "blob/")
+    e_channel = channel(session, channel.bits_params(n, d_noise), "R", "S", "e/")
+    # direction S -> R: the blob shares, one-bit strings in every mode
+    blob_channel = channel(session, CollectiveChannel.bits_params(n, d_noise),
+                           "S", "R", "blob/")
     outcome.e_channel = e_channel
     outcome.blob_channel = blob_channel
 

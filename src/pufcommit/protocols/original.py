@@ -24,8 +24,8 @@ from ..bits import BitString
 from ..functionality import NO_CHANNEL_BUDGETS
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
-from .common import (Outcome, TestQuery, commit_step, enroll, mask_commitment,
-                     open_step, probe_outputs, reproduce, take_helper)
+from .common import (Outcome, TestQuery, commit_step, enroll, generate,
+                     mask_commitment, open_step, probe_outputs, reproduce, take_helper)
 from .params import OriginalExtPufParams
 
 __all__ = ["OriginalSender", "OriginalReceiver", "run_original_extpuf"]
@@ -53,10 +53,10 @@ class OriginalSender:
         # and enrolling in turn would change every seeded run of this flow.
         self.s1 = BitString.random(p.n, api.rng)
         self.s2 = BitString.random(p.n, api.rng)
-        self.st1, self.p1 = p.first.fe.gen(api.eval(self.SID_FIRST, self.s1), api.rng)
-        self.st2, self.p2 = p.second.fe.gen(api.eval(self.SID_SECOND, self.s2), api.rng)
+        self.st1, self.p1 = generate(api, p.first.fe, api.eval(self.SID_FIRST, self.s1))
+        self.st2, self.p2 = generate(api, p.second.fe, api.eval(self.SID_SECOND, self.s2))
         response = api.eval(self.probe_sid, p.code.enc(self.st1))
-        self.st_e, self.p_e = probe_outputs(response, p.probe.fe, api.rng)
+        self.st_e, self.p_e = probe_outputs(response, p.probe.fe, api)
         return self.p1.concat(), self.p2.concat()
 
     def send_tokens(self, receiver: str) -> None:

@@ -13,6 +13,11 @@ direct protocol messages, phase annotations, exchange-phase markers and
 outcomes.  With a fixed seed the serialized log is byte-identical across
 runs.
 
+A session also owns its readings: every Gen a party runs through
+protocols.common records the reading it hashed there, so a later Rep of
+the same token in this session can skip decoding.  The record goes with
+the session.
+
 Ownership runs one way: a party handle points at its session, and the
 session never points at a handle.  The session keeps each party's
 randomness stream by name, so every handle_for(name) returns a new handle
@@ -28,7 +33,6 @@ from typing import Optional
 
 from .bits import BitString
 from .functionality import ADVERSARY, Budgets, CommPufFunctionality, EventLog
-from .fuzzy import reset_reading_memo
 from .prf import derive_seed
 from .puf import MachineProgram, PufParams
 
@@ -60,7 +64,6 @@ class ImmediateDelivery:
 
 class Session:
     def __init__(self, seed: int, budgets: Budgets = Budgets(), adversary=None):
-        reset_reading_memo()  # a session reuses only its own readings
         self.seed = seed
         self.log = EventLog()
         self.functionality = CommPufFunctionality(Random(derive_seed(seed, "func")),
@@ -69,6 +72,7 @@ class Session:
         self.mailboxes: dict[str, list] = {}
         self.exchange_phases = 0
         self._rngs: dict[str, Random] = {}
+        self.readings: dict[tuple, tuple] = {}  # see protocols.common.reproduce
 
     def handle_for(self, name: str) -> "PartyHandle":
         """A handle for party `name`; every handle of one name shares its

@@ -13,8 +13,11 @@ from pufcommit.bits import BitString, hamming_distance
 from pufcommit.ecc import RepetitionCode
 from pufcommit.fuzzy import FuzzyExtractor, HelperData, check_matching
 from pufcommit.prf import prf_bits
-from pufcommit.protocols import ExtPufParams, run_extpuf
+from pufcommit.protocols import (CpufParams, ExtPufParams, OriginalExtPufParams, run_collective,
+                                 run_cpuf, run_extpuf, run_original_extpuf, run_uccompiler)
+from pufcommit.protocols.common import generate, reproduce
 from pufcommit.puf import PufParams
+from pufcommit.session import PartyHandle, Session
 
 CROSSOVER = fuzzy._BYTE_TABLE_MIN_OUT
 SEGMENT_BITS = 8 * fuzzy._SEGMENT_BYTES
@@ -213,7 +216,7 @@ def test_widest_hash_in_use_matches_row_loop():
         assert fe._hash(seed, w) == reference_hash(fe, seed, w)
 
 
-# -- Rep against decode-and-hash, on both sides of the reading memo --------
+# -- Rep against decode-and-hash, on both sides of the session's record ----
 
 def reference_rep(fe, w_prime, p):
     """Rep as first written: majority-vote each inner block of w' XOR
@@ -226,6 +229,30 @@ def reference_rep(fe, w_prime, p):
         if (word >> (j * r) & block).bit_count() > fe.t:
             recovered ^= block << (j * r)
     return reference_hash(fe, p.hash_seed, BitString(recovered, fe.source_len))
+
+
+class FixedReading(PartyHandle):
+    """A party in a fresh session whose token answers every challenge with
+    `reading`, so generate and reproduce see the readings a test picks."""
+
+    def __init__(self, rng: Random):
+        super().__init__(Session(0), "P", rng)
+        self.reading = None
+
+    def eval(self, sid, challenge):
+        return self.reading
+
+
+def recorded(fe, w, rng):
+    """A FixedReading party, and (st, p) from a Gen on w it recorded."""
+    api = FixedReading(rng)
+    return api, generate(api, fe, w)
+
+
+def reproduced(api, fe, p, reading):
+    """reproduce on a token that now reads `reading`."""
+    api.reading = reading
+    return reproduce(api, "token", BitString.zeros(1), fe, p)
 
 
 @contextmanager
@@ -270,12 +297,25 @@ def test_rep_within_t_per_block_returns_the_gen_hash(case, level):
 @given(readings())
 def test_rep_within_t_in_total_returns_the_recorded_hash_without_decoding(case):
     fe, w, gen_seed, noise = case
-    st_gen, p = fe.gen(w, Random(gen_seed))
+    api, (st_gen, p) = recorded(fe, w, Random(gen_seed))
     reading = w.flip(noise.sample(range(fe.source_len), noise.randint(0, fe.t)))
     with counting_decodes() as dec:
-        got = fe.rep(reading, p)
+        got = reproduced(api, fe, p, reading)
     assert dec.call_count == 0
     assert got == st_gen == reference_rep(fe, reading, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(readings())
+def test_reproduce_beyond_t_in_total_decodes(case):
+    fe, w, gen_seed, noise = case
+    api, (_, p) = recorded(fe, w, Random(gen_seed))
+    reading = w.flip(noise.sample(range(fe.source_len),
+                                  noise.randint(fe.t + 1, fe.source_len)))
+    with counting_decodes() as dec:
+        got = reproduced(api, fe, p, reading)
+    assert dec.call_count == 1
+    assert got == reference_rep(fe, reading, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,7 +337,7 @@ def test_rep_beyond_t_in_total_but_within_t_per_block_decodes_to_the_gen_hash(ca
 @given(readings())
 def test_rep_beyond_t_in_one_block_hashes_the_word_it_recovered(case):
     # t + 1 flips in block j move its majority, so Rep recovers w with the
-    # whole block flipped; the memo holds gen's reading w and must not answer
+    # whole block flipped
     fe, w, gen_seed, noise = case
     r = 2 * fe.t + 1
     j = noise.randrange(fe.source_len // r)
@@ -311,7 +351,7 @@ def test_rep_beyond_t_in_one_block_hashes_the_word_it_recovered(case):
     assert got == reference_rep(fe, reading, p) == reference_hash(fe, p.hash_seed, recovered)
 
 
-# -- The reading memo: one session's lifetime, a fixed cap -------------------
+# -- The session's reading record: honest runs decode nothing ---------------
 
 EP = ExtPufParams.standard(16, 4)
 X = BitString.from01("1011")
@@ -338,11 +378,25 @@ def hash_count(monkeypatch):
     return counts
 
 
+HONEST_RUNS = {
+    "run_cpuf": lambda: run_cpuf(CpufParams.standard(16, 4), X, 5),
+    "run_extpuf": lambda: run_extpuf(EP, X, 5),
+    "run_collective": lambda: run_collective(EP, [X, ~X, X], 5),
+    "run_original_extpuf": lambda: run_original_extpuf(OriginalExtPufParams.standard(8, 1),
+                                                       BitString.from01("1"), 5),
+    "run_uccompiler": lambda: run_uccompiler(4, 1, 5),
+}
+
+
 def test_honest_opening_reuses_the_gen_hash(hash_count):
-    assert run_extpuf(EP, X, seed=5).accepted
-    assert hash_count["rep"] > 0
-    assert hash_count["hash"] == hash_count["gen"]
-    assert hash_count["dec"] == 0
+    # every Gen of an honest run is recorded, so every Rep is answered from
+    # the record: one Toeplitz product per Gen and none per Rep
+    for runner, run in HONEST_RUNS.items():
+        hash_count.clear()
+        assert run().accepted, runner
+        assert hash_count["gen"] > 0, runner
+        assert hash_count["hash"] == hash_count["gen"], runner
+        assert hash_count["rep"] == hash_count["dec"] == 0, runner
 
 
 def test_a_new_session_recomputes_every_hash(hash_count):
@@ -364,43 +418,30 @@ def test_rep_of_a_substituted_probe_computes_its_hash(hash_count):
 def test_memo_tells_widths_apart():
     rng = Random(13)
     w = BitString.random(600, rng)
-    st_gen, p = FuzzyExtractor(600, 8, 0, seed_bits=64).gen(w, rng)
+    api, (st_gen, p) = recorded(FuzzyExtractor(600, 8, 0, seed_bits=64), w, rng)
     for out_len in (CROSSOVER, 9):
         fe = FuzzyExtractor(600, out_len, 0, seed_bits=64)
-        assert fe.rep(w, p) == reference_rep(fe, w, p)
-    assert FuzzyExtractor(600, 8, 0, seed_bits=64).rep(w, p) == st_gen
+        assert reproduced(api, fe, p, w) == reference_rep(fe, w, p)
+    assert reproduced(api, FuzzyExtractor(600, 8, 0, seed_bits=64), p, w) == st_gen
 
 
 def test_memo_tells_t_and_seed_bits_apart():
     # Each pair differs in t or seed_bits only.  The reading is within the
-    # Rep side's t of the Gen reading, so an entry shared across the pair
-    # would answer with st_gen; the reference shows that would be wrong.
+    # Rep side's t of the Gen reading, so a record entry shared across the
+    # pair would answer with st_gen; the reference shows that would be wrong.
     rng = Random(15)
     # 105 bits hold inner blocks of 1, 3, 5 and 7 bits
     for t_gen, t_rep in ((0, 3), (1, 2), (3, 1)):
         gen_fe = FuzzyExtractor(105, 8, t_gen, seed_bits=64)
         rep_fe = FuzzyExtractor(105, 8, t_rep, seed_bits=64)
         w = BitString.random(gen_fe.source_len, rng)
-        st_gen, p = gen_fe.gen(w, rng)
+        api, (st_gen, p) = recorded(gen_fe, w, rng)
         assert reference_rep(rep_fe, w, p) != st_gen
-        assert rep_fe.rep(w, p) == reference_rep(rep_fe, w, p)
+        assert reproduced(api, rep_fe, p, w) == reference_rep(rep_fe, w, p)
     gen_fe = FuzzyExtractor(105, 8, 1, seed_bits=64)
     rep_fe = FuzzyExtractor(105, 8, 1, seed_bits=128)
     w = BitString.random(gen_fe.source_len, rng)
-    st_gen, p = gen_fe.gen(w, rng)
+    api, (st_gen, p) = recorded(gen_fe, w, rng)
     wider = HelperData(p.sketch, BitString(p.hash_seed.value, 128))
     assert reference_rep(rep_fe, w, wider) != st_gen
-    assert rep_fe.rep(w, wider) == reference_rep(rep_fe, w, wider)
-
-
-def test_memo_outside_sessions_stays_under_its_cap():
-    fe = FuzzyExtractor(1 << 16, 8, 0, seed_bits=64)
-    # key: seed and sketch; value: the reading and st
-    entry_bits = fe.seed_bits + 2 * fe.source_len + fe.out_len
-    most = fuzzy._MEMO_MAX_BITS // entry_bits
-    rng = Random(14)
-    fuzzy.reset_reading_memo()
-    for _ in range(2 * most + 2):
-        fe.gen(BitString.random(fe.source_len, rng), rng)
-        assert fuzzy._memo_bits <= fuzzy._MEMO_MAX_BITS
-        assert len(fuzzy._memo) <= most
+    assert reproduced(api, rep_fe, wider, w) == reference_rep(rep_fe, w, wider)

@@ -54,3 +54,31 @@ def test_lemma_suite_loads_no_report_or_harness_module():
     assert "pufcommit.entropy" in loaded
     assert [m for m in loaded
             if m == "pufcommit.report" or m.startswith("pufcommit.harness")] == []
+
+
+def test_a_run_mutates_no_module_level_container():
+    # state a run keeps belongs to its session or its parties; a module's
+    # dict, list or set would be shared by every run in the process
+    out = _fresh_python(
+        "import importlib, pkgutil, sys\n"
+        "import pufcommit\n"
+        "for m in pkgutil.walk_packages(pufcommit.__path__, 'pufcommit.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "def containers():\n"
+        "    return {(mod, name): value.copy()\n"
+        "            for mod, module in list(sys.modules.items())\n"
+        "            if mod.startswith('pufcommit')\n"
+        "            for name, value in vars(module).items()\n"
+        "            if type(value) in (dict, list, set) and not name.startswith('__')}\n"
+        "before = containers()\n"
+        "from pufcommit.harness.config import ExperimentConfig\n"
+        "from pufcommit.harness.experiments import PROTOCOL_TABLE, run_experiment\n"
+        "for cfg in [ExperimentConfig('completeness', protocol=name, trials=1)\n"
+        "            for name in PROTOCOL_TABLE] + [ExperimentConfig('fe-roundtrip', trials=1)]:\n"
+        "    assert run_experiment(cfg).successes == 1, cfg\n"
+        "after = containers()\n"
+        "print(len(before), sorted(f'{mod}.{name}' for mod, name in before\n"
+        "                          if after.get((mod, name)) != before[(mod, name)]))\n")
+    count, changed = out.split(" ", 1)
+    assert int(count) > 0
+    assert changed.strip() == "[]"
