@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Callable
 
 from ..bits import BitString
-from ..protocols import CHANNELS
 from ..report import ExperimentReport
 from ..session import count_resources
 from .config import ConfigError, ExperimentConfig, load_config
@@ -60,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("costs", help="token and exchange-phase accounting")
     p.add_argument("protocol", choices=PROTOCOL_TABLE)
-    p.add_argument("--mode", choices=CHANNELS, default="collective")
     p.add_argument("--k", type=int, default=1)
     _add_common(p, trials=1, n=16)
 
@@ -111,6 +109,10 @@ def _attack_verdict(cfg: ExperimentConfig, report: ExperimentReport) -> None:
 def _costs_line(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     measured = report.details["measured"]
     print(f"tokens created / exchange phases: {measured[0]} / {measured[1]}")
+    per_string = report.details.get("per_string")
+    if per_string:
+        print(f"  one instance per string, by the sum rule: "
+              f"{per_string['pufs_created']} / {per_string['exchange_phases']}")
 
 
 def _flags(args) -> dict:
@@ -140,7 +142,7 @@ _COMMANDS = {
     "uc-sim": _Command(
         lambda a: dict(experiment="uc-sim", case=a.case, name=f"uc-sim/{a.case}")),
     "costs": _Command(
-        lambda a: dict(experiment="costs", protocol=a.protocol, mode=a.mode, k=a.k),
+        lambda a: dict(experiment="costs", protocol=a.protocol, k=a.k),
         _costs_line),
     "lemmas": _Command(
         lambda a: dict(experiment="lemmas", extras={"max_support": a.max_support})),

@@ -34,7 +34,6 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 1
     d_noise: int = 3
-    mode: str = "collective"          # uccompiler channel mode
     case: str = "receiver"            # uc-sim corruption case
     jobs: int = 1
     out: Optional[str] = None
@@ -44,7 +43,6 @@ class ExperimentConfig:
         """The one refusal point: the field checks, then the experiment
         row's, so no config it accepts is refused once its trials start."""
         from ..adversaries import zoo
-        from ..protocols import CHANNELS
         from .experiments import EXPERIMENTS, PROTOCOL_TABLE
 
         hints = get_type_hints(ExperimentConfig)
@@ -79,8 +77,6 @@ class ExperimentConfig:
             raise ConfigError("n_strings", "at least one committed string required")
         if self.d_noise < 0 or self.d_noise % 2 == 0:
             raise ConfigError("d_noise", "noise bound must be odd (block width 2t+1)")
-        if self.mode not in CHANNELS:
-            raise ConfigError("mode", f"unknown channel mode {self.mode!r}")
         if self.case not in ("receiver", "sender"):
             raise ConfigError("case", f"unknown corruption case {self.case!r}")
         if self.jobs < 1:

@@ -36,8 +36,10 @@ from ..protocols import (
     CpufParams,
     ExtPufParams,
     OriginalExtPufParams,
+    channel_params,
     run_collective,
     run_cpuf,
+    run_extpuf,
     run_original_extpuf,
     run_uccompiler,
 )
@@ -72,6 +74,22 @@ def _opened_as_sampled(values: list, out) -> bool:
     return out.committed and all(out.opened.get(j) == v for j, v in enumerate(values))
 
 
+def _per_string_resources(cfg: ExperimentConfig, i: int) -> dict:
+    """The compiler's resources with one single-string instance per
+    committed string, by the sum rule: one honest run of the n-bit
+    challenge string under standard(n, n) plus 4n of a one-bit share under
+    the channel bundle, each opening its string once.  Every instance
+    spends 2 tokens and 2 phases and every opening 2 evaluations, wherever
+    it falls, so the sum is exact for honest runs."""
+    rng = _trial_rng(cfg, "sum-rule", i)
+    e = run_extpuf(_params(ExtPufParams, cfg.n, cfg.n, cfg.d_noise),
+                   BitString.random(cfg.n, rng), _tseed(cfg, "sum-rule/e", i))
+    share = run_extpuf(channel_params(cfg.n, cfg.d_noise), BitString.random(1, rng),
+                       _tseed(cfg, "sum-rule/share", i))
+    e, share = count_resources(e.session.log), count_resources(share.session.log)
+    return {key: e[key] + 4 * cfg.n * share[key] for key in e}
+
+
 @dataclass(frozen=True)
 class ProtocolEntry:
     """What the experiments need to know about one protocol.
@@ -87,7 +105,7 @@ class ProtocolEntry:
     cost: Optional[Callable] = None    # cfg -> expected (tokens, exchange phases)
     commit_view: Optional[Callable] = None        # (params, outcome) -> hiding view
     transcript: bool = False           # the demo prints an honest transcript
-    channels: bool = False             # it runs the compiler's channels, so reads mode
+    per_string: Optional[Callable] = None  # (cfg, i) -> resources of one instance per string
 
     def sample(self, cfg: ExperimentConfig, rng: Random) -> list:
         if self.strings is None:
@@ -123,25 +141,23 @@ PROTOCOL_TABLE = {
         experiments=frozenset({"completeness", "costs"}),
         cost=lambda cfg: (3, 3),
     ),
-    # the compiler derives its channel bundles from n itself
+    # the compiler derives its channel bundle from n itself
     "uccompiler": ProtocolEntry(
         params=lambda cfg: cfg,
         run=lambda cfg, values, seed, **kw: run_uccompiler(
-            cfg.n, values[0], seed, mode=cfg.mode, d_noise=cfg.d_noise, **kw),
+            cfg.n, values[0], seed, d_noise=cfg.d_noise, **kw),
         experiments=frozenset({"completeness", "costs"}),
         strings=None,
-        cost=lambda cfg: ((4, 4) if cfg.mode == "collective"
-                          else (8 * cfg.n + 2, 8 * cfg.n + 2)),
-        channels=True,
+        cost=lambda cfg: (4, 4),
+        per_string=_per_string_resources,
     ),
     "blob-equalities": ProtocolEntry(
         params=lambda cfg: cfg,
-        run=lambda cfg, values, seed: run_uccompiler(cfg.n, values[0], seed, mode=cfg.mode,
+        run=lambda cfg, values, seed: run_uccompiler(cfg.n, values[0], seed,
                                                      open_phase=False, d_noise=cfg.d_noise),
         experiments=frozenset({"completeness"}),
         strings=None,
         honest_ok=lambda values, out: out.committed,
-        channels=True,
     ),
 }
 
@@ -167,8 +183,6 @@ def _entry(cfg: ExperimentConfig) -> None:
     entry = PROTOCOL_TABLE.get(cfg.protocol)
     if entry is None or cfg.experiment not in entry.experiments:
         raise ConfigError("protocol", f"{cfg.experiment} undefined for {cfg.protocol!r}")
-    if cfg.mode != "collective" and not entry.channels:
-        raise ConfigError("mode", f"{cfg.protocol} runs no channels, so no {cfg.mode!r} ones")
 
 
 def _honest_only(cfg: ExperimentConfig) -> None:
@@ -196,11 +210,8 @@ def _one_trial(cfg: ExperimentConfig) -> None:
 
 
 def _ucsim_case(cfg: ExperimentConfig) -> None:
-    """The simulators extract, so the channels are collective; the receiver
-    case runs honest parties, the sender case at most one compiler sender."""
-    if cfg.mode != "collective":
-        raise ConfigError("mode", f"uc-sim runs collective channels only, not "
-                                  f"{cfg.mode!r}: its simulators extract")
+    """The receiver case runs honest parties, the sender case at most one
+    compiler sender."""
     if cfg.case == "receiver":
         _honest_only(cfg)
     elif cfg.adversary != "honest":
@@ -248,22 +259,30 @@ def _completeness_trial(cfg: ExperimentConfig, i: int) -> Counter:
 
 def _costs_trial(cfg: ExperimentConfig, i: int) -> Counter:
     """One honest run settles the accounting: it succeeds when the run
-    works and spends the tokens and exchange phases the table expects."""
+    works and spends the tokens and exchange phases the table expects.
+    The compiler also counts, by the sum rule, one instance per string."""
+    entry = PROTOCOL_TABLE[cfg.protocol]
     values, out = _sampled_run(cfg, i)
-    ok = PROTOCOL_TABLE[cfg.protocol].honest_ok(values, out)
+    ok = entry.honest_ok(values, out)
     resources = count_resources(out.session.log)
     measured = (resources["pufs_created"], resources["exchange_phases"])
+    per_string = entry.per_string(cfg, i) if entry.per_string else {}
     return Counter({**{("resources", key): val for key, val in resources.items()},
+                    **{("per_string", key): val for key, val in per_string.items()},
                     ("honest", "accepted"): int(ok),
-                    "success": int(ok and measured == PROTOCOL_TABLE[cfg.protocol].cost(cfg))})
+                    "success": int(ok and measured == entry.cost(cfg))})
 
 
 def _costs_verdict(cfg: ExperimentConfig, counter: Counter) -> dict:
     resources = _tagged(counter, "resources")
-    return dict(_every_trial(cfg, counter),
-                measured=[resources["pufs_created"], resources["exchange_phases"]],
-                expected=list(PROTOCOL_TABLE[cfg.protocol].cost(cfg)),
-                honest_run_accepted=bool(counter[("honest", "accepted")]))
+    details = dict(_every_trial(cfg, counter),
+                   measured=[resources["pufs_created"], resources["exchange_phases"]],
+                   expected=list(PROTOCOL_TABLE[cfg.protocol].cost(cfg)),
+                   honest_run_accepted=bool(counter[("honest", "accepted")]))
+    per_string = _tagged(counter, "per_string")
+    if per_string:
+        details["per_string"] = per_string
+    return details
 
 
 def _attack_original_trial(cfg: ExperimentConfig, i: int) -> Counter:
@@ -386,9 +405,12 @@ def _ucsim_verdict(cfg: ExperimentConfig, counter: Counter) -> dict:
     sd = histogram_distance(real, ideal)
     ambiguous = counter[("sim", "ambiguous-abort")]
     passed = sd <= SD_BOUND
-    details = {"passed": passed, "feature_sd": sd, "e_guess_bound": 2.0 ** -cfg.n,
-               "distinct_features": len(set(real) | set(ideal)),
-               "sim_ambiguous_abort_rate": ambiguous / cfg.trials}
+    details = {"passed": passed, "feature_sd": sd,
+               "distinct_features": len(set(real) | set(ideal))}
+    if cfg.case == "sender":
+        # only a sender can guess e, and only its simulator can meet ambiguous blobs
+        details.update(e_guess_bound=2.0 ** -cfg.n,
+                       sim_ambiguous_abort_rate=ambiguous / cfg.trials)
     if cfg.adversary == "e-guessing-sender":
         # the simulator-only abort fires exactly when the sender guessed
         # every challenge bit; its rate must sit on the 2^-n bound
@@ -585,7 +607,7 @@ def _report(cfg: ExperimentConfig, counter: Counter, name: str) -> ExperimentRep
               if key.startswith("abort:")}
     return ExperimentReport(
         name=cfg.name or name.format(experiment=cfg.experiment, protocol=cfg.protocol or "-",
-                                     adversary=cfg.adversary, mode=cfg.mode),
+                                     adversary=cfg.adversary),
         trials=cfg.trials, successes=counter["success"],
         failures=cfg.trials - counter["success"] - sum(aborts.values()),
         aborts_by_step=aborts,
@@ -620,7 +642,7 @@ EXPERIMENTS = {
     "hiding": Experiment(_hiding_trial, _guessing_game, checks=(_entry, _honest_only)),
     "extraction": Experiment(_extraction_trial, _every_trial,
                              checks=(_entry, partial(_named_sender, all_senders=True))),
-    "costs": Experiment(_costs_trial, _costs_verdict, "{experiment}/{protocol}/{mode}",
+    "costs": Experiment(_costs_trial, _costs_verdict, "{experiment}/{protocol}/collective",
                         (_entry, _honest_only, _one_trial)),
     "lemmas": Experiment(_lemmas_trial, _lemmas_verdict, "entropy-lemmas",
                          (_support_range,), {"max_support": 8}),

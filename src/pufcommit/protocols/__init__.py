@@ -10,7 +10,7 @@ from .collective import (
     run_collective_commit,
     run_extpuf,
 )
-from .compiler import CHANNELS, CompilerOutcome, open_uccompiler, run_uccompiler
+from .compiler import CompilerOutcome, channel_params, open_uccompiler, run_uccompiler
 
 __all__ = [
     "CommitPair",
@@ -34,5 +34,5 @@ __all__ = [
     "CompilerOutcome",
     "run_uccompiler",
     "open_uccompiler",
-    "CHANNELS",
+    "channel_params",
 ]

@@ -18,14 +18,11 @@ Decommit: the sender picks l_t in {2t, 2t+1} per pair and opens both
 shares of blob l_t; the receiver accepts if some single bit b explains
 every opened pair.
 
-Channels: the commitments ride on the collective commitment core, and
-`CHANNELS` maps each channel mode to the class that decides everything
-the mode changes.  `collective` runs one instance per direction over all
-its strings (two tokens, two exchange phases each) and commits the n
-challenge bits as n one-bit strings; only it can be extracted.
-`per-string`, the compatibility mode, runs one single-string instance
-(N = 1) per committed string and commits the challenge bits as one n-bit
-string.
+Channels: the commitments ride on the collective commitment core.  Each
+direction runs one `CollectiveChannel`, one instance over all its strings
+(two tokens, two exchange phases), and both commit one-bit strings under
+the one bundle `channel_params` gives: the n challenge bits one way, the
+4n blob shares the other.  Either channel can be extracted.
 """
 
 from __future__ import annotations
@@ -42,9 +39,8 @@ from .params import ExtPufParams
 
 __all__ = [
     "share_index",
-    "CHANNELS",
+    "channel_params",
     "CollectiveChannel",
-    "PerStringChannel",
     "HonestCompilerSender",
     "HonestCompilerReceiver",
     "CompilerOutcome",
@@ -87,12 +83,6 @@ class CollectiveChannel:
     def open(self, index: int) -> Optional[BitString]:
         return open_index(self.outcome, index, receiver_name=self.receiver_name)
 
-    @staticmethod
-    def bits_params(n: int, d_noise: int) -> ExtPufParams:
-        """The bundle commit_bits commits n bits under: one-bit strings,
-        masked at least _CHANNEL_WIDTH wide."""
-        return ExtPufParams.standard(max(n, _CHANNEL_WIDTH), 1, d_noise=d_noise)
-
     def commit_bits(self, bits: list[int]) -> bool:
         return self.commit([BitString(bit, 1) for bit in bits])
 
@@ -110,45 +100,16 @@ class CollectiveChannel:
         return self.outcome.extraction_inputs()
 
 
-class PerStringChannel(CollectiveChannel):
-    """Compatibility mode: one single-string (N = 1) instance per committed
-    string; the challenge bits ride as one string."""
-
-    def commit(self, values: list[BitString]) -> bool:
-        self.instances: list[CollectiveChannel] = []
-        for i, value in enumerate(values):
-            instance = CollectiveChannel(self.session, self.params, self.sender_name,
-                                         self.receiver_name, f"{self.label}{i}/")
-            self.instances.append(instance)
-            if not instance.commit([value]):
-                return False
-        return True
-
-    def open(self, index: int) -> Optional[BitString]:
-        return self.instances[index].open(0)
-
-    @staticmethod
-    def bits_params(n: int, d_noise: int) -> ExtPufParams:
-        """The bundle commit_bits commits n bits under: one n-bit string."""
-        return ExtPufParams.standard(n, n, d_noise=d_noise)
-
-    def commit_bits(self, bits: list[int]) -> bool:
-        return self.commit([BitString.from_bits(bits)])
-
-    def open_bits(self) -> Optional[list[int]]:
-        string = self.open(0)
-        return None if string is None else list(string)
-
-    def extraction_inputs(self) -> dict:
-        raise ProtocolAbort("extract-needs-collective")
-
-
-CHANNELS = {"collective": CollectiveChannel, "per-string": PerStringChannel}
-
 # Least mask width of a one-bit channel string.  The collective extractor
 # matches another index's query with probability about 2(N-1)/2^width
 # (N = 4n on the blob channel), so n-bit masks collide at small n.
 _CHANNEL_WIDTH = 24
+
+
+def channel_params(n: int, d_noise: int) -> ExtPufParams:
+    """The bundle both channels commit their one-bit strings under, masked
+    at least _CHANNEL_WIDTH wide."""
+    return ExtPufParams.standard(max(n, _CHANNEL_WIDTH), 1, d_noise=d_noise)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +215,7 @@ class CompilerOutcome(Outcome):
 
 def _hand_extraction(channel, party) -> None:
     """Give a party that needs it the extraction of every string committed
-    on channel; a channel that cannot be extracted aborts the run."""
+    on channel."""
     if party.needs_extraction:
         extracted = run_extractor_collective(channel.extraction_inputs())
         party.set_extracted([x.value if x is not None else None for x in extracted])
@@ -265,13 +226,13 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
                    receiver_factory: Callable = HonestCompilerReceiver,
                    open_phase: bool = True,
                    d_noise: int = 3) -> CompilerOutcome:
-    """Run the compiled bit commitment end to end over CHANNELS[mode].
+    """Run the compiled bit commitment end to end over collective channels.
 
     A party that declares needs_extraction (a simulator) gets the
     straight-line extraction of the channel the other party commits on.
     """
-    channel = CHANNELS.get(mode)
-    if channel is None:
+    # perfbench/workloads.py still passes mode="collective", the one mode left
+    if mode != "collective":
         raise ValueError(f"unknown channel mode {mode!r}")
     session = Session(seed, budgets=EXTPUF_BUDGETS)
 
@@ -279,11 +240,11 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
     R = receiver_factory(n, session.handle_for("R"))
     outcome = CompilerOutcome(session, sender=S, receiver=R)
 
+    params = channel_params(n, d_noise)
     # direction R -> S: the challenge bits; R is the channel sender
-    e_channel = channel(session, channel.bits_params(n, d_noise), "R", "S", "e/")
-    # direction S -> R: the blob shares, one-bit strings in every mode
-    blob_channel = channel(session, CollectiveChannel.bits_params(n, d_noise),
-                           "S", "R", "blob/")
+    e_channel = CollectiveChannel(session, params, "R", "S", "e/")
+    # direction S -> R: the blob shares
+    blob_channel = CollectiveChannel(session, params, "S", "R", "blob/")
     outcome.e_channel = e_channel
     outcome.blob_channel = blob_channel
 

@@ -152,13 +152,6 @@ def test_simulators_get_their_extraction_from_the_runner():
     assert out.committed and out.receiver.b_star == 1
 
 
-def test_per_string_channels_cannot_be_extracted():
-    out = run_uccompiler(4, 0, seed=34002, mode="per-string",
-                         sender_factory=SimulatorCompilerSender, open_phase=False)
-    assert not out.committed
-    assert out.abort_step == "extract-needs-collective"
-
-
 def test_simulator_receiver_decision_cases():
     class Api:
         rng = Random(0)

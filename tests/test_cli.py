@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -8,7 +8,7 @@ import yaml
 from pufcommit.harness.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, main
 from pufcommit.harness.config import ExperimentConfig
 from pufcommit.harness.experiments import PROTOCOL_TABLE
-from pufcommit.protocols import CHANNELS, run_uccompiler
+from pufcommit.protocols import run_uccompiler
 
 
 def test_demo_runs(capsys):
@@ -73,22 +73,19 @@ def test_a_flag_can_make_a_config_file_valid(tmp_path: Path, capsys):
     assert main(["experiment", str(cfg), "--trials", "1"]) == EXIT_OK
 
 
-def test_channel_modes_are_the_keys_of_the_channel_table(tmp_path: Path, capsys):
-    for mode in CHANNELS:
-        assert main(["costs", "uccompiler", "--mode", mode, "--n", "3"]) == EXIT_OK
-        assert ExperimentConfig(experiment="costs", protocol="uccompiler", mode=mode,
-                                trials=1).validate()
-        assert run_uccompiler(3, 1, seed=5, mode=mode).accepted
-    capsys.readouterr()
+def test_the_compiler_runs_one_channel_mode(tmp_path: Path, capsys):
+    # no flag, config field or keyword picks another channel mode
+    assert "mode" not in {f.name for f in fields(ExperimentConfig)}
     with pytest.raises(SystemExit) as exc:
-        main(["costs", "uccompiler", "--mode", "bulk"])
+        main(["costs", "uccompiler", "--mode", "collective"])
     assert exc.value.code == EXIT_CONFIG
-    assert "(choose from " + ", ".join(map(repr, CHANNELS)) + ")" in capsys.readouterr().err
-    cfg = tmp_path / "bulk.yaml"
-    cfg.write_text("version: 1\nexperiment: costs\nprotocol: uccompiler\nmode: bulk\n"
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+    cfg = tmp_path / "mode.yaml"
+    cfg.write_text("version: 1\nexperiment: costs\nprotocol: uccompiler\nmode: collective\n"
                    "trials: 1\n")
     assert main(["experiment", str(cfg)]) == EXIT_CONFIG
-    assert "mode: unknown channel mode 'bulk'" in capsys.readouterr().err
+    assert "mode: costs reads no such config key" in capsys.readouterr().err
+    assert run_uccompiler(3, 1, seed=5, mode="collective").accepted
     with pytest.raises(ValueError, match="unknown channel mode 'bulk'"):
         run_uccompiler(3, 1, seed=5, mode="bulk")
 
@@ -194,14 +191,6 @@ def test_ucsim_adversary_outside_its_case_is_a_config_error(
     assert "adversary" in capsys.readouterr().err
 
 
-def test_ucsim_refuses_channels_it_cannot_extract(tmp_path: Path, capsys):
-    cfg = tmp_path / "exp.yaml"
-    cfg.write_text("version: 1\nexperiment: uc-sim\ncase: receiver\n"
-                   "mode: per-string\nn: 4\ntrials: 2\n")
-    assert main(["experiment", str(cfg)]) == EXIT_CONFIG
-    assert "mode: uc-sim runs collective channels only" in capsys.readouterr().err
-
-
 def test_assertion_failure_exit_code(monkeypatch):
     # a cost table that expects a second token fails the honest cpuf run,
     # which creates one token in one exchange phase
@@ -219,13 +208,15 @@ def test_ucsim_passes_at_the_default_n(case):
 
 @pytest.mark.parametrize("protocol", ["cpuf", "extpuf", "collextpuf", "original-extpuf"])
 def test_mode_on_a_protocol_without_channels_exits_2(tmp_path: Path, capsys, protocol):
-    assert main(["costs", protocol, "--n", "8", "--mode", "per-string"]) == EXIT_CONFIG
-    assert "mode:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["costs", protocol, "--n", "8", "--mode", "per-string"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(f"version: 1\nexperiment: completeness\nprotocol: {protocol}\n"
                    "mode: per-string\nn: 8\ntrials: 2\n")
     assert main(["experiment", str(cfg)]) == EXIT_CONFIG
-    assert f"mode: {protocol} runs no channels" in capsys.readouterr().err
+    assert "mode: completeness reads no such config key" in capsys.readouterr().err
 
 
 def test_ucsim_subcommand_small():

@@ -16,7 +16,7 @@ from pufcommit.bits import BitString
 from pufcommit.harness.config import ExperimentConfig
 from pufcommit.harness.experiments import run_experiment
 from pufcommit.prf import derive_seed
-from pufcommit.protocols import run_extpuf, run_original_extpuf, run_uccompiler
+from pufcommit.protocols import run_extpuf, run_original_extpuf
 from pufcommit.session import Session
 from test_protocols import EP2, OP, OUTCOME_CASES, X2, run_equalities
 
@@ -31,7 +31,6 @@ RUNS = {
     **{f"{runner}-commit-abort": (lambda run=run, runner=runner:
                                   run(FAULTY[runner], True))
        for runner, (run, _, _) in OUTCOME_CASES.items()},
-    "run_uccompiler-per-string": lambda: run_uccompiler(4, 1, 13020, mode="per-string"),
     # the equality subprotocol runs keep the ids they had as run_blob_equalities
     "run_blob_equalities-unequal": lambda: run_equalities(4, 1, 13021, unequal=(1,)),
     "run_blob_equalities-tampered": lambda: run_equalities(4, 0, 13022, tampered=(0, 2)),

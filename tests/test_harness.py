@@ -59,7 +59,8 @@ def test_config_yaml_roundtrip(tmp_path: Path):
     ("protocol", "nonsense", "protocol"),
     ("adversary", "nonsense", "adversary"),
     ("trials", 0, "trials"),
-    ("mode", "bulk", "mode"),
+    # mode is no field, so a config naming it is refused as an extra key
+    pytest.param("extras", {"mode": "bulk"}, "mode", id="mode-bulk-mode"),
     ("d_noise", 2, "d_noise"),
     ("n_strings", 0, "n_strings"),
 ])
@@ -214,15 +215,34 @@ def test_costs_fails_when_a_run_differs_from_the_table(monkeypatch):
     assert report.details["honest_run_accepted"] and not report.details["passed"]
 
 
-@pytest.mark.parametrize("mode,tokens", [("collective", 4), ("per-string", 8 * 4 + 2)])
-def test_blob_equalities_runs_the_configured_channel_mode(mode, tokens):
+def test_blob_equalities_runs_the_compiler_channels():
     cfg = ExperimentConfig(experiment="completeness", protocol="blob-equalities",
-                           mode=mode, n=4, trials=1, seed=1)
+                           n=4, trials=1, seed=1)
     entry = PROTOCOL_TABLE["blob-equalities"]
     out = entry.run(entry.params(cfg), [1], 5)
     resources = count_resources(out.session.log)
     assert out.committed
-    assert (resources["pufs_created"], resources["exchange_phases"]) == (tokens, tokens)
+    assert (resources["pufs_created"], resources["exchange_phases"]) == (4, 4)
+
+
+# what a compiler run with one single-string instance per committed string
+# spent, measured on live runs before that channel mode was deleted
+LIVE_PER_STRING = {2: (18, 18, 54), 3: (26, 26, 78), 4: (34, 34, 102), 8: (66, 66, 198),
+                   16: (130, 130, 390), 64: (514, 514, 1542)}
+
+
+@pytest.mark.parametrize("n", sorted(LIVE_PER_STRING))
+def test_costs_gives_the_per_string_counts_by_the_sum_rule(n):
+    report = run_experiment(ExperimentConfig(
+        experiment="costs", protocol="uccompiler", n=n, trials=1, seed=2))
+    assert report.details["measured"] == [4, 4] and report.details["passed"]
+    per_string = report.details["per_string"]
+    counts = (per_string["pufs_created"], per_string["exchange_phases"],
+              per_string["queries"])
+    assert counts == LIVE_PER_STRING[n]
+    # 4n + 1 instances (the challenge string and 4n shares), each with 2
+    # tokens, 2 exchange phases and 6 evaluations once it opens
+    assert counts == (8 * n + 2, 8 * n + 2, 24 * n + 6)
 
 
 def test_lemmas_experiment():
@@ -371,9 +391,11 @@ REFUSED = {
                                                adversary="honest-sender"), "adversary"),
     "uc-sim-receiver-a-sender": (dict(experiment="uc-sim", case="receiver",
                                       adversary="e-guessing-sender"), "adversary"),
-    "uc-sim-per-string": (dict(experiment="uc-sim", mode="per-string"), "mode"),
+    # mode is no field, so a config naming it is refused as an extra key
+    "uc-sim-per-string": (dict(experiment="uc-sim", extras={"mode": "per-string"}),
+                          "mode"),
     **{f"per-string-{protocol}": (dict(experiment="completeness", protocol=protocol,
-                                       mode="per-string"), "mode")
+                                       extras={"mode": "per-string"}), "mode")
        for protocol in ("cpuf", "extpuf", "collextpuf", "original-extpuf")},
     **{f"max-support-{value}": (dict(experiment="lemmas", extras={"max_support": value}),
                                 "max_support")
@@ -442,20 +464,17 @@ def test_a_trial_that_raises_in_a_worker_does_not_hang_the_pool():
 # sha256 of report.to_json() for the compiled commitment's reports, taken
 # before the channel table: moving the channel mode into the channel
 # classes must leave every report byte-identical.  The uc-sim digests were
-# re-taken when one-bit channel strings got masks of at least 24 bits
+# re-taken when one-bit channel strings got masks of at least 24 bits;
+# costs-uccompiler was re-taken when it gained the per-string counts of the
+# sum rule, and uc-sim-receiver when it dropped the two sender-only keys
 SEEDED_COMPILER_REPORTS = {
     "completeness-uccompiler": dict(experiment="completeness", protocol="uccompiler",
                                     n=6, trials=20, seed=2),
-    "completeness-uccompiler-per-string": dict(
-        experiment="completeness", protocol="uccompiler", mode="per-string", n=3,
-        trials=10, seed=2),
     "completeness-blob-equalities": dict(experiment="completeness",
                                          protocol="blob-equalities", n=6, trials=20,
                                          seed=2),
     "costs-uccompiler": dict(experiment="costs", protocol="uccompiler", n=8, trials=1,
                              seed=2),
-    "costs-uccompiler-per-string": dict(experiment="costs", protocol="uccompiler",
-                                        mode="per-string", n=4, trials=1, seed=2),
     "uc-sim-receiver": dict(experiment="uc-sim", case="receiver", n=6, trials=40,
                             seed=2),
     "uc-sim-e-guessing-sender": dict(experiment="uc-sim", case="sender",
@@ -465,16 +484,12 @@ SEEDED_COMPILER_REPORTS = {
 COMPILER_REPORT_SHA256 = {
     "completeness-uccompiler":
         "9cf010dcca0ae46333b8549e5d3245863bf44d7f51c0d7804896fcd80bcf3cf9",
-    "completeness-uccompiler-per-string":
-        "0078a020556e29047cba2a35918cd40bb09c85a7029eca70c4c6d9f3adb3ab4b",
     "completeness-blob-equalities":
         "f6daa4988cf2dde6b5dd86266c0d4c3f9ec930705c17be211b0f7bd8ff73eea1",
     "costs-uccompiler":
-        "f2465a54653668336be8eed5aff8f0a0407125e44dff1dda5f03578d51c680f6",
-    "costs-uccompiler-per-string":
-        "bce7753aa7ed974a152597b8b5b167d3a1184ec7424abe660790ed68aebc5c80",
+        "53850daf865c4e988ce74257b26f5738dff57cede5e69046febb8d693264ed1e",
     "uc-sim-receiver":
-        "31cae738e4c2000643e67e1da7dc1e9f95dd89d5c7a84b30a6c3444ec14b33f0",
+        "107efcc6862036b79350c49cc1b67437904696d2db64ffb6af71c52c3d747107",
     "uc-sim-e-guessing-sender":
         "ed2cff4329db06b0efea55d5325f90ec8f05cd4a04dbbf5bc04c6c3e471b6277",
 }

@@ -14,7 +14,6 @@ from pufcommit.adversaries import (
     EquivocatingCollectiveSender,
     EquivocatingCpufSender,
     NeverQuerySender,
-    SimulatorCompilerSender,
     SubstitutingReturnSender,
 )
 from pufcommit.protocols import (
@@ -391,11 +390,6 @@ def test_costs_per_protocol():
     res = count_resources(comp.session.log)
     assert (res["pufs_created"], res["exchange_phases"]) == (4, 4)
 
-    comp = run_uccompiler(4, 0, seed=10003, mode="per-string")
-    res = count_resources(comp.session.log)
-    assert (res["pufs_created"], res["exchange_phases"]) == (8 * 4 + 2, 8 * 4 + 2)
-    assert comp.accepted and comp.value == 0
-
 
 def test_uccompiler_completeness_both_bits():
     for b in (0, 1):
@@ -484,9 +478,6 @@ SEEDED_RUNS = {
     "uccompiler-n8": lambda: run_uccompiler(8, 1, seed=25),
     "collective-never-query": lambda: run_collective(
         EP, [X4, X4], seed=26, sender_factory=NeverQuerySender),
-    "uccompiler-per-string-n4": lambda: run_uccompiler(4, 1, seed=27, mode="per-string"),
-    "uccompiler-per-string-simulator": lambda: run_uccompiler(
-        4, 0, seed=28, mode="per-string", sender_factory=SimulatorCompilerSender),
     "equalities-unequal-pair": lambda: run_equalities(4, 0, seed=28, unequal=(1,)),
     "equalities-tampered-bit": lambda: run_equalities(4, 1, seed=30, tampered=(2,)),
 }
@@ -498,12 +489,8 @@ LOG_SHA256 = {
     "uccompiler-n8": "c11c6c1e6e4c7b610ba42f50bcfb79551996450b2147dc6293e7b44b3d647f3a",
     "collective-never-query": "271279a115d2924439b0ec19d19f94584eca50c5c21630c68c24714d6b94b15e",
     # taken before the channel table, and with the equality runs still in
-    # src/; uccompiler-n8, uccompiler-per-string-n4 and the two equality runs
-    # were re-taken when one-bit channel strings got masks of at least 24 bits
-    "uccompiler-per-string-n4":
-        "08322eb6ab69e7413abe9aa9e83dae234ca7851f73e003ed02f2b774a41dcd1f",
-    "uccompiler-per-string-simulator":
-        "b14c59aa2e2cb0b77ef8b5596afc56cfe94b1ed2dc890def6508fe3ced1308b8",
+    # src/; uccompiler-n8 and the two equality runs were re-taken when
+    # one-bit channel strings got masks of at least 24 bits
     "equalities-unequal-pair":
         "6ba0eae21aeb30ba7bc82824313664000d0a5fc57e318ba6b93dc7b245360038",
     "equalities-tampered-bit":
