@@ -37,8 +37,8 @@ class BitString:
             raise ValueError("LEN_MISMATCH: negative length")
         if value < 0 or value >> n:
             raise ValueError(f"LEN_MISMATCH: value does not fit in {n} bits")
-        BitString.value.__set__(self, value)
-        BitString.n.__set__(self, n)
+        _set_value(self, value)
+        _set_n(self, n)
 
     def __setattr__(self, *_):
         raise AttributeError("BitString is immutable")
@@ -177,6 +177,12 @@ class BitString:
                 raise IndexError(i)
             mask |= 1 << i
         return BitString(self.value ^ mask, self.n)
+
+
+# __init__ calls the slot setters bound once here: reaching them through
+# BitString.value.__set__ costs two more lookups on every construction
+_set_value = BitString.value.__set__
+_set_n = BitString.n.__set__
 
 
 def hamming_distance(a: BitString, b: BitString) -> int:

@@ -70,7 +70,7 @@ class RepetitionCode:
         # high bits of the last message byte are zero and so is their code
         table = _repeat_table(self.repeat)
         data = m.value.to_bytes((self.msg_len + 7) // 8, "little")
-        return BitString(int.from_bytes(b"".join([table[v] for v in data]), "little"),
+        return BitString(int.from_bytes(b"".join(map(table.__getitem__, data)), "little"),
                          self.code_len)
 
     def dec(self, c: BitString) -> BitString:

@@ -97,10 +97,8 @@ class EventLog:
                deliveries=(), note: str = "") -> EventRecord:
         # deliveries is copied: the router hands the same list to its
         # caller, and a delivery hook (a test's curious scheduler) may edit it
-        rec = EventRecord(
-            step=len(self.records), kind=kind, sid=sid, sender=sender,
-            payload=payload, deliveries=list(deliveries), note=note,
-        )
+        rec = EventRecord(len(self.records), kind, sid, sender, payload,
+                          list(deliveries), note)
         self.records.append(rec)
         return rec
 
@@ -151,13 +149,11 @@ class CommPufFunctionality:
     # -- helpers ----------------------------------------------------------
 
     def _drop(self, kind, sid, sender, payload, note) -> list:
-        self.log.append(kind, sid=sid, sender=sender, payload=payload,
-                        deliveries=[], note=f"waiting-state: {note}")
+        self.log.append(kind, sid, sender, payload, [], f"waiting-state: {note}")
         return []
 
     def _done(self, kind, sid, sender, payload, deliveries, note="") -> list:
-        self.log.append(kind, sid=sid, sender=sender, payload=payload,
-                        deliveries=deliveries, note=note)
+        self.log.append(kind, sid, sender, payload, deliveries, note)
         return deliveries
 
     # -- the single entry point -------------------------------------------
@@ -215,8 +211,7 @@ class CommPufFunctionality:
         if rec.mode == "honest":
             sigma = rec.instance.respond(challenge, self.rng)
             return self._done("eval", sid, sender, challenge,
-                              [(sender, ("response", sid, challenge, sigma))],
-                              note="honest")
+                              [(sender, ("response", sid, challenge, sigma))], "honest")
         sigma, m_out = rec.machine.step("query", challenge, self.rng)
         deliveries = [(sender, ("response", sid, challenge, sigma))]
         note = "malicious"

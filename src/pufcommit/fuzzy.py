@@ -19,7 +19,10 @@ the whole output is the XOR of the windows T[j : j+out_len] over the set
 bits j of w.  Two evaluation orders give the same bits:
 
 * by output row, one masked parity per output bit; cheapest for narrow
-  outputs, where out_len big-int ANDs cost less than a table build;
+  outputs, where out_len big-int ANDs cost less than a table build.  The
+  parities, taken from the top row down, are packed in C: a list of 0/1
+  ints becomes bytes, translate maps them to the digits b"0"/b"1", and
+  int(..., 2) reads that numeral with row 0 as its lowest bit;
 * by source byte (the method of Four Russians): T is cut into segments
   of _SEGMENT_BYTES source bytes, and each segment gets a table whose
   entry table[v] is the XOR of its T >> b over the set bits b of v, so an
@@ -56,11 +59,14 @@ _BYTE_TABLE_MIN_OUT = 192
 # about 0.33 MB apiece on that hash.
 _SEGMENT_BYTES = 256
 
+# byte 0 or 1 to the digit "0" or "1", for _toeplitz_by_rows
+_PARITY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _toeplitz_by_rows(toeplitz: int, wv: int, n_out: int) -> int:
-    value = 0
-    for i in range(n_out):
-        value |= (((toeplitz >> i) & wv).bit_count() & 1) << i
-    return value
+    parities = bytes([((toeplitz >> i) & wv).bit_count() & 1
+                      for i in range(n_out - 1, -1, -1)])
+    return int(parities.translate(_PARITY_DIGITS), 2)
 
 
 def _toeplitz_by_bytes(toeplitz: int, wv: int, n_in: int, n_out: int) -> int:

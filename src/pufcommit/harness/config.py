@@ -81,6 +81,9 @@ class ExperimentConfig:
             raise ConfigError("case", f"unknown corruption case {self.case!r}")
         if self.jobs < 1:
             raise ConfigError("jobs", "at least one worker")
+        # derive_seed keys every stream with the seed as 16 unsigned bytes
+        if not 0 <= self.seed < 1 << 128:
+            raise ConfigError("seed", "seed must lie in [0, 2^128)")
         for check in row.checks:
             check(self)
         return self

@@ -14,15 +14,15 @@ _BLOCK = 64  # blake2b digest size
 
 
 def prf_bytes(key: bytes, context: bytes, nbytes: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < nbytes:
-        h = hashlib.blake2b(
-            context + counter.to_bytes(8, "little"), key=key, digest_size=_BLOCK
-        )
-        out.extend(h.digest())
-        counter += 1
-    return bytes(out[:nbytes])
+    # a keyed blake2b compresses the padded key as its first block: do that
+    # once per call and copy the keyed state for each counter block
+    keyed = hashlib.blake2b(key=key, digest_size=_BLOCK)
+    blocks = []
+    for counter in range(-(-nbytes // _BLOCK)):
+        h = keyed.copy()
+        h.update(context + counter.to_bytes(8, "little"))
+        blocks.append(h.digest())
+    return b"".join(blocks)[:nbytes]
 
 
 def prf_bits(key: bytes, context: bytes, nbits: int) -> int:

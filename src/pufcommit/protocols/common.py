@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..bits import BitString, spread
+from ..bits import BitString, stride_pattern
 from ..fuzzy import FuzzyExtractor, HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
 
@@ -159,8 +159,11 @@ def take_helper(wire: Optional[BitString], fe: FuzzyExtractor, step: str) -> Hel
 
 
 def mask_commitment(st: BitString, x: BitString, r: BitString, width: int) -> BitString:
-    """c = st XOR (x spread across its strides AND r)."""
-    return st ^ (spread(x, width) & r)
+    """c = st XOR (x spread across its strides AND r), built as one string:
+    spread(x, width) is x times stride_pattern(x.n, width)."""
+    if not st.n == r.n == x.n * width:
+        raise ValueError(f"LEN_MISMATCH: mask of {x.n}x{width}, st of {st.n}, r of {r.n}")
+    return BitString(st.value ^ (x.value * stride_pattern(x.n, width) & r.value), st.n)
 
 
 def probe_outputs(response: Optional[BitString], fe: FuzzyExtractor,

@@ -92,6 +92,11 @@ class PufInstance:
     params: PufParams
     key: bytes = field(repr=False)
     _ideal: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _max_flips: int = field(default=0, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # respond reads the flip budget on every evaluation
+        object.__setattr__(self, "_max_flips", self.params.max_flips)
 
     def ideal(self, s: BitString) -> BitString:
         if s.n != self.params.n:
@@ -105,17 +110,20 @@ class PufInstance:
     def respond(self, s: BitString, rng: Random) -> BitString:
         """One noisy evaluation; stateless, randomness injected by the caller."""
         base = self.ideal(s)
-        budget = self.params.max_flips
+        budget = self._max_flips
         if budget == 0:
             return base
-        # randrange and choice make the same draws as randint(0, budget)
-        # and sample(range(rg), 1), at a third of the call overhead
+        # randrange(budget + 1) makes the one draw of randint(0, budget), and
+        # randrange(rg) the one _randbelow(rg) that choice(range(rg)) and
+        # sample(range(rg), 1) make, at less call overhead; one flip is one
+        # XOR on the value, with no mask loop
         flips = rng.randrange(budget + 1)
         if flips == 0:
             return base
+        rg = self.params.rg
         if flips == 1:
-            return base.flip((rng.choice(range(self.params.rg)),))
-        return base.flip(rng.sample(range(self.params.rg), flips))
+            return BitString(base.value ^ (1 << rng.randrange(rg)), rg)
+        return base.flip(rng.sample(range(rg), flips))
 
 
 def sample_puf(params: PufParams, rng: Random) -> PufInstance:

@@ -86,12 +86,11 @@ class Session:
     # -- transcript annotations --------------------------------------------
 
     def phase(self, role: str, name: str) -> None:
-        self.log.append("phase", sender=role, payload=name)
+        self.log.append("phase", None, role, name)
 
     def msg(self, frm: str, to: str, name: str, payload) -> object:
         """Record a direct protocol message and hand the payload over."""
-        self.log.append("protocol-msg", sender=frm, payload=payload,
-                        deliveries=[(to, (name,))], note=name)
+        self.log.append("protocol-msg", None, frm, payload, [(to, (name,))], name)
         return payload
 
     def begin_exchange_phase(self, label: str) -> None:
@@ -104,7 +103,7 @@ class Session:
 
     def mark(self, label: str) -> int:
         """Named position in the log; returns the step index."""
-        return self.log.append("mark", payload=label).step
+        return self.log.append("mark", None, None, label).step
 
     # -- functionality plumbing ---------------------------------------------
 

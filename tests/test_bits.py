@@ -29,6 +29,13 @@ def test_construction_and_roundtrips():
 def test_length_is_explicit_no_zero_extension():
     with pytest.raises(ValueError, match="LEN_MISMATCH"):
         BitString(8, 3)  # value needs 4 bits
+    with pytest.raises(ValueError, match="LEN_MISMATCH: negative length"):
+        BitString(0, -1)
+    for n in (0, 1, 7, 64):
+        assert BitString((1 << n) - 1, n).n == n
+        for value in (1 << n, -1):
+            with pytest.raises(ValueError, match="LEN_MISMATCH"):
+                BitString(value, n)
     a = BitString.from01("101")
     b = BitString.from01("1010")
     with pytest.raises(ValueError, match="LEN_MISMATCH"):
@@ -41,11 +48,11 @@ def test_length_is_explicit_no_zero_extension():
 
 def test_immutability_and_hash():
     b = BitString.from01("01")
-    with pytest.raises(AttributeError):
-        b.value = 3
-    for slot in ("value", "n"):
+    for name in ("value", "n", "other"):
         with pytest.raises(AttributeError, match="immutable"):
-            delattr(b, slot)
+            setattr(b, name, 3)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(b, name)
     assert (b.value, b.n) == (2, 2)
     assert len({b, BitString.from01("01"), BitString.from01("10")}) == 2
 

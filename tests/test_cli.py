@@ -154,6 +154,12 @@ def test_config_error_exit_code(tmp_path: Path, capsys):
     assert main(["experiment", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 128)])
+def test_a_seed_derive_seed_cannot_key_exits_2(capsys, seed):
+    assert main(["demo", "cpuf", "--seed", seed, "--trials", "2"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: seed:")
+
+
 @pytest.mark.parametrize("experiment,protocol,adversary", [
     ("binding", "cpuf", None),                              # the default, honest
     ("binding", "extpuf", "stateful-probe-receiver"),       # not a sender

@@ -228,6 +228,22 @@ def masked_commitments(draw):
     return secret, x, r, c, width
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=masked_commitments())
+def test_mask_commitment_is_st_xor_spread_x_and_r(case):
+    secret, x, r, _, width = case
+    assert mask_commitment(secret, x, r, width) == secret ^ (spread(x, width) & r)
+
+
+def test_mask_commitment_refuses_mismatched_widths():
+    x = BitString.from01("101")
+    good = BitString.zeros(12)
+    for st_, r, width in ((BitString.zeros(11), good, 4), (good, BitString.zeros(13), 4),
+                          (good, good, 3), (BitString.zeros(9), BitString.zeros(9), 4)):
+        with pytest.raises(ValueError, match="LEN_MISMATCH"):
+            mask_commitment(st_, x, r, width)
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=masked_commitments(), other_query=st.booleans(), data=st.data())
 def test_every_extracted_candidate_opens_the_commitment(case, other_query, data):

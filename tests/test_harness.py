@@ -407,6 +407,9 @@ REFUSED = {
     "costs-jobs": (dict(experiment="costs", protocol="cpuf", trials=1, jobs=3), "jobs"),
     "extraction-blob-equalities": (dict(experiment="extraction", protocol="blob-equalities",
                                         adversary="all-senders"), "protocol"),
+    # derive_seed cannot key a seed outside 16 unsigned bytes
+    "seed-negative": (dict(experiment="completeness", protocol="cpuf", seed=-1), "seed"),
+    "seed-2^128": (dict(experiment="completeness", protocol="cpuf", seed=1 << 128), "seed"),
 }
 
 

@@ -398,6 +398,26 @@ def test_uccompiler_completeness_both_bits():
             assert out.accepted and out.value == b
 
 
+# BitStrings one honest run_uccompiler(8, 1, 3) builds: 1 273 while
+# mask_commitment built three strings for each one it returned
+UCCOMPILER_BITSTRING_BUDGET = 1113
+
+
+def test_honest_uccompiler_builds_no_more_bitstrings_than_budgeted(monkeypatch):
+    built = 0
+    init = BitString.__init__
+
+    def counting_init(self, value, n):
+        nonlocal built
+        built += 1
+        init(self, value, n)
+
+    monkeypatch.setattr(BitString, "__init__", counting_init)
+    out = run_uccompiler(8, 1, 3)
+    assert out.accepted and out.value == 1
+    assert built <= UCCOMPILER_BITSTRING_BUDGET
+
+
 def test_blob_equalities_pure_check_exhaustive_per_pair():
     # exhaustive over the challenge bit of an affected pair: an unequal
     # pair passes for exactly one challenge value

@@ -51,6 +51,30 @@ def test_noiseless_when_bound_is_tight():
         assert first == inst.ideal(s)
 
 
+def test_respond_draws_what_choice_and_sample_draw_on_a_twin_rng():
+    # the reference draws the flip count with randint, one flip with
+    # choice(range(rg)) and more with sample; flip budgets 0, 1 and 2, where
+    # a budget of 0 draws nothing
+    for d_noise in (1, 3, 5):
+        inst = sample_puf(params(d_noise=d_noise), Random(d_noise))
+        s = BitString.random(16, Random(7))
+        budget, rg = (d_noise - 1) // 2, inst.params.rg
+        rng, twin = Random(11), Random(11)
+        counts = set()
+        for _ in range(2000):
+            flips = twin.randint(0, budget) if budget else 0
+            if flips == 0:
+                expected = inst.ideal(s)
+            elif flips == 1:
+                expected = inst.ideal(s).flip((twin.choice(range(rg)),))
+            else:
+                expected = inst.ideal(s).flip(twin.sample(range(rg), flips))
+            assert inst.respond(s, rng) == expected
+            counts.add(flips)
+        assert counts == set(range(budget + 1))
+        assert rng.getstate() == twin.getstate()
+
+
 def test_bounded_noise_pairwise():
     rng = Random(4)
     inst = sample_puf(params(d_noise=5), rng)
