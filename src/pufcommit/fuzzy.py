@@ -10,32 +10,44 @@ with helper data p = (sketch, seed).  Rep(w', p) decodes w' XOR sketch to
 the nearest codeword, re-derives w, and re-applies the seeded hash, so
 any reading within the correction radius t reproduces st exactly.
 
-H_seed is a Toeplitz (shifted-window) GF(2) family with a random offset,
-a standard pairwise-independent construction; the stored seed is short
-and the long Toeplitz string is expanded from it deterministically.
+H_seed is strongly universal (pairwise independent): for any two inputs
+x != y the pair (H(x), H(y)) is uniform over all pairs of outputs.  The
+stored seed is short; the hash key is the stream
+prf_bits(seed, b"uhash", bits) expanded from it, whose low bits come
+first.  With n_in = source_len, n_out = out_len and
+w_bar = n_in + n_out - 1, out_len alone picks the family:
 
-Output bit i of the hash is the parity of T[i : i+source_len] AND w, so
-the whole output is the XOR of the windows T[j : j+out_len] over the set
-bits j of w.  Two evaluation orders give the same bits:
-
-* by output row, one masked parity per output bit; cheapest for narrow
-  outputs, where out_len big-int ANDs cost less than a table build.  The
+* below _MULTIPLY_SHIFT_MIN_OUT output bits, a Toeplitz GF(2) product
+  with a random offset.  The stream has w_bar + n_out bits: the low w_bar
+  are the Toeplitz string T and the top n_out the offset, and output bit
+  i is the parity of T[i : i + n_in] AND w, XOR offset bit i.  The
   parities, taken from the top row down, are packed in C: a list of 0/1
   ints becomes bytes, translate maps them to the digits b"0"/b"1", and
   int(..., 2) reads that numeral with row 0 as its lowest bit;
-* by source byte (the method of Four Russians): T is cut into segments
-  of _SEGMENT_BYTES source bytes, and each segment gets a table whose
-  entry table[v] is the XOR of its T >> b over the set bits b of v, so an
-  entry holds only out_len + 8 * _SEGMENT_BYTES bits.  The byte v of w at
-  offset q inside its segment adds table[v] >> 8q to the output, so the
-  loop XORs that entry unshifted into column q, which all segments share,
-  and one Horner pass from the highest column down, value = (value >> 8)
-  ^ columns[q], yields the sum of columns[q] >> 8q.  That is the same sum
-  regrouped, since a right shift distributes over XOR and two shifts by 8
-  are one by 16: one XOR per source byte and one shift per column.
+* from _MULTIPLY_SHIFT_MIN_OUT output bits up, Dietzfelbinger's
+  multiply-add-shift (STACS 1996; see also Thorup, "High Speed Hashing
+  for Integers and Strings", arXiv 1504.06804):
 
-The order is chosen by out_len alone, at a crossover measured on CPython
-3.11 (_BYTE_TABLE_MIN_OUT).
+      H(w) = ((a * w + b) mod 2^w_bar) >> (w_bar - n_out)
+
+  The stream has 2 * w_bar bits: the low w_bar are a and the high w_bar
+  are b.  The family is strongly universal on n_in-bit inputs for any
+  w_bar >= n_in + n_out - 1; w_bar takes the least such value, so the
+  shift is n_in - 1.  Only product bits below w_bar are read: with
+  a = a_lo + a_hi * 2^n_in, a_lo of n_in bits and M = 2^(n_out - 1),
+  a * w = a_lo * w + a_hi * (w mod M) * 2^n_in (mod 2^w_bar),
+  one n_in-bit and one (n_out - 1)-bit square multiply in place of one
+  w_bar x n_in multiply.  The Toeplitz product costs one masked parity
+  per output bit.
+
+The leftover hash lemma needs only a universal family, and both families
+are, so the extracted-string bound of ROADMAP item 1,
+1/2 * 2^(-(m' - out_len) / 2), holds for either.  Outputs under
+_MULTIPLY_SHIFT_MIN_OUT bits keep the row loop for now: multiply-add-shift
+is faster there too, but moving them would change the seeded logs of every
+narrow protocol and benchmark workload, among them a 2^-16 seeded
+coincidence that one benchmark test reads, so that switch belongs to a
+change of the benchmark.
 """
 
 from __future__ import annotations
@@ -48,16 +60,12 @@ from .prf import prf_bits
 
 __all__ = ["HelperData", "FuzzyExtractor", "check_matching"]
 
-# Narrowest output hashed by byte tables.  Below it the per-row loop is
-# faster: at out_len 128 the two orders tie, at 192 tables win by 1.1-1.8x.
-_BYTE_TABLE_MIN_OUT = 192
-# Source bytes per table segment.  On the widest hash here (25 392 ->
-# 8 448 bits: about 1.8 ms a call on CPython 3.11 on a 2-core Xeon host,
-# against 40-50 ms by rows), 192, 256 and 320 tie and 512 is slower.  While
-# it runs, the hash holds a table and a column list of _SEGMENT_BYTES
-# entries each, both of (out_len + 8 * _SEGMENT_BYTES) bits per entry:
-# about 0.33 MB apiece on that hash.
-_SEGMENT_BYTES = 256
+# Narrowest output hashed by multiply-add-shift (see the module docstring).
+# Against the row loop it took 1.3 against 5 us at 224 -> 16 bits, 4
+# against 70 us at 1 000 -> 192 and 0.5 against 40 ms at 25 392 -> 8 448;
+# the split multiply took 0.85x the one multiply at 25 392 -> 8 448 and
+# 1.13x at 1 456 -> 192 (CPython 3.11.7, 2-core Xeon host).
+_MULTIPLY_SHIFT_MIN_OUT = 192
 
 # byte 0 or 1 to the digit "0" or "1", for _toeplitz_by_rows
 _PARITY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -69,26 +77,12 @@ def _toeplitz_by_rows(toeplitz: int, wv: int, n_out: int) -> int:
     return int(parities.translate(_PARITY_DIGITS), 2)
 
 
-def _toeplitz_by_bytes(toeplitz: int, wv: int, n_in: int, n_out: int) -> int:
-    data = wv.to_bytes((n_in + 7) // 8, "little")
-    seg_mask = (1 << (n_out + 8 * _SEGMENT_BYTES)) - 1
-    table = [0] * 256
-    columns = [0] * min(_SEGMENT_BYTES, len(data))
-    for start in range(0, len(data), _SEGMENT_BYTES):
-        seg = (toeplitz >> (8 * start)) & seg_mask
-        bit = 1
-        for b in range(8):  # table[v] = XOR of seg >> b over the bits b of v
-            row = seg >> b
-            for v in range(bit, bit << 1):
-                table[v] = table[v ^ bit] ^ row
-            bit <<= 1
-        for q, v in enumerate(data[start:start + _SEGMENT_BYTES]):
-            if v:
-                columns[q] ^= table[v]
-    value = 0
-    for column in reversed(columns):  # sum of columns[q] >> 8q, by Horner
-        value = (value >> 8) ^ column
-    return value & ((1 << n_out) - 1)
+def _multiply_add_shift(stream: int, wv: int, n_in: int, n_out: int) -> int:
+    width = n_in + n_out - 1
+    high = (1 << (n_out - 1)) - 1
+    a_hi = (stream >> n_in) & high
+    product = (stream & ((1 << n_in) - 1)) * wv + (a_hi * (wv & high) << n_in)
+    return ((product + (stream >> width)) & ((1 << width) - 1)) >> (n_in - 1)
 
 
 @dataclass(frozen=True)
@@ -167,14 +161,13 @@ class FuzzyExtractor:
 
     def _hash(self, seed: BitString, w: BitString) -> BitString:
         n_in, n_out = self.source_len, self.out_len
-        stream = prf_bits(seed.to_bytes(), b"uhash", n_in + 2 * n_out - 1)
-        toeplitz = stream & ((1 << (n_in + n_out - 1)) - 1)
-        offset = stream >> (n_in + n_out - 1)
-        if n_out < _BYTE_TABLE_MIN_OUT:
-            value = _toeplitz_by_rows(toeplitz, w.value, n_out)
-        else:
-            value = _toeplitz_by_bytes(toeplitz, w.value, n_in, n_out)
-        return BitString(value ^ offset, n_out)
+        width = n_in + n_out - 1
+        if n_out >= _MULTIPLY_SHIFT_MIN_OUT:
+            stream = prf_bits(seed.to_bytes(), b"uhash", 2 * width)
+            return BitString(_multiply_add_shift(stream, w.value, n_in, n_out), n_out)
+        stream = prf_bits(seed.to_bytes(), b"uhash", width + n_out)
+        toeplitz = stream & ((1 << width) - 1)
+        return BitString(_toeplitz_by_rows(toeplitz, w.value, n_out) ^ (stream >> width), n_out)
 
 
 def check_matching(fe: FuzzyExtractor, puf_params) -> bool:

@@ -303,19 +303,24 @@ def _attack_original_trial(cfg: ExperimentConfig, i: int) -> Counter:
 def _neutralized_trial(cfg: ExperimentConfig, i: int) -> Counter:
     """Every revised-flow zoo sender, the late-query sender among them:
     each transcript keeps the return-before-mask order with no late probe
-    answers, so no query can be aimed at a masked secret."""
+    answers, so no query can be aimed at a masked secret.  A run that
+    commits with a token other than the receiver's own probe is a decoy
+    the n-bit return fingerprint missed, which happens about 2^-n of the
+    time; it counts as substitution-missed, not as an order violation."""
     params = _params(ExtPufParams, cfg.n, cfg.k, cfg.d_noise)
-    ok = True
+    aborts: Counter = Counter()
     senders = [s for s in zoo() if s.protocol == "extpuf" and s.role == "sender"]
     for strategy in senders:
         rng = _trial_rng(cfg, f"x/{strategy.strategy_id}", i)
         x = BitString.random(cfg.k, rng)
         out = run_collective(params, [x], derive_seed(cfg.seed, strategy.strategy_id, i),
                              sender_factory=strategy.factory)
-        probe = out.probe_sid or "coll/probe"
-        if not check_order_discipline(out.session.log, probe, "S"):
-            ok = False
-    return Counter(success=int(ok), **({} if ok else {"abort:order-violated": 1}))
+        own = out.receiver.probe_sid
+        if out.probe_sid not in (None, own):
+            aborts["abort:substitution-missed"] = 1
+        elif not check_order_discipline(out.session.log, own, "S"):
+            aborts["abort:order-violated"] = 1
+    return Counter(success=int(not aborts), **aborts)
 
 
 def _binding_trial(cfg: ExperimentConfig, i: int) -> Counter:

@@ -1,5 +1,8 @@
+import hashlib
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
+from itertools import combinations, product
 from random import Random
 from unittest.mock import patch
 
@@ -19,8 +22,10 @@ from pufcommit.protocols.common import generate, reproduce
 from pufcommit.puf import PufParams
 from pufcommit.session import PartyHandle, Session
 
-CROSSOVER = fuzzy._BYTE_TABLE_MIN_OUT
-SEGMENT_BITS = 8 * fuzzy._SEGMENT_BYTES
+from test_benchmark_digests import WORKLOADS, logs_digest
+from test_protocols import SEEDED_RUNS
+
+CROSSOVER = fuzzy._MULTIPLY_SHIFT_MIN_OUT
 
 
 def make_fe(t=2, out_len=8, blocks=24, seed_bits=64):
@@ -142,7 +147,7 @@ def reference_rows(toeplitz, wv, n_out):
     return value
 
 
-def reference_hash(fe, seed, w):
+def reference_toeplitz(fe, seed, w):
     n_in, n_out = fe.source_len, fe.out_len
     stream = prf_bits(seed.to_bytes(), b"uhash", n_in + 2 * n_out - 1)
     toeplitz = stream & ((1 << (n_in + n_out - 1)) - 1)
@@ -150,15 +155,29 @@ def reference_hash(fe, seed, w):
     return BitString(reference_rows(toeplitz, w.value, n_out) ^ offset, n_out)
 
 
+def multiply_add_shift(a, b, x, w_bar, out_bits):
+    """Dietzfelbinger's ((a x + b) mod 2^w_bar) div 2^(w_bar - out_bits)."""
+    return (a * x + b) % 2**w_bar // 2**(w_bar - out_bits)
+
+
+def reference_multiply_add_shift(fe, seed, w):
+    w_bar = fe.source_len + fe.out_len - 1
+    stream = prf_bits(seed.to_bytes(), b"uhash", 2 * w_bar)
+    a, b = stream % 2**w_bar, stream // 2**w_bar
+    return BitString(multiply_add_shift(a, b, w.value, w_bar, fe.out_len), fe.out_len)
+
+
+def reference_hash(fe, seed, w):
+    """The hash of either family, picked by out_len as _hash picks it."""
+    if fe.out_len < CROSSOVER:
+        return reference_toeplitz(fe, seed, w)
+    return reference_multiply_add_shift(fe, seed, w)
+
+
 @st.composite
 def hash_cases(draw):
     # t = 0 makes the inner block 1 bit wide, so any source_len is legal
-    source_len = draw(st.one_of(
-        st.integers(1, 300),
-        st.integers(CROSSOVER, 3 * SEGMENT_BITS + 40),
-        st.sampled_from([SEGMENT_BITS - 1, SEGMENT_BITS, SEGMENT_BITS + 1,
-                         2 * SEGMENT_BITS + 3]),
-    ))
+    source_len = draw(st.one_of(st.integers(1, 300), st.integers(CROSSOVER, 2000)))
     out_len = draw(st.one_of(
         st.integers(1, min(source_len, 2 * CROSSOVER)),
         st.sampled_from([min(source_len, CROSSOVER - 1), min(source_len, CROSSOVER)]),
@@ -177,43 +196,133 @@ def test_hash_matches_row_loop(case):
     assert fe._hash(seed, w) == reference_hash(fe, seed, w)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_byte_tables_match_row_loop_at_every_width(data):
-    # the byte-table order is also exact below the crossover, where _hash
-    # does not pick it; n_in not a multiple of 8 leaves a partial last byte
-    n_in = data.draw(st.integers(1, 2 * SEGMENT_BITS + 20), label="n_in")
-    n_out = data.draw(st.integers(1, 300), label="n_out")
-    toeplitz = data.draw(st.integers(0, (1 << (n_in + n_out - 1)) - 1), label="toeplitz")
-    wv = data.draw(st.sampled_from([0, (1 << n_in) - 1])
-                   | st.integers(0, (1 << n_in) - 1), label="w")
-    assert (fuzzy._toeplitz_by_bytes(toeplitz, wv, n_in, n_out)
-            == reference_rows(toeplitz, wv, n_out))
-
-
-def test_byte_tables_pick_one_window_per_unit_vector_and_are_linear():
-    # the last of three segments is 20 bits short, so its missing columns
-    # must still carry what the two full segments put there
-    n_in, n_out = 2 * SEGMENT_BITS + 20, 200
-    rng = Random(3)
-    toeplitz = rng.getrandbits(n_in + n_out - 1)
-    out_mask = (1 << n_out) - 1
-    for j in (0, 7, 8, SEGMENT_BITS - 1, SEGMENT_BITS, SEGMENT_BITS + 8, n_in - 1):
-        assert (fuzzy._toeplitz_by_bytes(toeplitz, 1 << j, n_in, n_out)
-                == (toeplitz >> j) & out_mask), j
-    a, b = rng.getrandbits(n_in), rng.getrandbits(n_in)
-    assert (fuzzy._toeplitz_by_bytes(toeplitz, a ^ b, n_in, n_out)
-            == fuzzy._toeplitz_by_bytes(toeplitz, a, n_in, n_out)
-            ^ fuzzy._toeplitz_by_bytes(toeplitz, b, n_in, n_out))
-
-
-def test_widest_hash_in_use_matches_row_loop():
-    # the original flow's second token: 25 392 -> 8 448 bits, 13 segments
+def test_widest_hash_in_use_matches_multiply_add_shift():
+    # the original flow's second token: 25 392 -> 8 448 bits
     fe = FuzzyExtractor(source_len=25392, out_len=8448, t=1, m_req=25392)
     rng = Random(11)
     seed = BitString.random(fe.seed_bits, rng)
     for w in (BitString.random(fe.source_len, rng), BitString.ones(fe.source_len)):
-        assert fe._hash(seed, w) == reference_hash(fe, seed, w)
+        assert fe._hash(seed, w) == reference_multiply_add_shift(fe, seed, w)
+
+
+def test_hash_switches_family_at_192_output_bits():
+    rng = Random(12)
+    seed = BitString.random(64, rng)
+    w = BitString.random(600, rng)
+    below, at = (FuzzyExtractor(600, out_len, 0, seed_bits=64) for out_len in (191, 192))
+    assert below._hash(seed, w) == reference_toeplitz(below, seed, w)
+    assert at._hash(seed, w) == reference_multiply_add_shift(at, seed, w)
+    assert at._hash(seed, w) != reference_toeplitz(at, seed, w)
+
+
+# sha256 of the hash's bytes at a seed and a reading drawn from
+# Random("kat/<n_in>/<n_out>"): 191 bits is the Toeplitz product, which
+# these pins carry over unchanged from the row loop, and 192 bits up is
+# multiply-add-shift
+KNOWN_HASHES = {
+    (600, 191, 0): "025aa9eae157b16d9c9bb44938cb731fbc860df60a8d42341672ea30917b22b8",
+    (600, 192, 0): "5aaf038c6b043486818f95f3d266490b4d0d85879ab3c829d4e06b80efead793",
+    (25392, 8448, 1): "5e33e26b7e41f28daa2e34d95edd1fa4edce46afd5a7b635459df91a7e16589f",
+}
+
+
+@pytest.mark.parametrize("n_in,n_out,t", sorted(KNOWN_HASHES))
+def test_hash_known_answers(n_in, n_out, t):
+    fe = FuzzyExtractor(n_in, n_out, t, seed_bits=64)
+    rng = Random(f"kat/{n_in}/{n_out}")
+    seed, w = BitString.random(64, rng), BitString.random(n_in, rng)
+    digest = hashlib.sha256(fe._hash(seed, w).to_bytes()).hexdigest()
+    assert digest == KNOWN_HASHES[n_in, n_out, t]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_split_multiply_matches_the_one_multiply(data):
+    # _multiply_add_shift multiplies only the product bits below w_bar
+    n_in = data.draw(st.integers(CROSSOVER, 2000), label="n_in")
+    n_out = data.draw(st.integers(CROSSOVER, n_in), label="n_out")
+    w_bar = n_in + n_out - 1
+    a = data.draw(st.sampled_from([0, 2**w_bar - 1]) | st.integers(0, 2**w_bar - 1), label="a")
+    b = data.draw(st.integers(0, 2**w_bar - 1), label="b")
+    x = data.draw(st.sampled_from([0, 2**n_in - 1]) | st.integers(0, 2**n_in - 1), label="x")
+    assert (fuzzy._multiply_add_shift(a | b << w_bar, x, n_in, n_out)
+            == multiply_add_shift(a, b, x, w_bar, n_out))
+
+
+def pairs_uniform(h, keys, in_bits, out_bits):
+    """True iff, over the keys, (h(key, x), h(key, y)) is uniform on
+    [2^out_bits]^2 for every pair of inputs x != y in [2^in_bits]."""
+    counts, n_keys = Counter(), 0
+    pairs = list(combinations(range(2**in_bits), 2))
+    for key in keys:
+        n_keys += 1
+        hs = [h(key, x) for x in range(2**in_bits)]
+        counts.update((x, y, hs[x], hs[y]) for x, y in pairs)
+    outputs = list(product(range(2**out_bits), repeat=2))
+    return all(counts[x, y, u, v] * 4**out_bits == n_keys
+               for x, y in pairs for u, v in outputs)
+
+
+@pytest.mark.parametrize("in_bits,out_bits", [(2, 1), (3, 2), (4, 2), (4, 3)])
+def test_multiply_add_shift_is_strongly_universal(in_bits, out_bits):
+    # every key (a, b) in [2^w_bar)^2, through the function _hash calls
+    w_bar = in_bits + out_bits - 1
+    keys = list(product(range(2**w_bar), repeat=2))
+    assert pairs_uniform(
+        lambda key, x: fuzzy._multiply_add_shift(key[0] | key[1] << w_bar, x,
+                                                 in_bits, out_bits),
+        keys, in_bits, out_bits)
+    # the check fails with w_bar one bit short, and with the offset b = 0
+    short = list(product(range(2**(w_bar - 1)), repeat=2))
+    assert not pairs_uniform(
+        lambda key, x: multiply_add_shift(*key, x, w_bar - 1, out_bits),
+        short, in_bits, out_bits)
+    assert not pairs_uniform(
+        lambda a, x: fuzzy._multiply_add_shift(a, x, in_bits, out_bits),
+        range(2**w_bar), in_bits, out_bits)
+
+
+def event_log_digest(case):
+    return hashlib.sha256(SEEDED_RUNS[case]().session.log.serialize().encode()).hexdigest()
+
+
+def workload_digest(name, seed, trial):
+    workload = WORKLOADS[name](seed)
+    return logs_digest(workload.logs(workload.trial(workload.inputs(trial))))
+
+
+# The seeded runs that hash 192 output bits or more, with their digests
+# from before those hashes became multiply-add-shift.  Under the Toeplitz
+# hash they must come back, so the re-taken pins hide no other change.
+TOEPLITZ_PINS = {
+    "cpuf": (partial(event_log_digest, "cpuf"),
+             "eea0e4408ac6e28d82842ece468aa06adc2ec4bdc59988ab15637096570a991c"),
+    "original-ambiguous": (
+        partial(event_log_digest, "original-ambiguous"),
+        "d4e4707de9ff1c9e17b220eb94d8ba4428e0f5a52b526347b43f8f692d606173"),
+    "original-probe-kept": (
+        partial(event_log_digest, "original-probe-kept"),
+        "09555d583033a0b1863d3497ec98c2991e332f01259d26b06f77ef38f66f6946"),
+    "original-substituted-probe": (
+        partial(event_log_digest, "original-substituted-probe"),
+        "3c95145d09d006496c3a8fcba64402aba07c039c59b47e7968f568474c0a37e8"),
+    "attack-original-23-0": (
+        partial(workload_digest, "attack-original", 23, 0),
+        "d46c7e1ae6925ae8959bf01299fd43efa31ec4144fef6b426460adf30bb299d4"),
+    "attack-original-23-1": (
+        partial(workload_digest, "attack-original", 23, 1),
+        "8d6412ba23d3a480a95e89f20a20334e89d364295a84f1ff298753297306e863"),
+    "attack-original-57-0": (
+        partial(workload_digest, "attack-original", 57, 0),
+        "5c8b18f33678b5f858e604f4ffe7a4682bad644e949148b5910c42ce0f3e4166"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOEPLITZ_PINS))
+def test_retaken_pins_come_back_under_the_toeplitz_hash(case, monkeypatch):
+    digest, toeplitz_digest = TOEPLITZ_PINS[case]
+    monkeypatch.setattr(FuzzyExtractor, "_hash", reference_toeplitz)
+    assert digest() == toeplitz_digest
 
 
 # -- Rep against decode-and-hash, on both sides of the session's record ----
@@ -264,7 +373,7 @@ def counting_decodes():
 
 @st.composite
 def readings(draw):
-    """An extractor on either side of the byte-table crossover, a reading w,
+    """An extractor on either side of the hash-family switch, a reading w,
     a gen seed, and a Random that places the noise."""
     t = draw(st.integers(0, 3))
     wide = draw(st.booleans())
@@ -359,7 +468,7 @@ X = BitString.from01("1011")
 
 @pytest.fixture
 def hash_count(monkeypatch):
-    """Counts gen and rep calls, the decodes and the Toeplitz products
+    """Counts gen and rep calls, the decodes and the hashes of either family
     actually computed."""
     counts = Counter()
 
@@ -369,7 +478,7 @@ def hash_count(monkeypatch):
             return fn(*args)
         return counted
 
-    for name in ("_toeplitz_by_rows", "_toeplitz_by_bytes"):
+    for name in ("_toeplitz_by_rows", "_multiply_add_shift"):
         monkeypatch.setattr(fuzzy, name, counting("hash", getattr(fuzzy, name)))
     for name in ("gen", "rep"):
         monkeypatch.setattr(FuzzyExtractor, name,
@@ -390,7 +499,7 @@ HONEST_RUNS = {
 
 def test_honest_opening_reuses_the_gen_hash(hash_count):
     # every Gen of an honest run is recorded, so every Rep is answered from
-    # the record: one Toeplitz product per Gen and none per Rep
+    # the record: one hash per Gen and none per Rep
     for runner, run in HONEST_RUNS.items():
         hash_count.clear()
         assert run().accepted, runner

@@ -370,6 +370,16 @@ def test_seeded_experiment_reports_are_pinned(case):
     assert digest == REPORT_SHA256[case]
 
 
+def test_missed_probe_substitution_is_not_an_order_violation():
+    # at this seed one trial's decoy probe passes the 8-bit return
+    # fingerprint (a 2^-8 event), so that run commits with the decoy; the
+    # gate still fails, but for the right reason
+    report = run_experiment(ExperimentConfig(experiment="attack-neutralized",
+                                             n=8, k=2, trials=6, seed=9))
+    assert report.aborts_by_step == {"substitution-missed": 1}
+    assert report.details["passed"] is False
+
+
 # every config the suite expects to be refused, with the path it is refused on
 REFUSED = {
     "binding-honest": (dict(experiment="binding", protocol="cpuf"), "adversary"),
