@@ -258,7 +258,7 @@ class SimulatorCompilerSender(HonestCompilerSender):
             b0 = rng.getrandbits(1)
             self.shares[share_index(one_blob, 0)] = b0
             self.shares[share_index(one_blob, 1)] = b0 ^ 1
-        return [BitString(v, 1) for v in self.shares]
+        return self.shares
 
     def equality_message(self):
         y = []
@@ -270,10 +270,10 @@ class SimulatorCompilerSender(HonestCompilerSender):
                 y.append(self.pair_xor(t, e_t))
         return y
 
-    def on_e_opened(self, e_bits):
+    def equality_open_indices(self, e_bits):
         if list(e_bits) != self.e_star:
             raise ProtocolAbort("sim-e-mismatch")
-        self.e_bits = list(e_bits)
+        return super().equality_open_indices(e_bits)
 
     def decommit_choice(self, b_hint=None):
         if b_hint not in (0, 1):
@@ -297,27 +297,25 @@ class SimulatorCompilerReceiver(HonestCompilerReceiver):
     def __init__(self, n, api):
         super().__init__(n, api)
         self.b_star: Optional[int] = None
-        self.ambiguous = False
 
     def set_extracted(self, shares_star):
+        """Decide b_star: the bit some blob of every pair carries, 0 if no
+        bit does, None if both do."""
         values = []
         for j in range(2 * self.n):
             s0 = shares_star[share_index(j, 0)]
             s1 = shares_star[share_index(j, 1)]
             values.append(None if s0 is None or s1 is None else s0 ^ s1)
-        self.blob_values = values
-
-    def after_commit(self):
         common = {0, 1}
         for t in range(self.n):
-            pair_values = {self.blob_values[2 * t], self.blob_values[2 * t + 1]}
-            common &= pair_values
-        common.discard(None)
-        if common == {0, 1}:
-            self.ambiguous = True
-            return "sim-A-ambiguous"
-        self.b_star = common.pop() if common else 0
-        return "accept"
+            common &= {values[2 * t], values[2 * t + 1]}
+        self.b_star = None if common == {0, 1} else common.pop() if common else 0
+
+    def check_equalities(self, y_bits, opened):
+        passed = super().check_equalities(y_bits, opened)
+        if passed and self.b_star is None:  # the sender guessed e
+            raise ProtocolAbort("sim-A-ambiguous")
+        return passed
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ __all__ = [
     "BitString",
     "hamming_distance",
     "neighborhood_size",
-    "spread",
-    "stride_indices",
     "stride_pattern",
 ]
 
@@ -201,11 +199,6 @@ def neighborhood_size(n: int, d: int) -> int:
     return sum(comb(n, i) for i in range(d))
 
 
-def stride_indices(j: int, k: int, width: int) -> list[int]:
-    """Positions {j, j+k, ..., j+(width-1)k} carrying bit j of a k-bit string."""
-    return [j + t * k for t in range(width)]
-
-
 @lru_cache(maxsize=256)
 def stride_pattern(k: int, width: int) -> int:
     """Word with bits 0, k, ..., (width-1)k set: stride 0 of a k-bit string
@@ -214,20 +207,3 @@ def stride_pattern(k: int, width: int) -> int:
     for t in range(width):
         p |= 1 << (t * k)
     return p
-
-
-def spread(x: BitString, width: int) -> BitString:
-    """Replicate each bit of x across its stride positions.
-
-    The result has length len(x) * width and bit j of x lands on every
-    position j, j+k, ..., j+(width-1)k.  This is the masking layout of the
-    commitment strings: AND the result with a mask r so that bit j of x
-    gates exactly r restricted to its stride.
-
-    It is one multiply, x * stride_pattern(k, width), with no carries: the
-    product is the sum of the copies x << tk for t < width, and since
-    x < 2^k each copy fills only bits tk .. tk+k-1, so no two copies
-    overlap and bit j of x lands on position j + tk of copy t.
-    """
-    k = x.n
-    return BitString(x.value * stride_pattern(k, width), k * width)

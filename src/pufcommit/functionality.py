@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from inspect import signature
 from random import Random
 from typing import Optional
 
@@ -169,7 +170,11 @@ class CommPufFunctionality:
         try:
             return handler(self, *msg[1:])
         except TypeError as exc:
-            raise ValueError(f"MALFORMED: bad arity for {kind!r}: {exc}") from None
+            try:
+                signature(handler).bind(self, *msg[1:])
+            except TypeError:
+                raise ValueError(f"MALFORMED: bad arity for {kind!r}: {exc}") from None
+            raise  # the message fits: the error came from inside the handler
 
     # -- init ---------------------------------------------------------------
 
@@ -316,6 +321,8 @@ class BitCommitmentFunctionality:
             raise ValueError(f"MALFORMED: {msg!r}")
         kind = msg[0]
         if kind == "commit":
+            if len(msg) != 3:
+                raise ValueError(f"MALFORMED: bad arity for 'commit': {msg!r}")
             _, sender, b = msg
             if b not in (0, 1):
                 raise ValueError(f"MALFORMED: commit bit {b!r}")
@@ -328,6 +335,8 @@ class BitCommitmentFunctionality:
             self.log.append("fcom-commit", sender=sender, payload=b, deliveries=deliveries)
             return deliveries
         if kind == "open":
+            if len(msg) != 2:
+                raise ValueError(f"MALFORMED: bad arity for 'open': {msg!r}")
             _, sender = msg
             if self.halted or sender != self.sender or self.recorded is None:
                 self.log.append("fcom-open", sender=sender, deliveries=[], note="ignored")

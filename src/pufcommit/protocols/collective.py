@@ -226,11 +226,10 @@ def open_index(outcome: Outcome, index: int,
 def run_collective(params: ExtPufParams, values: list[BitString], seed: int,
                    sender_factory: Callable = CollectiveSender,
                    receiver_factory: Callable = CollectiveReceiver,
-                   open_phase: bool = True,
-                   budgets: Budgets = EXTPUF_BUDGETS) -> Outcome:
+                   open_phase: bool = True) -> Outcome:
     """Whole-protocol convenience runner: commit, then open every index in
     order; open_index opens any other way."""
-    session = Session(seed, budgets=budgets)
+    session = Session(seed, budgets=EXTPUF_BUDGETS)
     outcome = run_collective_commit(params, values, session,
                                     sender_factory, receiver_factory)
     if outcome.committed and open_phase:
@@ -242,12 +241,11 @@ def run_collective(params: ExtPufParams, values: list[BitString], seed: int,
 def run_extpuf(params: ExtPufParams, x: BitString, seed: int,
                sender_factory: Callable = CollectiveSender,
                receiver_factory: Callable = CollectiveReceiver,
-               open_phase: bool = True,
-               budgets: Budgets = EXTPUF_BUDGETS) -> Outcome:
+               open_phase: bool = True) -> Outcome:
     """The single-string protocol: the collective flow over [x]; the
     receiver's view also names that string's c and r."""
     outcome = run_collective(params, [x], seed, sender_factory, receiver_factory,
-                             open_phase, budgets)
+                             open_phase)
     if outcome.committed:
         view = outcome.receiver_view
         view.update(c=view["cs"][0], r=view["masks"][0])

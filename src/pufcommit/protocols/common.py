@@ -159,8 +159,13 @@ def take_helper(wire: Optional[BitString], fe: FuzzyExtractor, step: str) -> Hel
 
 
 def mask_commitment(st: BitString, x: BitString, r: BitString, width: int) -> BitString:
-    """c = st XOR (x spread across its strides AND r), built as one string:
-    spread(x, width) is x times stride_pattern(x.n, width)."""
+    """c = st XOR (x spread across its strides AND r), built as one string.
+
+    Bit j of the k-bit x is spread onto positions j, j+k, ..., j+(width-1)k,
+    where it gates r on its stride.  That spread is one multiply, x times
+    stride_pattern(k, width), with no carries: the product is the sum of
+    the copies x << tk for t < width, and since x < 2^k each copy fills only
+    bits tk .. tk+k-1, so no two copies overlap."""
     if not st.n == r.n == x.n * width:
         raise ValueError(f"LEN_MISMATCH: mask of {x.n}x{width}, st of {st.n}, r of {r.n}")
     return BitString(st.value ^ (x.value * stride_pattern(x.n, width) & r.value), st.n)

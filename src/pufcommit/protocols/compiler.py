@@ -18,11 +18,14 @@ Decommit: the sender picks l_t in {2t, 2t+1} per pair and opens both
 shares of blob l_t; the receiver accepts if some single bit b explains
 every opened pair.
 
-Channels: the commitments ride on the collective commitment core.  Each
-direction runs one `CollectiveChannel`, one instance over all its strings
-(two tokens, two exchange phases), and both commit one-bit strings under
-the one bundle `channel_params` gives: the n challenge bits one way, the
-4n blob shares the other.  Either channel can be extracted.
+Channels: each direction is one extractable bit channel, the only seam
+between the parties and the token layer.  A channel commits a list of
+bits, opens bit i, opens them all in order (stopping at the first
+failure) and extracts the committed bits straight-line; the parties see
+only ints.  `CollectiveChannel` runs one collective instance over all its
+bits (two tokens, two exchange phases) as one-bit strings under the one
+bundle `channel_params` gives: the n challenge bits one way, the 4n blob
+shares the other.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ def share_index(blob: int, eps: int) -> int:
 # ---------------------------------------------------------------------------
 
 class CollectiveChannel:
-    """All strings of one direction under a single collective instance; the
-    challenge bits ride as one-bit strings."""
+    """One direction's bits under a single collective instance, each
+    committed as a one-bit string."""
 
     def __init__(self, session: Session, params: ExtPufParams,
                  sender_name: str, receiver_name: str, label: str):
@@ -72,29 +75,32 @@ class CollectiveChannel:
         self.label = label
         self.outcome: Optional[Outcome] = None
 
-    def commit(self, values: list[BitString]) -> bool:
+    def commit(self, bits: list[int]) -> bool:
         self.outcome = run_collective_commit(
-            self.params, values, self.session,
+            self.params, [BitString(bit, 1) for bit in bits], self.session,
             sender_name=self.sender_name, receiver_name=self.receiver_name,
             label=self.label,
         )
         return self.outcome.committed
 
-    def open(self, index: int) -> Optional[BitString]:
-        return open_index(self.outcome, index, receiver_name=self.receiver_name)
+    def open(self, index: int) -> Optional[int]:
+        bit = open_index(self.outcome, index, receiver_name=self.receiver_name)
+        return None if bit is None else bit.value
 
-    def commit_bits(self, bits: list[int]) -> bool:
-        return self.commit([BitString(bit, 1) for bit in bits])
-
-    def open_bits(self) -> Optional[list[int]]:
+    def open_all(self) -> Optional[list[int]]:
         """The committed bits, or None from the first opening that fails."""
         bits = []
         for t in range(self.outcome.receiver.n_strings):
             bit = self.open(t)
             if bit is None:
                 return None
-            bits.append(bit.value)
+            bits.append(bit)
         return bits
+
+    def extract(self) -> list[Optional[int]]:
+        """Every committed bit read from the run's log, None where that fails."""
+        return [None if bit is None else bit.value
+                for bit in run_extractor_collective(self.extraction_inputs())]
 
     def extraction_inputs(self) -> dict:
         return self.outcome.extraction_inputs()
@@ -125,20 +131,19 @@ class HonestCompilerSender:
         self.n = n
         self.b = b
         self.api = api
-        self.e_bits: Optional[list[int]] = None
 
     def blob_value(self, j: int) -> int:
         """The bit blob j carries."""
         return self.b
 
-    def make_blobs(self) -> list[BitString]:
+    def make_blobs(self) -> list[int]:
         rng = self.api.rng
         self.shares = []
         for j in range(2 * self.n):
             value = self.blob_value(j)
             b0 = rng.getrandbits(1)
             self.shares.extend([b0, value ^ b0])
-        return [BitString(v, 1) for v in self.shares]
+        return self.shares
 
     def pair_xor(self, t: int, eps: int) -> int:
         """XOR of the eps-shares of pair t's two blobs."""
@@ -147,15 +152,10 @@ class HonestCompilerSender:
     def equality_message(self) -> list[int]:
         return [self.pair_xor(t, 0) for t in range(self.n)]
 
-    def on_e_opened(self, e_bits: list[int]) -> None:
-        self.e_bits = e_bits
-
-    def equality_open_indices(self) -> list[int]:
-        idx = []
-        for t, e_t in enumerate(self.e_bits):
-            idx.append(share_index(2 * t, e_t))
-            idx.append(share_index(2 * t + 1, e_t))
-        return idx
+    def equality_open_indices(self, e_bits: list[int]) -> list[int]:
+        """The e_t-shares of both blobs of every pair t, for the opened e."""
+        return [share_index(blob, e_t) for t, e_t in enumerate(e_bits)
+                for blob in (2 * t, 2 * t + 1)]
 
     def decommit_choice(self, b_hint: Optional[int] = None) -> list[int]:
         rng = self.api.rng
@@ -175,15 +175,12 @@ class HonestCompilerReceiver:
         return self.e_bits
 
     def check_equalities(self, y_bits: list[int], opened: dict) -> bool:
-        """opened: share index -> opened share, None where the opening failed."""
-        bits = {idx: share.value for idx, share in opened.items() if share is not None}
-        return len(y_bits) == self.n and blob_equalities_check(y_bits, self.e_bits, bits)
-
-    def after_commit(self) -> str:
-        return "accept"
+        """opened: share index -> opened bit, None where the opening failed."""
+        return len(y_bits) == self.n and blob_equalities_check(y_bits, self.e_bits, opened)
 
     def check_decommit(self, opened_pairs: dict) -> Optional[int]:
-        """opened_pairs: blob index -> (share0, share1); needs a common bit."""
+        """opened_pairs: blob index -> (bit0, bit1), None where an opening
+        failed; needs a common bit."""
         values = set()
         for t in range(self.n):
             entry = None
@@ -195,7 +192,7 @@ class HonestCompilerReceiver:
             s0, s1 = entry
             if s0 is None or s1 is None:
                 return None
-            values.add(s0.value ^ s1.value)
+            values.add(s0 ^ s1)
         if len(values) != 1:
             return None
         return values.pop()
@@ -211,14 +208,6 @@ class CompilerOutcome(Outcome):
 
     e_channel: object = None
     blob_channel: object = None
-
-
-def _hand_extraction(channel, party) -> None:
-    """Give a party that needs it the extraction of every string committed
-    on channel."""
-    if party.needs_extraction:
-        extracted = run_extractor_collective(channel.extraction_inputs())
-        party.set_extracted([x.value if x is not None else None for x in extracted])
 
 
 def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
@@ -250,31 +239,26 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
 
     def commit():
         session.phase("R", "choose-e")
-        if not e_channel.commit_bits(R.choose_e()):
+        if not e_channel.commit(R.choose_e()):
             raise ProtocolAbort("e-commit")
-        _hand_extraction(e_channel, S)
+        if S.needs_extraction:
+            S.set_extracted(e_channel.extract())
 
         session.phase("S", "make-blobs")
-        blobs = S.make_blobs()
-        if not blob_channel.commit(blobs):
+        if not blob_channel.commit(S.make_blobs()):
             raise ProtocolAbort("blob-commit")
-        _hand_extraction(blob_channel, R)
+        if R.needs_extraction:
+            R.set_extracted(blob_channel.extract())
 
         # equality subprotocol
         session.phase("S", "equalities")
         y_bits = session.msg("S", "R", "y", list(S.equality_message()))
-        e_opened = e_channel.open_bits()
+        e_opened = e_channel.open_all()
         if e_opened is None:
             raise ProtocolAbort("e-open")
-        S.on_e_opened(e_opened)
-        opened: dict[int, Optional[BitString]] = {}
-        for idx in S.equality_open_indices():
-            opened[idx] = blob_channel.open(idx)
+        opened = {idx: blob_channel.open(idx) for idx in S.equality_open_indices(e_opened)}
         if not R.check_equalities(y_bits, opened):
             raise ProtocolAbort("blob-equalities")
-        decision = R.after_commit()
-        if decision != "accept":
-            raise ProtocolAbort(decision)
 
     if not commit_step(outcome, commit):
         return outcome
@@ -309,7 +293,8 @@ def open_uccompiler(outcome: CompilerOutcome,
 def blob_equalities_check(y_bits: list[int], e_bits: list[int],
                           opened_shares: dict) -> bool:
     """Pure equality check: y_t must equal the XOR of the opened e_t-shares
-    of pair t.  opened_shares maps share_index -> bit."""
+    of pair t.  opened_shares maps share_index -> bit, None where the
+    opening failed."""
     n = len(y_bits)
     for t in range(n):
         e_t = e_bits[t]

@@ -14,17 +14,26 @@ from pufcommit.adversaries import (
     zoo,
 )
 from pufcommit.functionality import Budgets, audit_budgets
+from pufcommit.harness.ucsim import (
+    run_ideal_receiver_corrupt,
+    run_ideal_sender_corrupt,
+    run_real_world,
+)
 from pufcommit.protocols import (
     ExtPufParams,
     OriginalExtPufParams,
+    compiler,
+    open_index,
     run_collective,
+    run_collective_commit,
     run_cpuf,
     run_extpuf,
     run_original_extpuf,
     run_uccompiler,
 )
+from pufcommit.protocols.compiler import share_index
 from pufcommit.protocols.params import CpufParams
-from pufcommit.session import ProtocolAbort
+from pufcommit.session import ProtocolAbort, Session
 
 EP = ExtPufParams.standard(16, 4)
 OP = OriginalExtPufParams.standard(8, 1)
@@ -100,9 +109,11 @@ def test_chatty_token_outgoing_dropped_at_zero_budget():
 
 
 def test_chatty_token_leaks_within_a_positive_budget():
-    budgets = Budgets(k_state=0, k_in=None, k_out=EP.n)
-    out = run_extpuf(EP, BitString.from01("0011"), seed=32001,
-                     sender_factory=ChattyTokenSender, budgets=budgets)
+    session = Session(32001, budgets=Budgets(k_state=0, k_in=None, k_out=EP.n))
+    out = run_collective_commit(EP, [BitString.from01("0011")], session,
+                                sender_factory=ChattyTokenSender)
+    if out.committed:
+        open_index(out, 0)
     leaked = out.sender.leaked_messages()
     assert len(leaked) == 1  # exactly one challenge fits the budget
     audit_budgets(out.session.functionality)
@@ -111,10 +122,9 @@ def test_chatty_token_leaks_within_a_positive_budget():
 def test_stateful_probe_leaks_when_state_is_allowed():
     # the demonstration behind the zero-state requirement: with state, the
     # returned probe replays the sender's codeword query to its creator
-    budgets = Budgets(k_state=None, k_in=None, k_out=0)
-    out = run_extpuf(EP, BitString.from01("1110"), seed=33000,
-                     receiver_factory=StatefulProbeReceiver, budgets=budgets,
-                     open_phase=False)
+    session = Session(33000, budgets=Budgets(k_state=None, k_in=None, k_out=0))
+    out = run_collective_commit(EP, [BitString.from01("1110")], session,
+                                receiver_factory=StatefulProbeReceiver)
     assert out.commit_end > 0
     receiver = out.receiver
     replayed = receiver.read_probe_memory()
@@ -137,7 +147,10 @@ def test_simulator_sender_abort_branch():
     sim = SimulatorCompilerSender.__new__(SimulatorCompilerSender)
     sim.e_star = [0, 1, None]
     with pytest.raises(ProtocolAbort, match="sim-e-mismatch"):
-        sim.on_e_opened([0, 1, 1])
+        sim.equality_open_indices([0, 1, 1])
+    # the extracted e: the e_t-shares of both blobs of every pair
+    sim.e_star = [0, 1, 1]
+    assert sim.equality_open_indices([0, 1, 1]) == [0, 2, 5, 7, 9, 11]
 
 
 def test_simulators_get_their_extraction_from_the_runner():
@@ -156,13 +169,82 @@ def test_simulator_receiver_decision_cases():
     class Api:
         rng = Random(0)
 
+    def equality_run(shares, y_bits):
+        opened = {share_index(blob, e_t): shares[share_index(blob, e_t)]
+                  for t, e_t in enumerate(sim.e_bits) for blob in (2 * t, 2 * t + 1)}
+        return sim.check_equalities(y_bits, opened)
+
     sim = SimulatorCompilerReceiver(2, Api())
+    sim.e_bits = [0, 1]
     # all blobs carry the bit 1
-    sim.set_extracted([0, 1, 1, 0, 0, 1, 1, 0])
-    assert sim.after_commit() == "accept" and sim.b_star == 1
+    shares = [0, 1, 1, 0, 0, 1, 1, 0]
+    sim.set_extracted(shares)
+    assert sim.b_star == 1 and equality_run(shares, [1, 1])
     # alternating pair values: empty intersection, defaults to 0
-    sim.set_extracted([0, 0, 1, 1, 0, 1, 1, 0])
-    assert sim.after_commit() == "accept" and sim.b_star == 0
-    # both values alive in every pair: the cheat case, abort
-    sim.set_extracted([0, 0, 0, 1, 0, 1, 0, 0])
-    assert sim.after_commit() == "sim-A-ambiguous"
+    shares = [0, 0, 1, 1, 0, 1, 1, 0]
+    sim.set_extracted(shares)
+    assert sim.b_star == 0 and equality_run(shares, [1, 1])
+    # a failed extraction leaves only the other blob's bit in that pair
+    sim.set_extracted([None, 1, 1, 0, 0, 1, 1, 0])
+    assert sim.b_star == 1
+    # both values alive in every pair: the cheat case, which gives up only
+    # once the equality check it cheated has passed
+    shares = [0, 0, 0, 1, 0, 1, 0, 0]
+    sim.set_extracted(shares)
+    assert sim.b_star is None
+    assert not equality_run(shares, [1, 1])
+    with pytest.raises(ProtocolAbort, match="sim-A-ambiguous"):
+        equality_run(shares, [0, 1])
+
+
+
+
+class StoredBitsChannel:
+    """The four-method channel the compiler is written against, with no
+    tokens: it keeps the committed bits, logs each opening as a message,
+    and extracts exactly."""
+
+    def __init__(self, session, params, sender_name, receiver_name, label):
+        self.session = session
+        self.ends = (sender_name, receiver_name)
+
+    def commit(self, bits):
+        self.bits = list(bits)
+        self.session.msg(*self.ends, "stored-commit", len(self.bits))
+        return True
+
+    def open(self, index):
+        return self.session.msg(*self.ends, "stored-open", self.bits[index])
+
+    def open_all(self):
+        return [self.open(t) for t in range(len(self.bits))]
+
+    def extract(self):
+        return list(self.bits)
+
+
+@pytest.fixture
+def stored_channel(monkeypatch):
+    monkeypatch.setattr(compiler, "CollectiveChannel", StoredBitsChannel)
+
+
+def test_compiler_runs_over_any_channel_with_the_four_methods(stored_channel):
+    for b in (0, 1):
+        out = run_uccompiler(4, b, seed=35000 + b)
+        assert out.accepted and out.value == b
+        assert isinstance(out.blob_channel, StoredBitsChannel)
+        for world in (run_real_world, run_ideal_receiver_corrupt, run_ideal_sender_corrupt):
+            features, _ = world(3, b, seed=35010 + b)
+            assert features[2] is None and features[3] == b
+
+
+def test_e_guessing_sender_is_caught_by_the_simulator_over_an_exact_channel(stored_channel):
+    # exact extraction sees both bits alive in every pair, so the simulator
+    # gives up exactly when the guess of e passed the equality check: 2^-n
+    aborts = []
+    for i in range(400):
+        features, _ = run_ideal_sender_corrupt(2, 1, seed=36000 + i,
+                                               sender_factory=EGuessCompilerSender)
+        aborts.append(features[2])
+    assert set(aborts) == {"abort:blob-equalities", "abort:sim-A-ambiguous"}
+    assert 60 <= aborts.count("abort:sim-A-ambiguous") <= 140  # about 100

@@ -10,9 +10,23 @@ from pufcommit.bits import (
     BitString,
     hamming_distance,
     neighborhood_size,
-    spread,
-    stride_indices,
+    stride_pattern,
 )
+
+
+# References for the masking layout: mask_commitment and the extractors are
+# checked against them here and in test_extract.py and test_protocols.py.
+
+def stride_indices(j, k, width):
+    """Positions {j, j+k, ..., j+(width-1)k} carrying bit j of a k-bit string."""
+    return [j + t * k for t in range(width)]
+
+
+def spread(x, width):
+    """x's bits each replicated across their stride positions: a k * width
+    string whose position j + tk holds bit j of x.  One multiply by
+    stride_pattern, checked against the per-bit loop below."""
+    return BitString(x.value * stride_pattern(x.n, width), x.n * width)
 
 
 def test_construction_and_roundtrips():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pufcommit.bits import BitString, spread, stride_indices
+from pufcommit.bits import BitString
 from pufcommit.ecc import RepetitionCode
 from pufcommit.adversaries import AmbiguousQuerySender, NeverQuerySender, zoo
 from pufcommit.functionality import EventLog
@@ -25,6 +25,7 @@ from pufcommit.protocols import (
     run_original_extpuf,
 )
 from pufcommit.protocols.common import mask_commitment
+from test_bits import spread, stride_indices
 
 EP = ExtPufParams.standard(16, 4)
 OP = OriginalExtPufParams.standard(8, 1)

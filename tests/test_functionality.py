@@ -14,7 +14,7 @@ from pufcommit.functionality import (
     audit_single_ownership,
     check_order_discipline,
 )
-from pufcommit.puf import PufParams, chatty_program
+from pufcommit.puf import MachineProgram, PufParams, chatty_program
 
 P = PufParams.standard(8, 16, d_noise=1)
 
@@ -91,6 +91,20 @@ def test_malformed_messages_raise():
         func.handle(("eval", "a", "P1", "not-bits"))
     with pytest.raises(ValueError, match="MALFORMED"):
         func.handle("eval")
+    with pytest.raises(ValueError, match="MALFORMED: bad arity for 'eval'"):
+        func.handle(("eval", "a", "P1"))
+    with pytest.raises(ValueError, match="MALFORMED: bad arity for 'ready'"):
+        func.handle(("ready", "a", ADVERSARY, "extra"))
+
+
+def test_a_failing_token_program_is_not_a_malformed_message():
+    # the program returns None where (response, state, outgoing) is due:
+    # the message was well formed, so the program's own TypeError surfaces
+    func, _ = make()
+    broken = MachineProgram("returns-none", 0, lambda kind, payload, state, oracle: None)
+    func.handle(("init", "m", "P1", "malicious", P, broken))
+    with pytest.raises(TypeError, match="cannot unpack non-iterable NoneType"):
+        func.handle(("eval", "m", "P1", BitString.zeros(8)))
 
 
 def test_malicious_machine_and_outgoing_budget():
@@ -234,3 +248,12 @@ def test_bit_commitment_reference():
     assert fcom.handle(("open", fcom.sender)) == []
     with pytest.raises(ValueError, match="MALFORMED"):
         fcom.handle(("commit", fcom.sender, 2))
+
+
+@pytest.mark.parametrize("msg", [("commit",), ("commit", "S~"), ("commit", "S~", 1, 0),
+                                 ("open",), ("open", "S~", 1)])
+def test_bit_commitment_refuses_a_wrong_arity(msg):
+    fcom = BitCommitmentFunctionality(EventLog())
+    with pytest.raises(ValueError, match=f"MALFORMED: bad arity for '{msg[0]}'"):
+        fcom.handle(msg)
+    assert fcom.recorded is None and not fcom.halted

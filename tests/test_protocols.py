@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from pufcommit import puf
-from pufcommit.bits import BitString, spread, stride_indices
+from pufcommit.bits import BitString
 from pufcommit.ecc import RepetitionCode
 from pufcommit.adversaries import (
     AbortingProbeReceiver,
@@ -39,6 +39,7 @@ from pufcommit.protocols.compiler import (
 )
 from pufcommit.puf import MachineProgram, silent_program
 from pufcommit.session import ProtocolAbort, count_resources, message_shapes
+from test_bits import stride_indices
 
 CP = CpufParams.standard(16, 4)
 EP = ExtPufParams.standard(16, 4)
