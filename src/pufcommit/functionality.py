@@ -1,23 +1,33 @@
-"""Trusted-setup message router for PUF creation, evaluation and handover.
+"""The two ideal functionalities: the PUF token router and the reference
+bit commitment, with one message discipline.
 
-The router mediates six message kinds: init, eval, inmsg,
-handover, ready, received.  Creation registers either a sampled honest
-instance or a malicious machine (which always receives its own fresh
-embedded honest instance).  Evaluation answers only the current owner,
-or the adversary while a token is in transit.  A three-step transfer
-(handover by the owner, ready and received by the adversary) moves
-ownership.  Malicious tokens may exchange bits with their creator within
-the router's budgets, which hold for every token alike and are counted
-per sid: incoming bits are debited before the machine runs, and outgoing
-messages are dropped once the budget is gone.  A zero incoming budget
-means there is no creator channel at all (the Damgard-Scafuro model,
-NO_CHANNEL_BUDGETS): every inmsg is dropped before its sid is looked at.
+Both take a message one way (_Functionality.handle).  A message is a
+tuple (kind, *fields) whose kind names one handler in the
+functionality's _HANDLERS.  A message that is not such a tuple, names no
+known kind, does not fit its handler's signature, or carries a field the
+handler refuses raises MALFORMED and is not logged.  Every other message
+is appended to the functionality's event log, including the silent
+drops: a message the functionality cannot act on never raises, it leaves
+it in the waiting state (EventRecord.dropped), which is what honest
+parties experience as a timeout.
 
-Every handled message is appended to a shared event log, including the
-silent drops: an invalid message never raises, it simply leaves the
-router in the waiting state, which is what honest parties experience as
-a timeout.  Structurally malformed messages are the one exception and
-raise MALFORMED.
+The router mediates six message kinds: init, eval, inmsg, handover,
+ready, received.  Creation registers either a sampled honest instance or
+a malicious machine (which always receives its own fresh embedded honest
+instance).  Evaluation answers only the current owner, or the adversary
+while a token is in transit.  A three-step transfer (handover by the
+owner, ready and received by the adversary) moves ownership.  Malicious
+tokens may exchange bits with their creator within the router's budgets,
+which hold for every token alike and are counted per sid: incoming bits
+are debited before the machine runs, and outgoing messages are dropped
+once the budget is gone.  A zero incoming budget means there is no
+creator channel at all (the Damgard-Scafuro model, NO_CHANNEL_BUDGETS):
+every inmsg is dropped before its sid is looked at.
+
+The reference bit commitment F_COM takes commit and open.  A commit bit
+that is not the int 0 or 1 is MALFORMED.  A second commit, an open before
+the commit or after the halt, and either from another party than the
+sender are dropped in the waiting state.
 """
 
 from __future__ import annotations
@@ -36,11 +46,11 @@ __all__ = [
     "EventLog",
     "Budgets",
     "NO_CHANNEL_BUDGETS",
+    "EXTPUF_BUDGETS",
     "CommPufFunctionality",
     "BitCommitmentFunctionality",
     "audit_budgets",
     "audit_single_ownership",
-    "check_order_discipline",
 ]
 
 ADVERSARY = "ADV"
@@ -114,40 +124,21 @@ class EventLog:
 class Budgets:
     """Bit budgets for malicious tokens; None means unbounded."""
 
-    k_state: Optional[int] = 0
-    k_in: Optional[int] = None
-    k_out: Optional[int] = 0
+    k_state: Optional[int]
+    k_in: Optional[int]
+    k_out: Optional[int]
 
 
 # no creator channel; tokens may keep unbounded state
 NO_CHANNEL_BUDGETS = Budgets(k_state=None, k_in=0, k_out=0)
+# the revised flow's model: stateless tokens, no outgoing channel,
+# unbounded incoming
+EXTPUF_BUDGETS = Budgets(k_state=0, k_in=None, k_out=0)
 
 
-@dataclass
-class _TokenRecord:
-    sid: str
-    mode: str                      # honest | malicious
-    instance: PufInstance          # the sampled instance (embedded one if malicious)
-    owner: Optional[str]
-    transit_to: Optional[str] = None
-    prev_owner: Optional[str] = None
-    creator: str = ""
-    machine: Optional[MaliciousPufMachine] = None
-    in_used: int = 0
-    out_used: int = 0
-    receipts: list = field(default_factory=list)
-
-
-class CommPufFunctionality:
-    """Router for possibly-communicating malicious tokens."""
-
-    def __init__(self, rng: Random, log: EventLog, budgets: Budgets = Budgets()):
-        self.rng = rng
-        self.log = log
-        self.budgets = budgets
-        self.tokens: dict[str, _TokenRecord] = {}
-
-    # -- helpers ----------------------------------------------------------
+class _Functionality:
+    """The one message discipline (see the module docstring); a subclass
+    sets self.log and maps each message kind to a handler in _HANDLERS."""
 
     def _drop(self, kind, sid, sender, payload, note) -> list:
         self.log.append(kind, sid, sender, payload, [], f"waiting-state: {note}")
@@ -157,10 +148,8 @@ class CommPufFunctionality:
         self.log.append(kind, sid, sender, payload, deliveries, note)
         return deliveries
 
-    # -- the single entry point -------------------------------------------
-
     def handle(self, msg: tuple) -> list:
-        """Route one message; returns [(recipient, message_tuple), ...]."""
+        """Take one message; returns [(recipient, message_tuple), ...]."""
         if not isinstance(msg, tuple) or not msg or not isinstance(msg[0], str):
             raise ValueError(f"MALFORMED: {msg!r}")
         kind = msg[0]
@@ -176,23 +165,51 @@ class CommPufFunctionality:
                 raise ValueError(f"MALFORMED: bad arity for {kind!r}: {exc}") from None
             raise  # the message fits: the error came from inside the handler
 
+
+@dataclass
+class _TokenRecord:
+    sid: str
+    instance: PufInstance          # the sampled instance (embedded one if malicious)
+    owner: Optional[str]
+    transit_to: Optional[str] = None
+    prev_owner: Optional[str] = None
+    creator: str = ""
+    machine: Optional[MaliciousPufMachine] = None   # None: an honest token
+    in_used: int = 0
+    out_used: int = 0
+    receipts: list = field(default_factory=list)
+
+
+class CommPufFunctionality(_Functionality):
+    """Router for possibly-communicating malicious tokens."""
+
+    def __init__(self, rng: Random, log: EventLog, budgets: Budgets):
+        self.rng = rng
+        self.log = log
+        self.budgets = budgets
+        self.tokens: dict[str, _TokenRecord] = {}
+
+    # perfbench/tracer.py wraps the router's entry point by looking it up
+    # in this class's own __dict__
+    handle = _Functionality.handle
+
     # -- init ---------------------------------------------------------------
 
     def _on_init(self, sid: str, sender: str, mode: str,
                  params: PufParams, program: MachineProgram | None = None) -> list:
-        if mode not in ("honest", "malicious"):
-            raise ValueError(f"MALFORMED: init mode {mode!r}")
-        if mode == "malicious" and program is None:
-            raise ValueError("MALFORMED: malicious init without a program")
+        honest = mode == "honest"
+        if not (isinstance(params, PufParams) and (honest or mode == "malicious")
+                and (program is None if honest else isinstance(program, MachineProgram))):
+            raise ValueError(f"MALFORMED: init {mode!r} of a {type(params).__name__}"
+                             f" with a {type(program).__name__} program")
         if sid in self.tokens:
             return self._drop("init", sid, sender, mode, "sid already registered")
         instance = sample_puf(params, self.rng)
         machine = None
-        if mode == "malicious":
+        if not honest:
             machine = MaliciousPufMachine(program, self.budgets.k_state, instance)
         self.tokens[sid] = _TokenRecord(
-            sid=sid, mode=mode, instance=instance, owner=sender,
-            creator=sender, machine=machine,
+            sid=sid, instance=instance, owner=sender, creator=sender, machine=machine,
         )
         return self._done("init", sid, sender, mode,
                           [(sender, ("initialized", sid))],
@@ -213,25 +230,27 @@ class CommPufFunctionality:
             return self._drop("eval", sid, sender, challenge, "unknown sid")
         if not self._may_eval(rec, sender):
             return self._drop("eval", sid, sender, challenge, "not the owner")
-        if rec.mode == "honest":
+        if rec.machine is None:
             sigma = rec.instance.respond(challenge, self.rng)
             return self._done("eval", sid, sender, challenge,
                               [(sender, ("response", sid, challenge, sigma))], "honest")
         sigma, m_out = rec.machine.step("query", challenge, self.rng)
         deliveries = [(sender, ("response", sid, challenge, sigma))]
-        note = "malicious"
-        if m_out is not None:
-            sent, why = self._try_outmsg(rec, m_out, deliveries)
-            note += f" outmsg={'sent' if sent else 'dropped:' + why}"
+        note = "malicious" + self._send_out(rec, m_out, deliveries)
         return self._done("eval", sid, sender, challenge, deliveries, note=note)
 
-    def _try_outmsg(self, rec: _TokenRecord, m_out: BitString, deliveries: list):
+    def _send_out(self, rec: _TokenRecord, m_out: Optional[BitString],
+                  deliveries: list) -> str:
+        """Deliver a machine's outgoing bits to its creator while k_out
+        allows; returns what the log note says of them."""
+        if m_out is None:
+            return ""
         k_out = self.budgets.k_out
         if k_out is not None and rec.out_used + m_out.n > k_out:
-            return False, "k_out"
+            return " outmsg=dropped:k_out"
         rec.out_used += m_out.n
         deliveries.append((rec.creator, ("outmsg", rec.sid, m_out)))
-        return True, ""
+        return " outmsg=sent"
 
     # -- creator-to-token messages -------------------------------------------
 
@@ -249,10 +268,7 @@ class CommPufFunctionality:
         rec.in_used += m_in.n
         _, m_out = rec.machine.step("msg", m_in, self.rng)
         deliveries: list = []
-        note = "debited"
-        if m_out is not None:
-            sent, why = self._try_outmsg(rec, m_out, deliveries)
-            note += f" outmsg={'sent' if sent else 'dropped:' + why}"
+        note = "debited" + self._send_out(rec, m_out, deliveries)
         return self._done("inmsg", sid, sender, m_in, deliveries, note=note)
 
     # -- three-step ownership transfer -----------------------------------------
@@ -285,7 +301,6 @@ class CommPufFunctionality:
         return self._done("received", sid, sender, original_owner,
                           [(original_owner, ("received", sid))])
 
-    # one handler per message kind, looked up in handle()
     _HANDLERS = {
         "init": _on_init,
         "eval": _on_eval,
@@ -295,14 +310,8 @@ class CommPufFunctionality:
         "received": _on_received,
     }
 
-    # -- introspection (not part of the message interface) ---------------------
 
-    def counters(self, sid: str) -> tuple[int, int]:
-        rec = self.tokens[sid]
-        return rec.in_used, rec.out_used
-
-
-class BitCommitmentFunctionality:
+class BitCommitmentFunctionality(_Functionality):
     """Reference ideal bit commitment.
 
     commit(b) records the bit once and announces the commitment; open
@@ -316,37 +325,24 @@ class BitCommitmentFunctionality:
         self.recorded: Optional[int] = None
         self.halted = False
 
-    def handle(self, msg: tuple) -> list:
-        if not isinstance(msg, tuple) or not msg:
-            raise ValueError(f"MALFORMED: {msg!r}")
-        kind = msg[0]
-        if kind == "commit":
-            if len(msg) != 3:
-                raise ValueError(f"MALFORMED: bad arity for 'commit': {msg!r}")
-            _, sender, b = msg
-            if b not in (0, 1):
-                raise ValueError(f"MALFORMED: commit bit {b!r}")
-            if self.halted or sender != self.sender or self.recorded is not None:
-                self.log.append("fcom-commit", sender=sender, payload=b,
-                                deliveries=[], note="ignored")
-                return []
-            self.recorded = b
-            deliveries = [(self.receiver, ("committed",)), (ADVERSARY, ("committed",))]
-            self.log.append("fcom-commit", sender=sender, payload=b, deliveries=deliveries)
-            return deliveries
-        if kind == "open":
-            if len(msg) != 2:
-                raise ValueError(f"MALFORMED: bad arity for 'open': {msg!r}")
-            _, sender = msg
-            if self.halted or sender != self.sender or self.recorded is None:
-                self.log.append("fcom-open", sender=sender, deliveries=[], note="ignored")
-                return []
-            self.halted = True
-            b = self.recorded
-            deliveries = [(self.receiver, ("open", b)), (ADVERSARY, ("open", b))]
-            self.log.append("fcom-open", sender=sender, payload=b, deliveries=deliveries)
-            return deliveries
-        raise ValueError(f"MALFORMED: unknown message kind {kind!r}")
+    def _on_commit(self, sender: str, b: int) -> list:
+        if type(b) is not int or b not in (0, 1):
+            raise ValueError(f"MALFORMED: commit bit {b!r}")
+        if self.halted or sender != self.sender or self.recorded is not None:
+            return self._drop("fcom-commit", None, sender, b, "out of turn or not the sender")
+        self.recorded = b
+        return self._done("fcom-commit", None, sender, b,
+                          [(self.receiver, ("committed",)), (ADVERSARY, ("committed",))])
+
+    def _on_open(self, sender: str) -> list:
+        if self.halted or sender != self.sender or self.recorded is None:
+            return self._drop("fcom-open", None, sender, None, "out of turn or not the sender")
+        self.halted = True
+        b = self.recorded
+        return self._done("fcom-open", None, sender, b,
+                          [(self.receiver, ("open", b)), (ADVERSARY, ("open", b))])
+
+    _HANDLERS = {"commit": _on_commit, "open": _on_open}
 
 
 # ---------------------------------------------------------------------------
@@ -401,24 +397,3 @@ def audit_single_ownership(func: CommPufFunctionality) -> None:
                 raise AssertionError(
                     f"sid {rec.sid} neither owned nor in transit at step {rec.step}"
                 )
-
-
-def check_order_discipline(log: EventLog, probe_sid: str, sender: str) -> bool:
-    """Structural invariant of the revised flow on one transcript: the
-    probe's return transfer precedes the mask message, and no sender query
-    to the probe is answered after the return."""
-    handover_steps = [rec.step for rec in log.records
-                      if rec.kind == "handover" and rec.sid == probe_sid
-                      and not rec.dropped]
-    mask_steps = [rec.step for rec in log.records
-                  if rec.kind == "protocol-msg" and rec.note == "mask"]
-    if not mask_steps:
-        return True  # no mask was ever revealed; nothing to order
-    if len(handover_steps) < 2 or handover_steps[1] > mask_steps[0]:
-        return False
-    return_step = handover_steps[1]
-    for rec in log.records:
-        if (rec.kind == "eval" and rec.sid == probe_sid and rec.sender == sender
-                and rec.step > return_step and not rec.dropped):
-            return False
-    return True

@@ -27,7 +27,6 @@ from ..adversaries import AmbiguousQuerySender, zoo
 from ..bits import BitString, hamming_distance
 from ..entropy import histogram_distance, lemma_violations
 from ..extract import run_extractor_collective, run_extractor_original
-from ..functionality import check_order_discipline
 from ..prf import derive_seed
 from ..puf import PufParams, sample_puf
 from ..report import ExperimentReport, wilson_interval
@@ -43,6 +42,7 @@ from ..protocols import (
     run_original_extpuf,
     run_uccompiler,
 )
+from ..protocols.collective import check_order_discipline
 from ..protocols.common import mask_commitment, reproduce
 from .config import ConfigError, ExperimentConfig
 from .ucsim import run_ideal_receiver_corrupt, run_ideal_sender_corrupt, run_real_world

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..bits import BitString
-from ..functionality import Budgets
+from ..functionality import EXTPUF_BUDGETS, EventLog
 from ..fuzzy import HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
 from .common import (Outcome, TestQuery, commit_step, enroll, mask_commitment,
@@ -39,10 +39,7 @@ from .common import (Outcome, TestQuery, commit_step, enroll, mask_commitment,
 from .params import ExtPufParams
 
 __all__ = ["CollectiveSender", "CollectiveReceiver", "run_collective",
-           "run_collective_commit", "open_index", "run_extpuf", "EXTPUF_BUDGETS"]
-
-# stateless probes, no outgoing channel, unbounded incoming
-EXTPUF_BUDGETS = Budgets(k_state=0, k_in=None, k_out=0)
+           "run_collective_commit", "open_index", "run_extpuf", "check_order_discipline"]
 
 
 class CollectiveSender:
@@ -151,9 +148,8 @@ class CollectiveReceiver:
         self.cs = list(cs)
 
     def check_opening(self, index, s, x, st_e, p_e_cat) -> Optional[BitString]:
+        """The value of string `index`, which open_index asked for, or None."""
         p = self.params
-        if index is None or not 0 <= index < self.n_strings:
-            return None
         if any(v is None for v in (s, x, st_e, p_e_cat)):
             return None
         if s.n != p.n or x.n != p.k:
@@ -214,11 +210,16 @@ def run_collective_commit(params: ExtPufParams, values: list[BitString],
 
 def open_index(outcome: Outcome, index: int,
                receiver_name: str = "R") -> Optional[BitString]:
-    """One decommitment; may be called at any time after commit, repeatedly."""
+    """One decommitment; may be called at any time after commit, repeatedly.
+    An index outside [0, N) is a rejected opening, and the sender is not
+    asked for it; the sender's answer is checked against the string asked
+    for, whatever index it names."""
     def decommit():
+        if not 0 <= index < outcome.receiver.n_strings:
+            return None
         opening = outcome.sender.opening(index)
         outcome.session.msg(outcome.sender_name, receiver_name, "opening", opening)
-        return outcome.receiver.check_opening(*opening)
+        return outcome.receiver.check_opening(index, *opening[1:])
 
     return open_step(outcome, index, decommit, receiver_name, index=index)
 
@@ -250,3 +251,24 @@ def run_extpuf(params: ExtPufParams, x: BitString, seed: int,
         view = outcome.receiver_view
         view.update(c=view["cs"][0], r=view["masks"][0])
     return outcome
+
+
+def check_order_discipline(log: EventLog, probe_sid: str, sender: str) -> bool:
+    """Structural invariant of the revised flow on one transcript: the
+    probe's return transfer precedes the mask message, and no sender query
+    to the probe is answered after the return."""
+    handover_steps = [rec.step for rec in log.records
+                      if rec.kind == "handover" and rec.sid == probe_sid
+                      and not rec.dropped]
+    mask_steps = [rec.step for rec in log.records
+                  if rec.kind == "protocol-msg" and rec.note == "mask"]
+    if not mask_steps:
+        return True  # no mask was ever revealed; nothing to order
+    if len(handover_steps) < 2 or handover_steps[1] > mask_steps[0]:
+        return False
+    return_step = handover_steps[1]
+    for rec in log.records:
+        if (rec.kind == "eval" and rec.sid == probe_sid and rec.sender == sender
+                and rec.step > return_step and not rec.dropped):
+            return False
+    return True

@@ -35,8 +35,9 @@ from typing import Callable, Optional
 
 from ..bits import BitString
 from ..extract import run_extractor_collective
+from ..functionality import EXTPUF_BUDGETS
 from ..session import ProtocolAbort, Session
-from .collective import EXTPUF_BUDGETS, open_index, run_collective_commit
+from .collective import open_index, run_collective_commit
 from .common import Outcome, commit_step, open_step
 from .params import ExtPufParams
 

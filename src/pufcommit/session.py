@@ -32,7 +32,8 @@ from random import Random
 from typing import Optional
 
 from .bits import BitString
-from .functionality import ADVERSARY, Budgets, CommPufFunctionality, EventLog
+from .functionality import (ADVERSARY, EXTPUF_BUDGETS, Budgets, CommPufFunctionality,
+                            EventLog)
 from .prf import derive_seed
 from .puf import MachineProgram, PufParams
 
@@ -63,7 +64,7 @@ class ImmediateDelivery:
 
 
 class Session:
-    def __init__(self, seed: int, budgets: Budgets = Budgets(), adversary=None):
+    def __init__(self, seed: int, budgets: Budgets = EXTPUF_BUDGETS, adversary=None):
         self.seed = seed
         self.log = EventLog()
         self.functionality = CommPufFunctionality(Random(derive_seed(seed, "func")),

@@ -12,8 +12,8 @@ from pufcommit.functionality import (
     EventLog,
     audit_budgets,
     audit_single_ownership,
-    check_order_discipline,
 )
+from pufcommit.protocols.collective import check_order_discipline
 from pufcommit.puf import MachineProgram, PufParams, chatty_program
 
 P = PufParams.standard(8, 16, d_noise=1)
@@ -22,6 +22,12 @@ P = PufParams.standard(8, 16, d_noise=1)
 def make(budgets=Budgets(k_state=0, k_in=None, k_out=0), seed=0):
     log = EventLog()
     return CommPufFunctionality(Random(seed), log, budgets), log
+
+
+def counters(func, sid):
+    """(incoming, outgoing) bits the router has debited to sid."""
+    rec = func.tokens[sid]
+    return rec.in_used, rec.out_used
 
 
 def transfer(func, sid, frm, to):
@@ -97,6 +103,19 @@ def test_malformed_messages_raise():
         func.handle(("ready", "a", ADVERSARY, "extra"))
 
 
+@pytest.mark.parametrize("init", [
+    ("init", "a", "P1", "honest", "not-params"),
+    ("init", "m", "P1", "malicious", P, "not-a-program"),
+    ("init", "a", "P1", "honest", P, chatty_program()),
+], ids=["params-not-PufParams", "malicious-program-not-MachineProgram",
+        "honest-with-program"])
+def test_router_refuses_a_malformed_init(init):
+    func, log = make()
+    with pytest.raises(ValueError, match="MALFORMED: init"):
+        func.handle(init)
+    assert func.tokens == {} and len(log) == 0
+
+
 def test_a_failing_token_program_is_not_a_malformed_message():
     # the program returns None where (response, state, outgoing) is due:
     # the message was well formed, so the program's own TypeError surfaces
@@ -119,7 +138,7 @@ def test_malicious_machine_and_outgoing_budget():
     func.handle(("eval", "m", "P1", s))
     third = func.handle(("eval", "m", "P1", s))
     assert [msg[0] for _, msg in third] == ["response"]
-    assert func.counters("m") == (0, 16)
+    assert counters(func, "m") == (0, 16)
     audit_budgets(func)
 
 
@@ -128,7 +147,7 @@ def test_outgoing_dropped_entirely_at_zero_budget():
     func.handle(("init", "m", "P1", "malicious", P, chatty_program()))
     deliveries = func.handle(("eval", "m", "P1", BitString.zeros(8)))
     assert [msg[0] for _, msg in deliveries] == ["response"]
-    assert func.counters("m") == (0, 0)
+    assert counters(func, "m") == (0, 0)
 
 
 def test_incoming_budget_debited_before_machine_runs():
@@ -139,7 +158,7 @@ def test_incoming_budget_debited_before_machine_runs():
     over = func.handle(("inmsg", "m", "P1", BitString.zeros(8)))
     assert over == []
     assert "k_in" in log.records[-1].note
-    assert func.counters("m")[0] == 8  # the refused message was not debited
+    assert counters(func, "m")[0] == 8  # the refused message was not debited
     # only the creator may use the channel
     assert func.handle(("inmsg", "m", "P2", BitString.zeros(4))) == []
     audit_budgets(func)
@@ -181,10 +200,10 @@ def test_no_channel_router_drops_every_inmsg():
         assert func.handle(("inmsg", sid, "P1", m_in)) == []
         assert log.records[-1].dropped
         assert log.records[-1].note == "waiting-state: no creator channel"
-    assert func.counters("m") == (0, 0)
+    assert counters(func, "m") == (0, 0)
     deliveries = func.handle(("eval", "m", "P1", BitString.zeros(8)))
     assert [msg[0] for _, msg in deliveries] == ["response"]
-    assert func.counters("m") == (0, 0)
+    assert counters(func, "m") == (0, 0)
     audit_budgets(func)
     # the budgets are the router's: an init cannot bring its own
     with pytest.raises(ValueError, match="MALFORMED"):
@@ -235,12 +254,14 @@ def test_order_discipline_on_hand_built_logs(events, ordered):
 def test_bit_commitment_reference():
     log = EventLog()
     fcom = BitCommitmentFunctionality(log)
-    # open before commit: nothing
+    # open before commit: nothing, logged as the waiting state
     assert fcom.handle(("open", fcom.sender)) == []
+    assert log.records[-1].dropped
     out = fcom.handle(("commit", fcom.sender, 1))
     assert (fcom.receiver, ("committed",)) in out
     # second commit ignored
     assert fcom.handle(("commit", fcom.sender, 0)) == []
+    assert log.records[-1].dropped
     opened = fcom.handle(("open", fcom.sender))
     assert (fcom.receiver, ("open", 1)) in opened
     assert (ADVERSARY, ("open", 1)) in opened
@@ -257,3 +278,41 @@ def test_bit_commitment_refuses_a_wrong_arity(msg):
     with pytest.raises(ValueError, match=f"MALFORMED: bad arity for '{msg[0]}'"):
         fcom.handle(msg)
     assert fcom.recorded is None and not fcom.halted
+
+
+@pytest.mark.parametrize("b", [True, False, 1.0, "1", None, 2], ids=repr)
+def test_bit_commitment_refuses_a_bit_that_is_not_the_int_0_or_1(b):
+    fcom = BitCommitmentFunctionality(EventLog())
+    with pytest.raises(ValueError, match="MALFORMED: commit bit"):
+        fcom.handle(("commit", fcom.sender, b))
+    assert fcom.recorded is None and len(fcom.log) == 0
+
+
+# each functionality, built fresh, with one well-formed message it takes
+FUNCTIONALITIES = {
+    "router": (lambda: make()[0], ("ready", "a", ADVERSARY)),
+    "fcom": (lambda: BitCommitmentFunctionality(EventLog()), ("open", "S~")),
+}
+# shape -> (the malformed message made from the well-formed one, refusal)
+MALFORMED_SHAPES = {
+    "non-tuple": (list, r"MALFORMED: \["),
+    "empty": (lambda ok: (), r"MALFORMED: \(\)"),
+    "non-str-kind": (lambda ok: (1,) + ok[1:], r"MALFORMED: \(1,"),
+    "unknown-kind": (lambda ok: ("frobnicate",) + ok[1:],
+                     "MALFORMED: unknown message kind 'frobnicate'"),
+    "short-arity": (lambda ok: ok[:-1], "MALFORMED: bad arity for "),
+    "long-arity": (lambda ok: ok + ("extra",), "MALFORMED: bad arity for "),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_SHAPES))
+@pytest.mark.parametrize("name", sorted(FUNCTIONALITIES))
+def test_both_functionalities_refuse_a_malformed_shape_alike(name, shape):
+    build, ok = FUNCTIONALITIES[name]
+    malformed, refusal = MALFORMED_SHAPES[shape]
+    func = build()
+    with pytest.raises(ValueError, match=f"^{refusal}"):
+        func.handle(malformed(ok))
+    assert len(func.log) == 0
+    func.handle(ok)
+    assert len(func.log) == 1

@@ -1,4 +1,8 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 from random import Random
@@ -74,7 +78,7 @@ def test_cpuf_wrong_value_rejected():
 
 
 def test_extpuf_completeness_and_order_discipline():
-    from pufcommit.functionality import check_order_discipline
+    from pufcommit.protocols.collective import check_order_discipline
 
     rng = Random(1)
     for i in range(25):
@@ -199,6 +203,36 @@ def test_collective_completeness_and_reopening():
     assert all(out.opened[i] == values[i] for i in range(5))
     # decommitments may repeat at a later time
     assert open_index(out, 3) == values[3]
+
+
+def test_an_index_outside_the_run_is_a_rejected_opening():
+    out = run_extpuf(EP2, BitString.from01("10"), seed=7100, open_phase=False)
+    for i in (1, -1):
+        assert open_index(out, i) is None and out.opened[i] is None
+        assert out.session.log.records[-1].payload == {
+            "accepted": False, "index": i, "value": None}
+    # the sender was never asked for an opening
+    assert "opening" not in [name for name, _ in message_shapes(out.session.log)]
+    assert open_index(out, 0) == BitString.from01("10")
+
+
+def test_an_opening_of_another_string_is_rejected():
+    class OpeningStringZero(CollectiveSender):
+        def opening(self, index):
+            return super().opening(0)
+
+    values = [BitString.from01("10"), BitString.from01("01")]
+    out = run_collective(EP2, values, seed=7150, sender_factory=OpeningStringZero)
+    assert out.opened == {0: values[0], 1: None}
+
+
+def test_a_decommit_naming_a_blob_outside_the_run_is_rejected():
+    class FarBlobSender(HonestCompilerSender):
+        def decommit_choice(self, b_hint=None):
+            return super().decommit_choice(b_hint)[:-1] + [2 * self.n + 5]
+
+    out = run_uccompiler(4, 1, seed=7200, sender_factory=FarBlobSender)
+    assert out.committed and out.accepted is False and out.value is None
 
 
 def test_abort_during_opening_rejects_and_records_the_step():
@@ -626,3 +660,18 @@ def test_intake_runs_give_up_at_their_step(case):
 def test_seeded_event_logs_are_pinned(case):
     log = SEEDED_RUNS[case]().session.log
     assert hashlib.sha256(log.serialize().encode()).hexdigest() == LOG_SHA256[case]
+
+
+def test_pinned_logs_do_not_depend_on_the_hash_seed():
+    """Every pinned log, recomputed in fresh interpreters under two hash seeds."""
+    script = ("import hashlib, json\n"
+              "from test_protocols import SEEDED_RUNS\n"
+              "print(json.dumps({case: hashlib.sha256(run().session.log.serialize()"
+              ".encode()).hexdigest() for case, run in SEEDED_RUNS.items()}))")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    for hash_seed in ("0", "12345"):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, check=True,
+                              env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed))
+        assert json.loads(proc.stdout) == LOG_SHA256
