@@ -72,10 +72,10 @@ class AmbiguousQuerySender(OriginalSender):
             raise ValueError("this strategy commits to the single bit 0")
         super().__init__(params, x, api)
 
-    def commitments(self, r1, r2):
-        c1, c2 = super().commitments(r1, r2)
-        self.api.eval(self.probe_sid, self.params.code.enc(self.st1 ^ r1))
-        return c1, c2
+    def commitments(self, masks):
+        cs = super().commitments(masks)
+        self.api.eval(self.probe_sid, self.params.code.enc(self.st1 ^ self.r1))
+        return cs
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ class EGuessCompilerSender(HonestCompilerSender):
     def equality_message(self):
         return [self.pair_xor(t, g) for t, g in enumerate(self.guess)]
 
-    def decommit_choice(self, b_hint=None):
+    def decommit_choice(self):
         self.chosen = [2 * t for t in range(self.n)]  # the blobs that carry b
         return self.chosen
 
@@ -230,16 +230,20 @@ class SimulatorCompilerSender(HonestCompilerSender):
     patches the equality bits to match the extracted challenges (random
     where extraction failed), aborts if the receiver opens anything else,
     and at decommit time opens the blobs matching whatever bit the ideal
-    commitment reveals."""
+    commitment reveals (set_revealed)."""
 
     needs_extraction = True
 
     def __init__(self, n, b, api):
         super().__init__(n, 0, api)  # the real bit is unknown here
         self.e_star: Optional[list] = None
+        self.revealed: Optional[int] = None
 
     def set_extracted(self, e_star):
         self.e_star = list(e_star)
+
+    def set_revealed(self, b):
+        self.revealed = b
 
     def make_blobs(self):
         rng = self.api.rng
@@ -275,10 +279,10 @@ class SimulatorCompilerSender(HonestCompilerSender):
             raise ProtocolAbort("sim-e-mismatch")
         return super().equality_open_indices(e_bits)
 
-    def decommit_choice(self, b_hint=None):
-        if b_hint not in (0, 1):
+    def decommit_choice(self):
+        if self.revealed not in (0, 1):
             raise ProtocolAbort("sim-missing-bit")
-        self.chosen = [self.slot_for_bit[t][b_hint] for t in range(self.n)]
+        self.chosen = [self.slot_for_bit[t][self.revealed] for t in range(self.n)]
         return self.chosen
 
 

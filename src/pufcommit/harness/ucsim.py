@@ -88,8 +88,8 @@ def run_ideal_receiver_corrupt(n: int, b: int, seed: int,
     final = None
     if outcome.committed:
         deliveries = fcom.handle(("open", fcom.sender))
-        revealed = next(m[1] for r, m in deliveries if r == ADVERSARY)
-        value = open_uccompiler(outcome, open_bit_hint=revealed)
+        outcome.sender.set_revealed(next(m[1] for r, m in deliveries if r == ADVERSARY))
+        value = open_uccompiler(outcome)
         # the corrupted receiver's protocol output is what the environment sees
         final = value if outcome.accepted else None
     return world_features(outcome, final), outcome

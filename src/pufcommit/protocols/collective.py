@@ -33,9 +33,9 @@ from typing import Callable, Optional
 from ..bits import BitString
 from ..functionality import EXTPUF_BUDGETS, EventLog
 from ..fuzzy import HelperData
-from ..session import PartyHandle, ProtocolAbort, Session
-from .common import (Outcome, TestQuery, commit_step, enroll, mask_commitment,
-                     open_step, probe_outputs, reproduce, take_helper)
+from ..session import PartyHandle, Session
+from .common import (Outcome, TestQuery, commit_step, enroll, fits, mask_commitment,
+                     open_step, probe_outputs, reproduce, take, take_helpers)
 from .params import ExtPufParams
 
 __all__ = ["CollectiveSender", "CollectiveReceiver", "run_collective",
@@ -92,10 +92,10 @@ class CollectiveSender:
     def return_probe(self, receiver: str) -> None:
         self.api.handover(self.probe_sid, receiver)
 
-    def commitments(self, masks: list[BitString]) -> list[BitString]:
-        self.masks = list(masks)
+    def commitments(self, masks) -> list[BitString]:
+        self.masks = list(take(masks, [self.params.mask_len] * self.n_strings, "await-mask"))
         return [
-            mask_commitment(self.st[i], self.values[i], masks[i], self.params.n)
+            mask_commitment(self.st[i], self.values[i], self.masks[i], self.params.n)
             for i in range(self.n_strings)
         ]
 
@@ -122,12 +122,10 @@ class CollectiveReceiver:
     def send_probe(self, sender: str) -> None:
         self.api.handover(self.probe_sid, sender)
 
-    def receive_token_and_helpers(self, helper_cats: list[BitString]) -> None:
+    def receive_token_and_helpers(self, helpers) -> None:
         self.token_sid = self.api.take_handover("await-token")
-        if len(helper_cats) != self.n_strings:
-            raise ProtocolAbort("await-token")
-        self.helpers = [take_helper(h, self.params.main.fe, "await-token")
-                        for h in helper_cats]
+        self.helpers = take_helpers(helpers, [self.params.main.fe] * self.n_strings,
+                                    "await-token")
 
     def verify_return(self) -> None:
         """Take back whatever token came back, held to the fingerprint."""
@@ -140,22 +138,16 @@ class CollectiveReceiver:
         ]
         return self.masks
 
-    def receive_commitments(self, cs: list[BitString]) -> None:
-        if len(cs) != self.n_strings or any(
-            c is None or c.n != self.params.mask_len for c in cs
-        ):
-            raise ProtocolAbort("await-c")
-        self.cs = list(cs)
+    def receive_commitments(self, cs) -> None:
+        self.cs = list(take(cs, [self.params.mask_len] * self.n_strings, "await-c"))
 
-    def check_opening(self, index, s, x, st_e, p_e_cat) -> Optional[BitString]:
-        """The value of string `index`, which open_index asked for, or None."""
+    def check_opening(self, index, opening) -> Optional[BitString]:
+        """The value of string `index`, which open_index asked for, or None.
+        opening is (i, s, x, st_E, p_E); the index i it names is not read."""
         p = self.params
-        if any(v is None for v in (s, x, st_e, p_e_cat)):
+        if not fits(opening, [None, p.n, p.k, p.probe.fe.out_len, p.probe.fe.helper_len]):
             return None
-        if s.n != p.n or x.n != p.k:
-            return None
-        if st_e.n != p.probe.fe.out_len or p_e_cat.n != p.probe.fe.helper_len:
-            return None
+        _, s, x, st_e, p_e_cat = opening
         st = reproduce(self.api, self.token_sid, s, p.main.fe, self.helpers[index])
         if st is None or self.cs[index] != mask_commitment(st, x, self.masks[index], p.n):
             return None
@@ -185,8 +177,7 @@ def run_collective_commit(params: ExtPufParams, values: list[BitString],
         helpers = S.setup()
         session.begin_exchange_phase(f"{label}token-swap")
         S.send_token(receiver_name)
-        R.receive_token_and_helpers(
-            session.msg(sender_name, receiver_name, "helper", helpers))
+        R.receive_token_and_helpers(session.msg(sender_name, receiver_name, "helper", helpers))
         R.send_probe(sender_name)
         session.phase(sender_name, f"{label}probe-query")
         S.query_probe()
@@ -217,9 +208,9 @@ def open_index(outcome: Outcome, index: int,
     def decommit():
         if not 0 <= index < outcome.receiver.n_strings:
             return None
-        opening = outcome.sender.opening(index)
-        outcome.session.msg(outcome.sender_name, receiver_name, "opening", opening)
-        return outcome.receiver.check_opening(index, *opening[1:])
+        opening = outcome.session.msg(outcome.sender_name, receiver_name, "opening",
+                                      outcome.sender.opening(index))
+        return outcome.receiver.check_opening(index, opening)
 
     return open_step(outcome, index, decommit, receiver_name, index=index)
 

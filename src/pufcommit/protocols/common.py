@@ -1,6 +1,9 @@
 """Shared protocol pieces: the run outcome with its commit and opening
-steps, the two token steps every commitment is made of, the one helper
+steps, the two token steps every commitment is made of, the one message
 intake, stride masking, the one return check and the probe-refused fallback.
+
+Every message a party takes is checked by `fits`: `take` gives up at the
+party's step on one that does not fit, and a receiver rejects such an opening.
 
 Every commitment binds a string to a token the same way: `enroll` draws
 a fresh challenge, reads the token on it and runs Gen; `reproduce`
@@ -18,7 +21,7 @@ from ..fuzzy import FuzzyExtractor, HelperData
 from ..session import PartyHandle, ProtocolAbort, Session
 
 __all__ = ["Outcome", "commit_step", "open_step", "generate", "enroll", "reproduce",
-           "take_helper", "mask_commitment", "probe_outputs", "TestQuery"]
+           "fits", "take", "take_helpers", "mask_commitment", "probe_outputs", "TestQuery"]
 
 
 @dataclass
@@ -151,11 +154,32 @@ def reproduce(api: PartyHandle, sid: str, challenge: BitString, fe: FuzzyExtract
     return fe.rep(response, helper)
 
 
-def take_helper(wire: Optional[BitString], fe: FuzzyExtractor, step: str) -> HelperData:
-    """The helper data sent for fe; give up at `step` if none came or its width is off."""
-    if wire is None or wire.n != fe.helper_len:
+def _fits_field(value, width) -> bool:
+    if isinstance(width, int):
+        return isinstance(value, BitString) and value.n == width
+    return width is None or type(value) is int and value in width
+
+
+def fits(message, widths) -> bool:
+    """Whether message is a tuple or list with one field per entry of
+    widths: a BitString of that many bits for an int, one of the given
+    ints for a tuple of ints, and anything for None (a field the party
+    does not read)."""
+    return (isinstance(message, (tuple, list)) and len(message) == len(widths)
+            and all(map(_fits_field, message, widths)))
+
+
+def take(message, widths, step: str):
+    """message, if it fits widths; otherwise give up at `step`."""
+    if not fits(message, widths):
         raise ProtocolAbort(step)
-    return HelperData.from_concat(wire, fe.source_len)
+    return message
+
+
+def take_helpers(message, fes: list[FuzzyExtractor], step: str) -> list[HelperData]:
+    """The helper data sent for each extractor in fes; give up at `step` unless it fits."""
+    wires = take(message, [fe.helper_len for fe in fes], step)
+    return [HelperData.from_concat(w, fe.source_len) for w, fe in zip(wires, fes)]
 
 
 def mask_commitment(st: BitString, x: BitString, r: BitString, width: int) -> BitString:

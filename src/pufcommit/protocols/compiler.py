@@ -38,7 +38,7 @@ from ..extract import run_extractor_collective
 from ..functionality import EXTPUF_BUDGETS
 from ..session import ProtocolAbort, Session
 from .collective import open_index, run_collective_commit
-from .common import Outcome, commit_step, open_step
+from .common import Outcome, commit_step, fits, open_step
 from .params import ExtPufParams
 
 __all__ = [
@@ -158,7 +158,7 @@ class HonestCompilerSender:
         return [share_index(blob, e_t) for t, e_t in enumerate(e_bits)
                 for blob in (2 * t, 2 * t + 1)]
 
-    def decommit_choice(self, b_hint: Optional[int] = None) -> list[int]:
+    def decommit_choice(self) -> list[int]:
         rng = self.api.rng
         self.chosen = [2 * t + rng.getrandbits(1) for t in range(self.n)]
         return self.chosen
@@ -175,28 +175,23 @@ class HonestCompilerReceiver:
         self.e_bits = [self.api.rng.getrandbits(1) for _ in range(self.n)]
         return self.e_bits
 
-    def check_equalities(self, y_bits: list[int], opened: dict) -> bool:
-        """opened: share index -> opened bit, None where the opening failed."""
-        return len(y_bits) == self.n and blob_equalities_check(y_bits, self.e_bits, opened)
+    def check_equalities(self, y_bits, opened: dict) -> bool:
+        """y_bits must be n bits; opened: share index -> opened bit, None
+        where the opening failed."""
+        return (fits(y_bits, [(0, 1)] * self.n)
+                and blob_equalities_check(y_bits, self.e_bits, opened))
 
-    def check_decommit(self, opened_pairs: dict) -> Optional[int]:
-        """opened_pairs: blob index -> (bit0, bit1), None where an opening
-        failed; needs a common bit."""
-        values = set()
-        for t in range(self.n):
-            entry = None
-            for blob in (2 * t, 2 * t + 1):
-                if blob in opened_pairs:
-                    entry = opened_pairs[blob]
-            if entry is None:
-                return None
-            s0, s1 = entry
-            if s0 is None or s1 is None:
-                return None
-            values.add(s0 ^ s1)
-        if len(values) != 1:
+    def check_decommit(self, chosen, open_share: Callable) -> Optional[int]:
+        """The bit both shares of every chosen blob open to, or None.  chosen
+        must name blob 2t or 2t+1 of each pair t, checked before any share opens."""
+        if not fits(chosen, [(2 * t, 2 * t + 1) for t in range(self.n)]):
             return None
-        return values.pop()
+        pairs = [(open_share(share_index(blob, 0)), open_share(share_index(blob, 1)))
+                 for blob in chosen]
+        if any(None in pair for pair in pairs):
+            return None
+        values = {s0 ^ s1 for s0, s1 in pairs}
+        return values.pop() if len(values) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +248,7 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
 
         # equality subprotocol
         session.phase("S", "equalities")
-        y_bits = session.msg("S", "R", "y", list(S.equality_message()))
+        y_bits = session.msg("S", "R", "y", _sent(S.equality_message()))
         e_opened = e_channel.open_all()
         if e_opened is None:
             raise ProtocolAbort("e-open")
@@ -268,20 +263,18 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
     return outcome
 
 
-def open_uccompiler(outcome: CompilerOutcome,
-                    open_bit_hint: Optional[int] = None) -> Optional[int]:
+def _sent(message):
+    """A message as the log keeps it: a list is copied, as its sender may change it."""
+    return list(message) if isinstance(message, list) else message
+
+
+def open_uccompiler(outcome: CompilerOutcome) -> Optional[int]:
     """Decommit phase; callable later, e.g. once an ideal commitment opens."""
     session, S, R = outcome.session, outcome.sender, outcome.receiver
 
     def decommit():
-        chosen = S.decommit_choice(b_hint=open_bit_hint)
-        session.msg("S", "R", "open-choice", list(chosen))
-        opened_pairs: dict[int, tuple] = {}
-        for blob in chosen:
-            s0 = outcome.blob_channel.open(share_index(blob, 0))
-            s1 = outcome.blob_channel.open(share_index(blob, 1))
-            opened_pairs[blob] = (s0, s1)
-        return R.check_decommit(opened_pairs)
+        chosen = session.msg("S", "R", "open-choice", _sent(S.decommit_choice()))
+        return R.check_decommit(chosen, outcome.blob_channel.open)
 
     session.phase("S", "open")
     return open_step(outcome, 0, decommit)

@@ -16,9 +16,9 @@ from typing import Callable, Optional
 
 from ..bits import BitString
 from ..functionality import NO_CHANNEL_BUDGETS
-from ..session import PartyHandle, ProtocolAbort, Session
-from .common import (Outcome, commit_step, enroll, mask_commitment, open_step, reproduce,
-                     take_helper)
+from ..session import PartyHandle, Session
+from .common import (Outcome, commit_step, enroll, fits, mask_commitment, open_step,
+                     reproduce, take, take_helpers)
 from .params import CpufParams
 
 __all__ = ["CpufSender", "CpufReceiver", "run_cpuf"]
@@ -44,9 +44,9 @@ class CpufSender:
     def send_token(self, receiver: str) -> None:
         self.api.handover(self.SID, receiver)
 
-    def commitment(self, r: BitString) -> BitString:
-        self.r = r
-        return mask_commitment(self.st, self.x, r, self.params.l)
+    def commitment(self, r) -> BitString:
+        self.r = take((r,), [self.params.mask_len], "await-mask")[0]
+        return mask_commitment(self.st, self.x, self.r, self.params.l)
 
     def opening(self):
         return self.s, self.x
@@ -57,23 +57,23 @@ class CpufReceiver:
         self.params = params
         self.api = api
 
-    def receive_token_and_helper(self, helper: BitString) -> None:
+    def receive_token_and_helper(self, helper) -> None:
         self.token_sid = self.api.take_handover("await-token")
-        self.helper = take_helper(helper, self.params.pair.fe, "await-token")
+        self.helper = take_helpers((helper,), [self.params.pair.fe], "await-token")[0]
 
     def draw_mask(self) -> BitString:
         self.r = BitString.random(self.params.mask_len, self.api.rng)
         return self.r
 
-    def receive_commitment(self, c: BitString) -> None:
-        if c is None or c.n != self.params.mask_len:
-            raise ProtocolAbort("await-c")
-        self.c = c
+    def receive_commitment(self, c) -> None:
+        self.c = take((c,), [self.params.mask_len], "await-c")[0]
 
-    def check_opening(self, s: BitString, x: BitString) -> Optional[BitString]:
+    def check_opening(self, opening) -> Optional[BitString]:
+        """x, if opening is an (s, x) that opens c; None otherwise."""
         p = self.params
-        if s is None or x is None or s.n != p.n or x.n != p.k:
+        if not fits(opening, [p.n, p.k]):
             return None
+        s, x = opening
         st = reproduce(self.api, self.token_sid, s, p.pair.fe, self.helper)
         if st is not None and self.c == mask_commitment(st, x, self.r, p.l):
             return x
@@ -107,9 +107,7 @@ def run_cpuf(params: CpufParams, x: BitString, seed: int,
         return outcome
 
     def decommit():
-        s_open, x_open = S.opening()
-        session.msg("S", "R", "opening", (s_open, x_open))
-        return R.check_opening(s_open, x_open)
+        return R.check_opening(session.msg("S", "R", "opening", S.opening()))
 
     session.phase("S", "open")
     open_step(outcome, 0, decommit)

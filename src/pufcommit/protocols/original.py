@@ -23,9 +23,9 @@ from typing import Callable, Optional
 from ..bits import BitString
 from ..functionality import NO_CHANNEL_BUDGETS
 from ..fuzzy import HelperData
-from ..session import PartyHandle, ProtocolAbort, Session
-from .common import (Outcome, TestQuery, commit_step, enroll, generate,
-                     mask_commitment, open_step, probe_outputs, reproduce, take_helper)
+from ..session import PartyHandle, Session
+from .common import (Outcome, TestQuery, commit_step, enroll, fits, generate,
+                     mask_commitment, open_step, probe_outputs, reproduce, take, take_helpers)
 from .params import OriginalExtPufParams
 
 __all__ = ["OriginalSender", "OriginalReceiver", "run_original_extpuf"]
@@ -63,11 +63,11 @@ class OriginalSender:
         self.api.handover(self.SID_FIRST, receiver)
         self.api.handover(self.SID_SECOND, receiver)
 
-    def commitments(self, r1: BitString, r2: BitString) -> tuple:
+    def commitments(self, masks) -> tuple:
         p = self.params
-        self.r1, self.r2 = r1, r2
-        c1 = mask_commitment(self.st1, self.x, r1, p.l)
-        c2 = mask_commitment(self.st2, self.st_e.concat(self.p_e.concat()), r2, p.l)
+        self.r1, self.r2 = take(masks, [p.mask_len, p.cat_len * p.l], "await-mask")
+        c1 = mask_commitment(self.st1, self.x, self.r1, p.l)
+        c2 = mask_commitment(self.st2, self.st_e.concat(self.p_e.concat()), self.r2, p.l)
         return c1, c2
 
     def return_probe(self, receiver: str) -> None:
@@ -92,12 +92,11 @@ class OriginalReceiver:
     def send_probe(self, sender: str) -> None:
         self.api.handover(self.PROBE_SID, sender)
 
-    def receive_tokens_and_helpers(self, p1_cat: BitString, p2_cat: BitString) -> None:
+    def receive_tokens_and_helpers(self, helpers) -> None:
         p = self.params
         self.first_sid = self.api.take_handover("await-tokens")
         self.second_sid = self.api.take_handover("await-tokens")
-        self.p1 = take_helper(p1_cat, p.first.fe, "await-tokens")
-        self.p2 = take_helper(p2_cat, p.second.fe, "await-tokens")
+        self.p1, self.p2 = take_helpers(helpers, [p.first.fe, p.second.fe], "await-tokens")
 
     def draw_masks(self) -> tuple:
         p = self.params
@@ -105,21 +104,17 @@ class OriginalReceiver:
         self.r2 = BitString.random(p.cat_len * p.l, self.api.rng)
         return self.r1, self.r2
 
-    def receive_commitments(self, c1: BitString, c2: BitString) -> None:
+    def receive_commitments(self, cs) -> None:
         p = self.params
-        if c1 is None or c1.n != p.mask_len or c2 is None or c2.n != p.cat_len * p.l:
-            raise ProtocolAbort("await-c")
-        self.c1, self.c2 = c1, c2
+        self.c1, self.c2 = take(cs, [p.mask_len, p.cat_len * p.l], "await-c")
 
-    def check_opening(self, s1, s2, x, st_e, p_e_cat) -> Optional[BitString]:
+    def check_opening(self, opening) -> Optional[BitString]:
+        """x, if opening is an (s_1, s_2, x, st_E, p_E) that opens; None otherwise."""
         p = self.params
         returned = self.tq.take_back(self.api, p.probe.fe)
-        if any(v is None for v in (s1, s2, x, st_e, p_e_cat)):
+        if not fits(opening, [p.n, p.n, p.k, p.probe.fe.out_len, p.probe.fe.helper_len]):
             return None
-        if s1.n != p.n or s2.n != p.n or x.n != p.k:
-            return None
-        if st_e.n != p.probe.fe.out_len or p_e_cat.n != p.probe.fe.helper_len:
-            return None
+        s1, s2, x, st_e, p_e_cat = opening
         st1 = reproduce(self.api, self.first_sid, s1, p.first.fe, self.p1)
         if st1 is None:
             return None
@@ -154,18 +149,14 @@ def run_original_extpuf(params: OriginalExtPufParams, x: BitString, seed: int,
         R.send_probe("S")
         session.phase("S", "setup")
         S.receive_probe()
-        p1_cat, p2_cat = S.setup()
+        helpers = S.setup()
         session.begin_exchange_phase("tokens-to-receiver")
         S.send_tokens("R")
-        session.msg("S", "R", "helpers", (p1_cat, p2_cat))
-        R.receive_tokens_and_helpers(p1_cat, p2_cat)
+        R.receive_tokens_and_helpers(session.msg("S", "R", "helpers", helpers))
         session.phase("R", "masks")
-        r1, r2 = R.draw_masks()
-        session.msg("R", "S", "masks", (r1, r2))
+        masks = session.msg("R", "S", "masks", R.draw_masks())
         session.phase("S", "commit")
-        c1, c2 = S.commitments(r1, r2)
-        session.msg("S", "R", "c", (c1, c2))
-        R.receive_commitments(c1, c2)
+        R.receive_commitments(session.msg("S", "R", "c", S.commitments(masks)))
 
     if not commit_step(outcome, commit):
         return outcome
@@ -180,9 +171,7 @@ def run_original_extpuf(params: OriginalExtPufParams, x: BitString, seed: int,
     def decommit():
         session.begin_exchange_phase("probe-return")
         S.return_probe("R")
-        opening = S.opening()
-        session.msg("S", "R", "opening", opening)
-        return R.check_opening(*opening)
+        return R.check_opening(session.msg("S", "R", "opening", S.opening()))
 
     session.phase("S", "open")
     open_step(outcome, 0, decommit)

@@ -24,6 +24,7 @@ from pufcommit.protocols import (
     OriginalExtPufParams,
     compiler,
     open_index,
+    open_uccompiler,
     run_collective,
     run_collective_commit,
     run_cpuf,
@@ -163,6 +164,19 @@ def test_simulators_get_their_extraction_from_the_runner():
     out = run_uccompiler(16, 1, seed=34001, receiver_factory=SimulatorCompilerReceiver,
                          open_phase=False)
     assert out.committed and out.receiver.b_star == 1
+
+
+def test_the_simulator_sender_opens_the_bit_it_is_revealed():
+    def committed():
+        return run_uccompiler(4, 0, seed=34002, sender_factory=SimulatorCompilerSender,
+                              open_phase=False)
+
+    for b in (0, 1):
+        out = committed()
+        out.sender.set_revealed(b)
+        assert open_uccompiler(out) == b and out.accepted
+    out = committed()
+    assert open_uccompiler(out) is None and out.abort_step == "sim-missing-bit"
 
 
 def test_simulator_receiver_decision_cases():

@@ -8,6 +8,8 @@ from functools import partial
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pufcommit import puf
 from pufcommit.bits import BitString
@@ -24,6 +26,7 @@ from pufcommit.protocols import (
     CollectiveReceiver,
     CollectiveSender,
     CpufParams,
+    CpufReceiver,
     CpufSender,
     ExtPufParams,
     OriginalExtPufParams,
@@ -36,7 +39,9 @@ from pufcommit.protocols import (
     run_original_extpuf,
     run_uccompiler,
 )
+from pufcommit.protocols.common import fits, take, take_helpers
 from pufcommit.protocols.compiler import (
+    HonestCompilerReceiver,
     HonestCompilerSender,
     blob_equalities_check,
     share_index,
@@ -228,8 +233,8 @@ def test_an_opening_of_another_string_is_rejected():
 
 def test_a_decommit_naming_a_blob_outside_the_run_is_rejected():
     class FarBlobSender(HonestCompilerSender):
-        def decommit_choice(self, b_hint=None):
-            return super().decommit_choice(b_hint)[:-1] + [2 * self.n + 5]
+        def decommit_choice(self):
+            return super().decommit_choice()[:-1] + [2 * self.n + 5]
 
     out = run_uccompiler(4, 1, seed=7200, sender_factory=FarBlobSender)
     assert out.committed and out.accepted is False and out.value is None
@@ -279,7 +284,7 @@ OUTCOME_CASES = {
         lambda f, o: run_original_extpuf(OP, BitString.from01("0"), 13003,
                                          sender_factory=f, open_phase=o),
         OriginalSender,
-        {"commit-abort": ("commitments", lambda self, r1, r2: (None, None)),
+        {"commit-abort": ("commitments", lambda self, masks: (None, None)),
          "reject": ("opening", lambda self: (self.s1, self.s2, ~self.x, self.st_e,
                                              self.p_e.concat()))}),
     "run_uccompiler": (
@@ -288,7 +293,7 @@ OUTCOME_CASES = {
         {"commit-abort": ("equality_message",
                           lambda self: [1 - y for y in
                                         HonestCompilerSender.equality_message(self)]),
-         "reject": ("decommit_choice", lambda self, b_hint=None: [])}),
+         "reject": ("decommit_choice", lambda self: [])}),
 }
 
 
@@ -363,6 +368,146 @@ def test_helper_of_the_wrong_length_aborts_the_commit(run, abort_step):
     assert out.accepted is False
 
 
+def _sending(party, method, change):
+    """`party`, but what its `method` returns goes through `change` before it is sent."""
+    return _with(party, **{method: lambda self, *args: change(getattr(party, method)(self, *args))})
+
+
+# runner -> (run(**factories), {role: honest party}); run_collective commits
+# one string, so a list of one int is the right count of the wrong type
+MALFORMED_RUNNERS = {
+    "run_cpuf": (lambda **f: run_cpuf(CP, X4, 14000, **f),
+                 {"S": CpufSender, "R": CpufReceiver}),
+    "run_collective": (lambda **f: run_collective(EP2, [X2], 14001, **f),
+                       {"S": CollectiveSender, "R": CollectiveReceiver}),
+    "run_original_extpuf": (lambda **f: run_original_extpuf(OP, BitString.from01("1"), 14002, **f),
+                            {"S": OriginalSender, "R": OriginalReceiver}),
+    "run_uccompiler": (lambda **f: run_uccompiler(4, 1, 14003, **f),
+                       {"S": HonestCompilerSender, "R": HonestCompilerReceiver}),
+}
+REJECTED = "rejected"
+# case -> (runner, message name, role and method that send it, what the
+# honest message becomes, how the run ends: the abort step or REJECTED)
+MALFORMED_MESSAGES = {
+    "cpuf-helper-int": ("run_cpuf", "helper", "S", "setup", lambda h: 3, "await-token"),
+    "cpuf-mask-none": ("run_cpuf", "mask", "R", "draw_mask", lambda r: None, "await-mask"),
+    "cpuf-mask-2-bits": ("run_cpuf", "mask", "R", "draw_mask", lambda r: BitString.zeros(2),
+                         "await-mask"),
+    "cpuf-c-int": ("run_cpuf", "c", "S", "commitment", lambda c: 3, "await-c"),
+    "cpuf-opening-short": ("run_cpuf", "opening", "S", "opening", lambda o: o[:1], REJECTED),
+    "cpuf-opening-int-value": ("run_cpuf", "opening", "S", "opening", lambda o: (o[0], 3),
+                               REJECTED),
+    "collective-helpers-none": ("run_collective", "helper", "S", "setup", lambda h: None,
+                                "await-token"),
+    "collective-helpers-int": ("run_collective", "helper", "S", "setup", lambda h: [3],
+                               "await-token"),
+    "collective-masks-none": ("run_collective", "mask", "R", "draw_masks", lambda m: None,
+                              "await-mask"),
+    "collective-masks-3-bits": ("run_collective", "mask", "R", "draw_masks",
+                                lambda m: [BitString.zeros(3)], "await-mask"),
+    "collective-cs-none": ("run_collective", "c", "S", "commitments", lambda cs: None,
+                           "await-c"),
+    "collective-cs-int": ("run_collective", "c", "S", "commitments", lambda cs: [7],
+                          "await-c"),
+    "collective-opening-none": ("run_collective", "opening", "S", "opening", lambda o: None,
+                                REJECTED),
+    "collective-opening-short": ("run_collective", "opening", "S", "opening",
+                                 lambda o: o[:2], REJECTED),
+    "collective-opening-int-value": ("run_collective", "opening", "S", "opening",
+                                     lambda o: o[:2] + (1,) + o[3:], REJECTED),
+    "original-one-helper": ("run_original_extpuf", "helpers", "S", "setup", lambda h: h[:1],
+                            "await-tokens"),
+    "original-masks-2-bits": ("run_original_extpuf", "masks", "R", "draw_masks",
+                              lambda m: (BitString.zeros(2),) * 2, "await-mask"),
+    "original-c-3-tuple": ("run_original_extpuf", "c", "S", "commitments",
+                           lambda cs: cs + cs[:1], "await-c"),
+    "original-opening-short": ("run_original_extpuf", "opening", "S", "opening",
+                               lambda o: o[:1], REJECTED),
+    "uccompiler-y-none": ("run_uccompiler", "y", "S", "equality_message", lambda y: None,
+                          "blob-equalities"),
+    "uccompiler-choice-none": ("run_uccompiler", "open-choice", "S", "decommit_choice",
+                               lambda c: None, REJECTED),
+    "uccompiler-choice-strings": ("run_uccompiler", "open-choice", "S", "decommit_choice",
+                                  lambda c: [str(blob) for blob in c], REJECTED),
+    "uccompiler-choice-floats": ("run_uccompiler", "open-choice", "S", "decommit_choice",
+                                 lambda c: [float(blob) for blob in c], REJECTED),
+    "uccompiler-choice-one-pair-twice": ("run_uccompiler", "open-choice", "S",
+                                         "decommit_choice", lambda c: [0, 1] + c[2:],
+                                         REJECTED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MESSAGES))
+def test_a_malformed_message_ends_in_an_abort_or_a_rejected_opening(case):
+    runner, name, role, method, change, ends = MALFORMED_MESSAGES[case]
+    run, parties = MALFORMED_RUNNERS[runner]
+    factory = "sender_factory" if role == "S" else "receiver_factory"
+    out = run(**{factory: _sending(parties[role], method, change)})
+    names = [n for n, _ in message_shapes(out.session.log)]
+    assert name in names and out.accepted is False
+    if ends == REJECTED:
+        # the receiver opens nothing after the message it rejects
+        assert out.committed and out.abort_step is None and names[-1] == name
+        assert out.session.log.records[-1].payload["accepted"] is False
+    else:
+        assert not out.committed and out.abort_step == ends
+        assert out.session.log.records[-1].payload == f"abort:{ends}"
+
+
+@pytest.mark.parametrize("runner", sorted(MALFORMED_RUNNERS))
+def test_every_message_of_a_runner_has_a_malformed_case(runner):
+    run, _ = MALFORMED_RUNNERS[runner]
+    # the compiler's two channels are collective runs, whose messages the
+    # run_collective cases cover
+    covering = {runner, "run_collective"} if runner == "run_uccompiler" else {runner}
+    covered = {name for r, name, *_ in MALFORMED_MESSAGES.values() if r in covering}
+    assert {name for name, _ in message_shapes(run().session.log)} <= covered
+
+
+def _well_formed(width):
+    """Strategy for one field that fits `width`."""
+    if width is None:
+        return st.none()
+    if isinstance(width, int):
+        return st.integers(0, (1 << width) - 1).map(lambda v: BitString(v, width))
+    return st.sampled_from(width)
+
+
+_WIDTHS = st.lists(st.one_of(st.none(), st.integers(0, 12),
+                             st.lists(st.integers(-2, 6), min_size=1, max_size=3).map(tuple)),
+                   max_size=4)
+_FIELDS = st.recursive(
+    st.one_of(st.none(), st.integers(-3, 8), st.floats(allow_nan=False), st.text(max_size=2),
+              st.integers(0, 12).flatmap(_well_formed)),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple),
+    max_leaves=8)
+# helper extractors of the flows: two widths, so a swapped pair does not fit
+_FES = [EP2.main.fe, EP2.probe.fe, OP.first.fe]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_the_intake_returns_or_gives_up_and_takes_what_fits(data):
+    widths = data.draw(_WIDTHS)
+    message = data.draw(_FIELDS | st.tuples(*map(_well_formed, widths)))
+    fitting = fits(message, widths)
+    assert type(fitting) is bool
+    try:
+        assert take(message, widths, "step") is message and fitting
+    except ProtocolAbort as abort:
+        assert abort.step == "step" and not fitting
+    well_formed = data.draw(st.tuples(*map(_well_formed, widths)))
+    assert fits(well_formed, widths) and fits(list(well_formed), widths)
+    fes = data.draw(st.lists(st.sampled_from(_FES), max_size=3))
+    try:
+        helpers = take_helpers(message, fes, "step")
+        assert [h.concat() for h in helpers] == list(message)
+    except ProtocolAbort as abort:
+        assert abort.step == "step"
+    wires = [BitString.random(fe.helper_len, Random(i)) for i, fe in enumerate(fes)]
+    assert [h.concat() for h in take_helpers(wires, fes, "step")] == wires
+
+
 def test_collective_wrong_value_rejected():
     rng = Random(3)
     values = [BitString.random(2, rng) for _ in range(3)]
@@ -398,8 +543,8 @@ class LiteralFigureReceiver(OriginalReceiver):
     """Replays the published decommit step, which reproduces st_2 from the
     first token."""
 
-    def receive_tokens_and_helpers(self, p1_cat, p2_cat):
-        super().receive_tokens_and_helpers(p1_cat, p2_cat)
+    def receive_tokens_and_helpers(self, helpers):
+        super().receive_tokens_and_helpers(helpers)
         self.second_sid = self.first_sid
 
 
