@@ -265,9 +265,8 @@ def test_bit_commitment_reference():
         fcom.handle(("commit", fcom.sender, 2))
 
 
-# the arity of open is checked in
-# test_both_functionalities_refuse_a_malformed_shape_alike
-@pytest.mark.parametrize("msg", [("commit",), ("commit", "S~"), ("commit", "S~", 1, 0)])
+@pytest.mark.parametrize("msg", [("commit",), ("commit", "S~"), ("commit", "S~", 1, 0),
+                                 ("open",), ("open", "S~", 1)])
 def test_bit_commitment_refuses_a_wrong_arity(msg):
     fcom = BitCommitmentFunctionality(EventLog())
     with pytest.raises(ValueError, match=f"MALFORMED: bad arity for '{msg[0]}'"):
