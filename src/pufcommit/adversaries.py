@@ -205,8 +205,7 @@ class EGuessCompilerSender(HonestCompilerSender):
         return [self.pair_xor(t, g) for t, g in enumerate(self.guess)]
 
     def decommit_choice(self):
-        self.chosen = [2 * t for t in range(self.n)]  # the blobs that carry b
-        return self.chosen
+        return [2 * t for t in range(self.n)]  # the blobs that carry b
 
 
 class AlternatingBlobSender(HonestCompilerSender):
@@ -225,12 +224,13 @@ class AlternatingBlobSender(HonestCompilerSender):
 class SimulatorCompilerSender(HonestCompilerSender):
     """Sender-side simulation against a corrupted receiver.
 
-    Extracts the challenge bits from the receiver's commitment, plants
-    one blob of 0 and one blob of 1 at shuffled positions in every pair,
-    patches the equality bits to match the extracted challenges (random
-    where extraction failed), aborts if the receiver opens anything else,
-    and at decommit time opens the blobs matching whatever bit the ideal
-    commitment reveals (set_revealed)."""
+    Extracts the challenge bits from the receiver's commitment and plants
+    blob values through the honest sender: in every pair one blob, at a
+    uniform position, carries 1 and the other 0.  It patches the equality
+    bits to match the extracted challenges (random where extraction
+    failed), aborts if the receiver opens anything else, and at decommit
+    time opens the blobs carrying whatever bit the ideal commitment
+    reveals (set_revealed)."""
 
     needs_extraction = True
 
@@ -246,23 +246,11 @@ class SimulatorCompilerSender(HonestCompilerSender):
         self.revealed = b
 
     def make_blobs(self):
-        rng = self.api.rng
-        self.slot_for_bit = []  # per pair: (blob holding 0, blob holding 1)
-        self.shares = [0] * (4 * self.n)
-        for t in range(self.n):
-            first, second = 2 * t, 2 * t + 1
-            if rng.getrandbits(1):
-                zero_blob, one_blob = first, second
-            else:
-                zero_blob, one_blob = second, first
-            self.slot_for_bit.append((zero_blob, one_blob))
-            b0 = rng.getrandbits(1)
-            self.shares[share_index(zero_blob, 0)] = b0
-            self.shares[share_index(zero_blob, 1)] = b0
-            b0 = rng.getrandbits(1)
-            self.shares[share_index(one_blob, 0)] = b0
-            self.shares[share_index(one_blob, 1)] = b0 ^ 1
-        return self.shares
+        self.one_blob = [2 * t + self.api.rng.getrandbits(1) for t in range(self.n)]
+        return super().make_blobs()
+
+    def blob_value(self, j):
+        return int(j == self.one_blob[j // 2])
 
     def equality_message(self):
         y = []
@@ -282,8 +270,7 @@ class SimulatorCompilerSender(HonestCompilerSender):
     def decommit_choice(self):
         if self.revealed not in (0, 1):
             raise ProtocolAbort("sim-missing-bit")
-        self.chosen = [self.slot_for_bit[t][self.revealed] for t in range(self.n)]
-        return self.chosen
+        return [blob ^ self.revealed ^ 1 for blob in self.one_blob]
 
 
 class SimulatorCompilerReceiver(HonestCompilerReceiver):
@@ -315,8 +302,8 @@ class SimulatorCompilerReceiver(HonestCompilerReceiver):
             common &= {values[2 * t], values[2 * t + 1]}
         self.b_star = None if common == {0, 1} else common.pop() if common else 0
 
-    def check_equalities(self, y_bits, opened):
-        passed = super().check_equalities(y_bits, opened)
+    def check_equalities(self, y_bits, indices, open_share):
+        passed = super().check_equalities(y_bits, indices, open_share)
         if passed and self.b_star is None:  # the sender guessed e
             raise ProtocolAbort("sim-A-ambiguous")
         return passed

@@ -589,7 +589,7 @@ def _run_trials(cfg: ExperimentConfig, trial: Callable) -> Counter:
     total: Counter = Counter()
     # map returns only once every chunk is back, so leaving the block never
     # terminates a pool whose task handler is still putting chunks
-    with get_context("fork").Pool(cfg.jobs) as pool:
+    with get_context("fork").Pool(len(jobs)) as pool:
         for counts in pool.map(_run_range, jobs):
             total.update(counts)
     return total

@@ -9,10 +9,11 @@ ideal-world simulation extract e first and build its blobs around it.
 
 Commit phase: receiver commits e; sender commits the shares; then the
 equality subprotocol runs: the sender sends y_t = b_{2t}^0 XOR
-b_{2t+1}^0 for every pair, the receiver opens e, and the sender opens
-the e_t-shares of both blobs in each pair, which the receiver checks
-against y_t.  A sender whose paired blobs disagree passes only by
-having guessed e outright.
+b_{2t+1}^0 for every pair, the receiver opens e, and the sender names
+the e_t-shares of both blobs in each pair.  The receiver takes y and
+those indices through the intake (`common.fits`), opens every share it
+checks, and checks each y_t against its pair's opened shares.  A sender
+whose paired blobs disagree passes only by having guessed e outright.
 
 Decommit: the sender picks l_t in {2t, 2t+1} per pair and opens both
 shares of blob l_t; the receiver accepts if some single bit b explains
@@ -43,6 +44,7 @@ from .params import ExtPufParams
 
 __all__ = [
     "share_index",
+    "equality_shares",
     "channel_params",
     "CollectiveChannel",
     "HonestCompilerSender",
@@ -50,13 +52,18 @@ __all__ = [
     "CompilerOutcome",
     "run_uccompiler",
     "open_uccompiler",
-    "blob_equalities_check",
 ]
 
 
 def share_index(blob: int, eps: int) -> int:
     """Index of share b_blob^eps in the sender's committed vector."""
     return 2 * blob + eps
+
+
+def equality_shares(e_bits: list[int]) -> list[int]:
+    """The e_t-shares of both blobs of every pair t, pair by pair."""
+    return [share_index(blob, e_t) for t, e_t in enumerate(e_bits)
+            for blob in (2 * t, 2 * t + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +161,11 @@ class HonestCompilerSender:
         return [self.pair_xor(t, 0) for t in range(self.n)]
 
     def equality_open_indices(self, e_bits: list[int]) -> list[int]:
-        """The e_t-shares of both blobs of every pair t, for the opened e."""
-        return [share_index(blob, e_t) for t, e_t in enumerate(e_bits)
-                for blob in (2 * t, 2 * t + 1)]
+        return equality_shares(e_bits)
 
     def decommit_choice(self) -> list[int]:
         rng = self.api.rng
-        self.chosen = [2 * t + rng.getrandbits(1) for t in range(self.n)]
-        return self.chosen
+        return [2 * t + rng.getrandbits(1) for t in range(self.n)]
 
 
 class HonestCompilerReceiver:
@@ -175,11 +179,16 @@ class HonestCompilerReceiver:
         self.e_bits = [self.api.rng.getrandbits(1) for _ in range(self.n)]
         return self.e_bits
 
-    def check_equalities(self, y_bits, opened: dict) -> bool:
-        """y_bits must be n bits; opened: share index -> opened bit, None
-        where the opening failed."""
-        return (fits(y_bits, [(0, 1)] * self.n)
-                and blob_equalities_check(y_bits, self.e_bits, opened))
+    def check_equalities(self, y_bits, indices, open_share: Callable) -> bool:
+        """Whether every y_t is the XOR of the opened e_t-shares of pair t.
+        y_bits must be n bits and indices exactly those shares, checked
+        before any share opens; every share opens before any pair is checked."""
+        if not (fits(y_bits, [(0, 1)] * self.n)
+                and fits(indices, [(i,) for i in equality_shares(self.e_bits)])):
+            return False
+        opened = [open_share(i) for i in indices]
+        return all(None not in (a, c) and y == a ^ c
+                   for y, a, c in zip(y_bits, opened[::2], opened[1::2]))
 
     def check_decommit(self, chosen, open_share: Callable) -> Optional[int]:
         """The bit both shares of every chosen blob open to, or None.  chosen
@@ -252,8 +261,8 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
         e_opened = e_channel.open_all()
         if e_opened is None:
             raise ProtocolAbort("e-open")
-        opened = {idx: blob_channel.open(idx) for idx in S.equality_open_indices(e_opened)}
-        if not R.check_equalities(y_bits, opened):
+        indices = S.equality_open_indices(e_opened)
+        if not R.check_equalities(y_bits, indices, blob_channel.open):
             raise ProtocolAbort("blob-equalities")
 
     if not commit_step(outcome, commit):
@@ -278,22 +287,3 @@ def open_uccompiler(outcome: CompilerOutcome) -> Optional[int]:
 
     session.phase("S", "open")
     return open_step(outcome, 0, decommit)
-
-
-# ---------------------------------------------------------------------------
-# The equality subprotocol in isolation
-# ---------------------------------------------------------------------------
-
-def blob_equalities_check(y_bits: list[int], e_bits: list[int],
-                          opened_shares: dict) -> bool:
-    """Pure equality check: y_t must equal the XOR of the opened e_t-shares
-    of pair t.  opened_shares maps share_index -> bit, None where the
-    opening failed."""
-    n = len(y_bits)
-    for t in range(n):
-        e_t = e_bits[t]
-        a = opened_shares.get(share_index(2 * t, e_t))
-        c = opened_shares.get(share_index(2 * t + 1, e_t))
-        if a is None or c is None or y_bits[t] != a ^ c:
-            return False
-    return True

@@ -1,4 +1,7 @@
+from collections import Counter
+from itertools import product
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +35,7 @@ from pufcommit.protocols import (
     run_original_extpuf,
     run_uccompiler,
 )
-from pufcommit.protocols.compiler import share_index
+from pufcommit.protocols.compiler import equality_shares, share_index
 from pufcommit.protocols.params import CpufParams
 from pufcommit.session import ProtocolAbort, Session
 
@@ -154,6 +157,58 @@ def test_simulator_sender_abort_branch():
     assert sim.equality_open_indices([0, 1, 1]) == [0, 2, 5, 7, 9, 11]
 
 
+class Tape:
+    """An rng that plays back a fixed tape of single bits."""
+
+    def __init__(self, bits):
+        self.bits = iter(bits)
+
+    def getrandbits(self, k):
+        assert k == 1
+        return next(self.bits)
+
+
+def planted_by_hand(n, rng):
+    """The simulator's shares and, per pair, its (blob holding 0, blob
+    holding 1), as it planted them before it planted blob values through
+    the honest sender: each share written by hand."""
+    slot_for_bit = []
+    shares = [0] * (4 * n)
+    for t in range(n):
+        first, second = 2 * t, 2 * t + 1
+        if rng.getrandbits(1):
+            zero_blob, one_blob = first, second
+        else:
+            zero_blob, one_blob = second, first
+        slot_for_bit.append((zero_blob, one_blob))
+        b0 = rng.getrandbits(1)
+        shares[share_index(zero_blob, 0)] = b0
+        shares[share_index(zero_blob, 1)] = b0
+        b0 = rng.getrandbits(1)
+        shares[share_index(one_blob, 0)] = b0
+        shares[share_index(one_blob, 1)] = b0 ^ 1
+    return shares, slot_for_bit
+
+
+def test_planted_blob_values_give_the_hand_planted_share_layouts():
+    # over every bit tape both forms make the same multiset of share
+    # vectors, each with the blobs opened for a revealed 0 and for a 1;
+    # only the order of the draws differs
+    for n in (1, 2):
+        by_hand, planted = Counter(), Counter()
+        for tape in product((0, 1), repeat=3 * n):
+            shares, slots = planted_by_hand(n, Tape(tape))
+            by_hand[(tuple(shares), *(tuple(s[b] for s in slots) for b in (0, 1)))] += 1
+            sim = SimulatorCompilerSender(n, 0, SimpleNamespace(rng=Tape(tape)))
+            shares = tuple(sim.make_blobs())
+            choices = []
+            for b in (0, 1):
+                sim.set_revealed(b)
+                choices.append(tuple(sim.decommit_choice()))
+            planted[(shares, *choices)] += 1
+        assert planted == by_hand and len(by_hand) == 2 ** (3 * n)
+
+
 def test_simulators_get_their_extraction_from_the_runner():
     # the sender-side simulator learns e from the receiver's commitment
     out = run_uccompiler(16, 0, seed=34000, sender_factory=SimulatorCompilerSender,
@@ -184,9 +239,7 @@ def test_simulator_receiver_decision_cases():
         rng = Random(0)
 
     def equality_run(shares, y_bits):
-        opened = {share_index(blob, e_t): shares[share_index(blob, e_t)]
-                  for t, e_t in enumerate(sim.e_bits) for blob in (2 * t, 2 * t + 1)}
-        return sim.check_equalities(y_bits, opened)
+        return sim.check_equalities(y_bits, equality_shares(sim.e_bits), shares.__getitem__)
 
     sim = SimulatorCompilerReceiver(2, Api())
     sim.e_bits = [0, 1]

@@ -4,7 +4,9 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 from dataclasses import replace
 
@@ -447,6 +449,33 @@ def test_a_refused_config_starts_no_worker(monkeypatch, case):
     with pytest.raises(ConfigError) as err:
         run_experiment(cfg)
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("trials, jobs, chunks", [(4, 8, 4), (9, 4, 3)])
+def test_the_pool_has_one_worker_per_chunk(monkeypatch, trials, jobs, chunks):
+    # trials split into ceil(trials / jobs)-sized chunks can leave fewer
+    # chunks than jobs, and a worker with no chunk is a fork for nothing
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return list(map(fn, jobs))
+
+    monkeypatch.setattr(experiments, "get_context",
+                        lambda method: SimpleNamespace(Pool=InProcessPool))
+    cfg = ExperimentConfig(experiment="lemmas", trials=trials, jobs=jobs)
+    total = experiments._run_trials(cfg, lambda cfg, i: Counter(success=1, seen=i))
+    assert sizes == [chunks]
+    assert total == Counter(success=trials, seen=sum(range(trials)))
 
 
 def test_a_trial_that_raises_in_a_worker_does_not_hang_the_pool():

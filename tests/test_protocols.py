@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from functools import partial
+from itertools import product
 from random import Random
 
 import pytest
@@ -39,13 +40,9 @@ from pufcommit.protocols import (
     run_original_extpuf,
     run_uccompiler,
 )
+from pufcommit.harness.ucsim import run_ideal_receiver_corrupt, run_ideal_sender_corrupt
 from pufcommit.protocols.common import fits, take, take_helpers
-from pufcommit.protocols.compiler import (
-    HonestCompilerReceiver,
-    HonestCompilerSender,
-    blob_equalities_check,
-    share_index,
-)
+from pufcommit.protocols.compiler import HonestCompilerReceiver, HonestCompilerSender
 from pufcommit.puf import MachineProgram, silent_program
 from pufcommit.session import ProtocolAbort, count_resources, message_shapes
 from test_bits import stride_indices
@@ -387,7 +384,8 @@ MALFORMED_RUNNERS = {
 }
 REJECTED = "rejected"
 # case -> (runner, message name, role and method that send it, what the
-# honest message becomes, how the run ends: the abort step or REJECTED)
+# honest message becomes, how the run ends: the abort step or REJECTED);
+# the compiler's equality shares are taken unlogged, so they name no message
 MALFORMED_MESSAGES = {
     "cpuf-helper-int": ("run_cpuf", "helper", "S", "setup", lambda h: 3, "await-token"),
     "cpuf-mask-none": ("run_cpuf", "mask", "R", "draw_mask", lambda r: None, "await-mask"),
@@ -425,6 +423,17 @@ MALFORMED_MESSAGES = {
                                lambda o: o[:1], REJECTED),
     "uccompiler-y-none": ("run_uccompiler", "y", "S", "equality_message", lambda y: None,
                           "blob-equalities"),
+    "uccompiler-shares-none": ("run_uccompiler", None, "S", "equality_open_indices",
+                               lambda i: None, "blob-equalities"),
+    "uccompiler-shares-string-list": ("run_uccompiler", None, "S", "equality_open_indices",
+                                      lambda i: ["a"], "blob-equalities"),
+    "uccompiler-shares-string": ("run_uccompiler", None, "S", "equality_open_indices",
+                                 lambda i: "abc", "blob-equalities"),
+    "uccompiler-shares-floats": ("run_uccompiler", None, "S", "equality_open_indices",
+                                 lambda i: [float(idx) for idx in i], "blob-equalities"),
+    "uccompiler-shares-both-of-blob-0": ("run_uccompiler", None, "S",
+                                         "equality_open_indices", lambda i: [0, 1] + i[2:],
+                                         "blob-equalities"),
     "uccompiler-choice-none": ("run_uccompiler", "open-choice", "S", "decommit_choice",
                                lambda c: None, REJECTED),
     "uccompiler-choice-strings": ("run_uccompiler", "open-choice", "S", "decommit_choice",
@@ -444,7 +453,7 @@ def test_a_malformed_message_ends_in_an_abort_or_a_rejected_opening(case):
     factory = "sender_factory" if role == "S" else "receiver_factory"
     out = run(**{factory: _sending(parties[role], method, change)})
     names = [n for n, _ in message_shapes(out.session.log)]
-    assert name in names and out.accepted is False
+    assert (name is None or name in names) and out.accepted is False
     if ends == REJECTED:
         # the receiver opens nothing after the message it rejects
         assert out.committed and out.abort_step is None and names[-1] == name
@@ -452,6 +461,16 @@ def test_a_malformed_message_ends_in_an_abort_or_a_rejected_opening(case):
     else:
         assert not out.committed and out.abort_step == ends
         assert out.session.log.records[-1].payload == f"abort:{ends}"
+        # a commit that gives up has opened nothing the sender committed
+        assert not [rec for rec in out.session.log.records if rec.kind == "protocol-msg"
+                    and rec.note == "opening" and rec.sender == "S"]
+
+
+# runner -> the sender's outputs its receiver takes; the compiler's
+# equality shares are taken unlogged, so its log cannot list them all
+TAKEN_SENDER_OUTPUTS = {
+    "run_uccompiler": {"equality_message", "equality_open_indices", "decommit_choice"},
+}
 
 
 @pytest.mark.parametrize("runner", sorted(MALFORMED_RUNNERS))
@@ -462,6 +481,9 @@ def test_every_message_of_a_runner_has_a_malformed_case(runner):
     covering = {runner, "run_collective"} if runner == "run_uccompiler" else {runner}
     covered = {name for r, name, *_ in MALFORMED_MESSAGES.values() if r in covering}
     assert {name for name, _ in message_shapes(run().session.log)} <= covered
+    methods = {method for r, _, role, method, *_ in MALFORMED_MESSAGES.values()
+               if r == runner and role == "S"}
+    assert TAKEN_SENDER_OUTPUTS.get(runner, set()) <= methods
 
 
 def _well_formed(width):
@@ -598,24 +620,25 @@ def test_honest_uccompiler_builds_no_more_bitstrings_than_budgeted(monkeypatch):
     assert built <= UCCOMPILER_BITSTRING_BUDGET
 
 
-def test_blob_equalities_pure_check_exhaustive_per_pair():
-    # exhaustive over the challenge bit of an affected pair: an unequal
-    # pair passes for exactly one challenge value
-    rng = Random(4)
-    for _ in range(200):
-        b = rng.getrandbits(1)
-        shares = {}
-        # pair 0 honest, pair 1 unequal
-        for blob, value in [(0, b), (1, b), (2, b), (3, b ^ 1)]:
-            b0 = rng.getrandbits(1)
-            shares[share_index(blob, 0)] = b0
-            shares[share_index(blob, 1)] = value ^ b0
-        y = [shares[share_index(0, 0)] ^ shares[share_index(1, 0)],
-             shares[share_index(2, 0)] ^ shares[share_index(3, 0)]]
-        outcomes = [blob_equalities_check(y, [e0, e1], shares)
-                    for e0 in (0, 1) for e1 in (0, 1)]
-        # e1 = 0 passes, e1 = 1 fails, regardless of e0
-        assert outcomes == [True, False, True, False]
+def test_equality_check_matches_its_definition_exhaustively_at_n_2():
+    # every committed share vector, challenge and y at n = 2: share eps of
+    # blob j sits at 2j + eps, and pair t holds blobs 2t and 2t + 1
+    receiver = HonestCompilerReceiver(2, api=None)
+    for shares in product((0, 1), repeat=8):
+        for e in product((0, 1), repeat=2):
+            receiver.e_bits = list(e)
+            indices = [2 * blob + e[t] for t in (0, 1) for blob in (2 * t, 2 * t + 1)]
+            for y in product((0, 1), repeat=2):
+                defined = all(y[t] == shares[4 * t + e[t]] ^ shares[4 * t + 2 + e[t]]
+                              for t in (0, 1))
+                opened = []
+                passed = receiver.check_equalities(
+                    list(y), list(indices), lambda i: opened.append(i) or shares[i])
+                assert passed is defined and opened == indices
+    # a share that fails to open fails its pair
+    for failed in indices:
+        assert not receiver.check_equalities(
+            [0, 0], indices, lambda i: None if i == failed else 0)
 
 
 class TweakedSender(HonestCompilerSender):
@@ -680,6 +703,8 @@ SEEDED_RUNS = {
         EP, [X4, X4], seed=26, sender_factory=NeverQuerySender),
     "equalities-unequal-pair": lambda: run_equalities(4, 0, seed=28, unequal=(1,)),
     "equalities-tampered-bit": lambda: run_equalities(4, 1, seed=30, tampered=(2,)),
+    "ideal-sender-corrupt": lambda: run_ideal_sender_corrupt(4, 1, seed=27)[1],
+    "ideal-receiver-corrupt": lambda: run_ideal_receiver_corrupt(4, 1, seed=29)[1],
 }
 # cpuf and original-ambiguous, like original-probe-kept and
 # original-substituted-probe below, were re-taken when hashes of 192 output
@@ -699,6 +724,13 @@ LOG_SHA256 = {
         "6ba0eae21aeb30ba7bc82824313664000d0a5fc57e318ba6b93dc7b245360038",
     "equalities-tampered-bit":
         "9941e20bf08e445ad5b4f35f238720ecc0a1ed32bebc40652873b2de9309e99c",
+    # the sender case was taken before the compiler's receiver opened every
+    # share it checks, and the receiver case after its simulator planted
+    # blob values through the honest sender, which reordered its draws
+    "ideal-sender-corrupt":
+        "66c71e6086a545353f8490f4b155f7266400a8f20f3630a09838c9d8ee7ca619",
+    "ideal-receiver-corrupt":
+        "03015151a70238a952b68df4a8233987bb098adc8770c671ac6aefe549e1c40c",
 }
 
 
