@@ -24,7 +24,7 @@ from random import Random
 from typing import Callable, Optional
 
 from ..adversaries import AmbiguousQuerySender, zoo
-from ..bits import BitString, hamming_distance
+from ..bits import BitString, hamming_distance, neighborhood_size
 from ..entropy import histogram_distance, lemma_violations
 from ..extract import run_extractor_collective, run_extractor_original
 from ..prf import derive_seed
@@ -51,6 +51,7 @@ __all__ = ["run_experiment", "Experiment", "EXPERIMENTS", "PROTOCOL_TABLE"]
 
 HIDING_BOUND = 0.02
 SD_BOUND = 0.02
+CRP_QUERIES = 8   # the props-crp forger's queries before it names a challenge
 
 
 @lru_cache(maxsize=32)
@@ -216,6 +217,15 @@ def _ucsim_case(cfg: ExperimentConfig) -> None:
         _honest_only(cfg)
     elif cfg.adversary != "honest":
         _named_sender(replace(cfg, protocol="uccompiler"))
+
+
+def _far_challenge_left(cfg: ExperimentConfig) -> None:
+    """Some challenge lies d_min or more from every forger query, else `_crp_trial` never ends."""
+    d_min = _params(ExtPufParams, cfg.n, 1, 1).main.puf.d_min
+    balls = CRP_QUERIES * neighborhood_size(cfg.n, d_min)
+    if balls >= 1 << cfg.n:
+        raise ConfigError("n", f"props-crp needs {CRP_QUERIES}*neighborhood_size(n, d_min) < 2^n "
+                               f"for a challenge far from every query: {balls} >= {1 << cfg.n}")
 
 
 def _support_range(cfg: ExperimentConfig) -> None:
@@ -528,7 +538,7 @@ def _crp_trial(cfg: ExperimentConfig, i: int) -> Counter:
     pair = _params(ExtPufParams, cfg.n, 1, 1).main
     rng = _trial_rng(cfg, "game", i)
     inst = sample_puf(pair.puf, rng)
-    queries = [BitString.random(cfg.n, rng) for _ in range(8)]
+    queries = [BitString.random(cfg.n, rng) for _ in range(CRP_QUERIES)]
     st, p = pair.fe.gen(inst.respond(queries[0], rng), rng)
     while True:
         s = BitString.random(cfg.n, rng)
@@ -655,7 +665,7 @@ EXPERIMENTS = {
     "props-cq": Experiment(_close_query_trial, _close_query_verdict, "close-query",
                            (_positive_queries,), {"queries": 8}),
     "props-indist": Experiment(_indist_trial, _guessing_game, "props-indist"),
-    "props-crp": Experiment(_crp_trial, _crp_verdict, "props-crp"),
+    "props-crp": Experiment(_crp_trial, _crp_verdict, "props-crp", (_far_challenge_left,)),
     "props-tq": Experiment(_test_query_trial, _test_query_verdict, "props-tq"),
     "fe-roundtrip": Experiment(_fe_roundtrip_trial, _every_trial, "fe-roundtrip"),
     "fe-uniformity": Experiment(_fe_uniformity_trial, _fe_uniformity_verdict, "fe-uniformity"),

@@ -10,14 +10,16 @@ ideal-world simulation extract e first and build its blobs around it.
 Commit phase: receiver commits e; sender commits the shares; then the
 equality subprotocol runs: the sender sends y_t = b_{2t}^0 XOR
 b_{2t+1}^0 for every pair, the receiver opens e, and the sender names
-the e_t-shares of both blobs in each pair.  The receiver takes y and
-those indices through the intake (`common.fits`), opens every share it
-checks, and checks each y_t against its pair's opened shares.  A sender
-whose paired blobs disagree passes only by having guessed e outright.
+the e_t-shares of both blobs in each pair.  The receiver takes y and the
+indices, each a logged message, through the intake (`common.fits`),
+opens every share it checks, and checks each y_t against its pair's
+opened shares.  A sender whose paired blobs disagree passes only by
+having guessed e outright.
 
 Decommit: the sender picks l_t in {2t, 2t+1} per pair and opens both
 shares of blob l_t; the receiver accepts if some single bit b explains
-every opened pair.
+every opened pair.  Each share opens once per run: the decommitment
+opens only the share of blob l_t not yet open.
 
 Channels: each direction is one extractable bit channel, the only seam
 between the parties and the token layer.  A channel commits a list of
@@ -32,6 +34,7 @@ shares the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 from ..bits import BitString
@@ -211,8 +214,8 @@ class HonestCompilerReceiver:
 class CompilerOutcome(Outcome):
     """A compiled run; its value is the opened bit."""
 
-    e_channel: object = None
     blob_channel: object = None
+    open_share: Optional[Callable] = None   # the blob channel's open, each share once
 
 
 def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
@@ -239,8 +242,8 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
     e_channel = CollectiveChannel(session, params, "R", "S", "e/")
     # direction S -> R: the blob shares
     blob_channel = CollectiveChannel(session, params, "S", "R", "blob/")
-    outcome.e_channel = e_channel
     outcome.blob_channel = blob_channel
+    outcome.open_share = cache(blob_channel.open)
 
     def commit():
         session.phase("R", "choose-e")
@@ -258,11 +261,11 @@ def run_uccompiler(n: int, b: int, seed: int, mode: str = "collective",
         # equality subprotocol
         session.phase("S", "equalities")
         y_bits = session.msg("S", "R", "y", _sent(S.equality_message()))
-        e_opened = e_channel.open_all()
-        if e_opened is None:
+        e = e_channel.open_all()
+        if e is None:
             raise ProtocolAbort("e-open")
-        indices = S.equality_open_indices(e_opened)
-        if not R.check_equalities(y_bits, indices, blob_channel.open):
+        indices = session.msg("S", "R", "equality-shares", _sent(S.equality_open_indices(e)))
+        if not R.check_equalities(y_bits, indices, outcome.open_share):
             raise ProtocolAbort("blob-equalities")
 
     if not commit_step(outcome, commit):
@@ -283,7 +286,7 @@ def open_uccompiler(outcome: CompilerOutcome) -> Optional[int]:
 
     def decommit():
         chosen = session.msg("S", "R", "open-choice", _sent(S.decommit_choice()))
-        return R.check_decommit(chosen, outcome.blob_channel.open)
+        return R.check_decommit(chosen, outcome.open_share)
 
     session.phase("S", "open")
     return open_step(outcome, 0, decommit)

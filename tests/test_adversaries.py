@@ -305,6 +305,41 @@ def test_compiler_runs_over_any_channel_with_the_four_methods(stored_channel):
             assert features[2] is None and features[3] == b
 
 
+def test_each_stored_share_opens_once_in_every_world(stored_channel):
+    # n shares for the equality subprotocol, then the other share of each
+    # of the n chosen blobs: 3n S -> R openings, however the bit is opened
+    n = 3
+    for world in (run_real_world, run_ideal_receiver_corrupt, run_ideal_sender_corrupt):
+        features, out = world(n, 1, seed=35020)
+        assert features[3] == 1
+        opens = [rec for rec in out.session.log.records if rec.kind == "protocol-msg"
+                 and rec.note == "stored-open" and rec.sender == "S"]
+        assert len(opens) == 3 * n, world.__name__
+
+
+class SecondAnswerFlippingChannel(StoredBitsChannel):
+    """A stored-bits channel whose sender answers a repeated opening of a
+    bit with the other bit."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = set()
+
+    def open(self, index):
+        again = index in self.asked
+        self.asked.add(index)
+        return self.session.msg(*self.ends, "stored-open", self.bits[index] ^ again)
+
+
+def test_a_share_is_judged_on_its_first_opening(monkeypatch):
+    # asked twice, this sender would flip the e_t-share of every chosen
+    # blob, so that each opened pair explained the other bit
+    monkeypatch.setattr(compiler, "CollectiveChannel", SecondAnswerFlippingChannel)
+    for b in (0, 1):
+        out = run_uccompiler(4, b, seed=35030 + b)
+        assert out.accepted and out.value == b
+
+
 def test_e_guessing_sender_is_caught_by_the_simulator_over_an_exact_channel(stored_channel):
     # exact extraction sees both bits alive in every pair, so the simulator
     # gives up exactly when the guess of e passed the equality check: 2^-n

@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -422,6 +422,8 @@ REFUSED = {
     # derive_seed cannot key a seed outside 16 unsigned bytes
     "seed-negative": (dict(experiment="completeness", protocol="cpuf", seed=-1), "seed"),
     "seed-2^128": (dict(experiment="completeness", protocol="cpuf", seed=1 << 128), "seed"),
+    # 8 balls of radius d_min - 1 around the forger's queries can cover {0,1}^5
+    "props-crp-n-5": (dict(experiment="props-crp", n=5), "n"),
 }
 
 
@@ -449,6 +451,62 @@ def test_a_refused_config_starts_no_worker(monkeypatch, case):
     with pytest.raises(ConfigError) as err:
         run_experiment(cfg)
     assert err.value.path == path
+
+
+def test_props_crp_refuses_an_n_where_the_queries_can_cover_every_challenge():
+    # _crp_trial redraws its challenge until it lies d_min or more from all
+    # the forger's queries; where their balls can cover {0,1}^n it may never stop
+    for n in range(2, 6):
+        with pytest.raises(ConfigError, match=r"8\*neighborhood_size\(n, d_min\) < 2\^n") as err:
+            ExperimentConfig(experiment="props-crp", n=n, trials=2).validate()
+        assert err.value.path == "n"
+    assert experiments.CRP_QUERIES == 8
+    ExperimentConfig(experiment="props-crp", n=6, trials=2).validate()
+
+
+def _least_accepted(experiment, **fields):
+    """experiment's config at the least n >= 2 that validate accepts."""
+    trials = 1 if experiment == "costs" else 2
+    for n in range(2, 65):
+        try:
+            return ExperimentConfig(experiment=experiment, n=n, trials=trials,
+                                    **fields).validate()
+        except ConfigError:
+            pass
+    raise AssertionError(f"validate accepts {experiment} {fields} at no n")
+
+
+def test_no_accepted_config_hangs():
+    # every row once, with each protocol its entry lists, at the least n
+    # validate accepts, where a trial that redraws forever shows first;
+    # in a child process, so that a run that never ends fails the test
+    configs = []
+    for experiment in EXPERIMENTS:
+        for protocol in [p for p, entry in PROTOCOL_TABLE.items()
+                         if experiment in entry.experiments] or [None]:
+            senders = [s.strategy_id for s in zoo()
+                       if s.role == "sender" and s.protocol == protocol]
+            adversary = {"binding": senders[0] if senders else "honest",
+                         "extraction": "all-senders"}.get(experiment, "honest")
+            configs.append(asdict(_least_accepted(experiment, protocol=protocol,
+                                                  adversary=adversary)))
+    code = ("import json, sys\n"
+            "from pufcommit.harness.config import ExperimentConfig\n"
+            "from pufcommit.harness.experiments import run_experiment\n"
+            "for fields in json.load(sys.stdin):\n"
+            "    print(fields['experiment'], fields['protocol'], fields['n'], flush=True)\n"
+            "    run_experiment(ExperimentConfig(**fields))\n"
+            "print('done')\n")
+    src = str(Path(experiments.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    try:
+        out = subprocess.run([sys.executable, "-c", code], input=json.dumps(configs), env=env,
+                             check=True, capture_output=True, text=True, timeout=60).stdout
+    except subprocess.TimeoutExpired as hung:
+        pytest.fail(f"a run did not end in 60 s; the last line names it: {hung.stdout!r}")
+    assert out.splitlines() == [f"{c['experiment']} {c['protocol']} {c['n']}"
+                                for c in configs] + ["done"]
 
 
 @pytest.mark.parametrize("trials, jobs, chunks", [(4, 8, 4), (9, 4, 3)])
@@ -508,7 +566,8 @@ def test_a_trial_that_raises_in_a_worker_does_not_hang_the_pool():
 # classes must leave every report byte-identical.  The uc-sim digests were
 # re-taken when one-bit channel strings got masks of at least 24 bits;
 # costs-uccompiler was re-taken when it gained the per-string counts of the
-# sum rule, and uc-sim-receiver when it dropped the two sender-only keys
+# sum rule and when each blob share opened once, and uc-sim-receiver when it
+# dropped the two sender-only keys
 SEEDED_COMPILER_REPORTS = {
     "completeness-uccompiler": dict(experiment="completeness", protocol="uccompiler",
                                     n=6, trials=20, seed=2),
@@ -529,7 +588,7 @@ COMPILER_REPORT_SHA256 = {
     "completeness-blob-equalities":
         "f6daa4988cf2dde6b5dd86266c0d4c3f9ec930705c17be211b0f7bd8ff73eea1",
     "costs-uccompiler":
-        "53850daf865c4e988ce74257b26f5738dff57cede5e69046febb8d693264ed1e",
+        "a50ace94a25a65ee7554c5d347ed7226602d4ad8a2725b03b00e2b034ffaf10c",
     "uc-sim-receiver":
         "107efcc6862036b79350c49cc1b67437904696d2db64ffb6af71c52c3d747107",
     "uc-sim-e-guessing-sender":

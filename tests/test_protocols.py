@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from itertools import product
@@ -33,6 +34,7 @@ from pufcommit.protocols import (
     OriginalExtPufParams,
     OriginalReceiver,
     OriginalSender,
+    compiler,
     open_index,
     run_collective,
     run_cpuf,
@@ -40,11 +42,13 @@ from pufcommit.protocols import (
     run_original_extpuf,
     run_uccompiler,
 )
+from pufcommit.harness.config import ExperimentConfig
+from pufcommit.harness.experiments import run_experiment
 from pufcommit.harness.ucsim import run_ideal_receiver_corrupt, run_ideal_sender_corrupt
 from pufcommit.protocols.common import fits, take, take_helpers
 from pufcommit.protocols.compiler import HonestCompilerReceiver, HonestCompilerSender
 from pufcommit.puf import MachineProgram, silent_program
-from pufcommit.session import ProtocolAbort, count_resources, message_shapes
+from pufcommit.session import ProtocolAbort, Session, count_resources, message_shapes
 from test_bits import stride_indices
 
 CP = CpufParams.standard(16, 4)
@@ -384,8 +388,7 @@ MALFORMED_RUNNERS = {
 }
 REJECTED = "rejected"
 # case -> (runner, message name, role and method that send it, what the
-# honest message becomes, how the run ends: the abort step or REJECTED);
-# the compiler's equality shares are taken unlogged, so they name no message
+# honest message becomes, how the run ends: the abort step or REJECTED)
 MALFORMED_MESSAGES = {
     "cpuf-helper-int": ("run_cpuf", "helper", "S", "setup", lambda h: 3, "await-token"),
     "cpuf-mask-none": ("run_cpuf", "mask", "R", "draw_mask", lambda r: None, "await-mask"),
@@ -423,15 +426,17 @@ MALFORMED_MESSAGES = {
                                lambda o: o[:1], REJECTED),
     "uccompiler-y-none": ("run_uccompiler", "y", "S", "equality_message", lambda y: None,
                           "blob-equalities"),
-    "uccompiler-shares-none": ("run_uccompiler", None, "S", "equality_open_indices",
-                               lambda i: None, "blob-equalities"),
-    "uccompiler-shares-string-list": ("run_uccompiler", None, "S", "equality_open_indices",
-                                      lambda i: ["a"], "blob-equalities"),
-    "uccompiler-shares-string": ("run_uccompiler", None, "S", "equality_open_indices",
-                                 lambda i: "abc", "blob-equalities"),
-    "uccompiler-shares-floats": ("run_uccompiler", None, "S", "equality_open_indices",
+    "uccompiler-shares-none": ("run_uccompiler", "equality-shares", "S",
+                               "equality_open_indices", lambda i: None, "blob-equalities"),
+    "uccompiler-shares-string-list": ("run_uccompiler", "equality-shares", "S",
+                                      "equality_open_indices", lambda i: ["a"],
+                                      "blob-equalities"),
+    "uccompiler-shares-string": ("run_uccompiler", "equality-shares", "S",
+                                 "equality_open_indices", lambda i: "abc", "blob-equalities"),
+    "uccompiler-shares-floats": ("run_uccompiler", "equality-shares", "S",
+                                 "equality_open_indices",
                                  lambda i: [float(idx) for idx in i], "blob-equalities"),
-    "uccompiler-shares-both-of-blob-0": ("run_uccompiler", None, "S",
+    "uccompiler-shares-both-of-blob-0": ("run_uccompiler", "equality-shares", "S",
                                          "equality_open_indices", lambda i: [0, 1] + i[2:],
                                          "blob-equalities"),
     "uccompiler-choice-none": ("run_uccompiler", "open-choice", "S", "decommit_choice",
@@ -453,7 +458,7 @@ def test_a_malformed_message_ends_in_an_abort_or_a_rejected_opening(case):
     factory = "sender_factory" if role == "S" else "receiver_factory"
     out = run(**{factory: _sending(parties[role], method, change)})
     names = [n for n, _ in message_shapes(out.session.log)]
-    assert (name is None or name in names) and out.accepted is False
+    assert name in names and out.accepted is False
     if ends == REJECTED:
         # the receiver opens nothing after the message it rejects
         assert out.committed and out.abort_step is None and names[-1] == name
@@ -466,13 +471,6 @@ def test_a_malformed_message_ends_in_an_abort_or_a_rejected_opening(case):
                     and rec.note == "opening" and rec.sender == "S"]
 
 
-# runner -> the sender's outputs its receiver takes; the compiler's
-# equality shares are taken unlogged, so its log cannot list them all
-TAKEN_SENDER_OUTPUTS = {
-    "run_uccompiler": {"equality_message", "equality_open_indices", "decommit_choice"},
-}
-
-
 @pytest.mark.parametrize("runner", sorted(MALFORMED_RUNNERS))
 def test_every_message_of_a_runner_has_a_malformed_case(runner):
     run, _ = MALFORMED_RUNNERS[runner]
@@ -481,9 +479,6 @@ def test_every_message_of_a_runner_has_a_malformed_case(runner):
     covering = {runner, "run_collective"} if runner == "run_uccompiler" else {runner}
     covered = {name for r, name, *_ in MALFORMED_MESSAGES.values() if r in covering}
     assert {name for name, _ in message_shapes(run().session.log)} <= covered
-    methods = {method for r, _, role, method, *_ in MALFORMED_MESSAGES.values()
-               if r == runner and role == "S"}
-    assert TAKEN_SENDER_OUTPUTS.get(runner, set()) <= methods
 
 
 def _well_formed(width):
@@ -598,6 +593,19 @@ def test_uccompiler_completeness_both_bits():
         for i in range(8):
             out = run_uccompiler(6, b, seed=11000 + 10 * i + b)
             assert out.accepted and out.value == b
+
+
+@pytest.mark.parametrize("n, seed", [(2, 14003), (64, 25)])
+def test_each_blob_share_opens_once(n, seed):
+    # the equality subprotocol opens n shares, and the decommitment the
+    # other share of each of the n chosen blobs; at n = 2 and seed 14003 the
+    # chosen blobs hold shares 2 and 6, which the equalities opened
+    out = run_uccompiler(n, 1, seed)
+    assert out.accepted and out.value == 1
+    opened = Counter(rec.payload[0] for rec in out.session.log.records
+                     if rec.kind == "protocol-msg" and rec.note == "opening"
+                     and rec.sender == "S")
+    assert len(opened) == 3 * n and set(opened.values()) == {1}
 
 
 # BitStrings one honest run_uccompiler(8, 1, 3) builds: 1 273 while
@@ -715,22 +723,23 @@ LOG_SHA256 = {
     "extpuf": "894facfe956af516d48517f83555d09a6055b8ba94a6ed57379930eecefa5b70",
     "collective": "ed93223e1f0a1bc265a9e97a4535e7e6564b72e5b79ad18f377849ff25f7638c",
     "original-ambiguous": "8c244575a8a285c5ebdba28537fb031a97cae9461987af0a8c69012e7e2ef9e0",
-    "uccompiler-n8": "c11c6c1e6e4c7b610ba42f50bcfb79551996450b2147dc6293e7b44b3d647f3a",
+    "uccompiler-n8": "8983befe6849f2fe481f593cce0a2b7ce8ffc812a0354a42394b4f7571fb352f",
     "collective-never-query": "271279a115d2924439b0ec19d19f94584eca50c5c21630c68c24714d6b94b15e",
     # taken before the channel table, and with the equality runs still in
     # src/; uccompiler-n8 and the two equality runs were re-taken when
-    # one-bit channel strings got masks of at least 24 bits
+    # one-bit channel strings got masks of at least 24 bits, and with the
+    # two ideal-world runs when each blob share opened once and the
+    # equality shares became a logged message (ONE_OPENING_REPINS)
     "equalities-unequal-pair":
-        "6ba0eae21aeb30ba7bc82824313664000d0a5fc57e318ba6b93dc7b245360038",
+        "67291d683bd0e74e1001eccac8893e0871dd2a1aa43d16d0cb145ffd6d74dd5e",
     "equalities-tampered-bit":
-        "9941e20bf08e445ad5b4f35f238720ecc0a1ed32bebc40652873b2de9309e99c",
-    # the sender case was taken before the compiler's receiver opened every
-    # share it checks, and the receiver case after its simulator planted
-    # blob values through the honest sender, which reordered its draws
+        "efd21af3cb2d4704ef41d8acf2bf9d756a10efbded9d98a8657234d703bd8e86",
+    # the receiver case was first taken after its simulator planted blob
+    # values through the honest sender, which reordered its draws
     "ideal-sender-corrupt":
-        "66c71e6086a545353f8490f4b155f7266400a8f20f3630a09838c9d8ee7ca619",
+        "5bb843f4a969d6311045a9be343e9eba2a7f6115043e6de1c8e8b195e71edd91",
     "ideal-receiver-corrupt":
-        "03015151a70238a952b68df4a8233987bb098adc8770c671ac6aefe549e1c40c",
+        "abf804c6474d63b696b08daa9eaff936999809de2c8b00b08bb16766d7f0706c",
 }
 
 
@@ -840,15 +849,60 @@ def test_seeded_event_logs_are_pinned(case):
 
 
 def test_pinned_logs_do_not_depend_on_the_hash_seed():
-    """Every pinned log, recomputed in fresh interpreters under two hash seeds."""
+    """Every pinned log and the nine benchmark logs, recomputed in fresh
+    interpreters under two hash seeds."""
+    from test_benchmark_digests import BENCHMARK_PINS
+
     script = ("import hashlib, json\n"
               "from test_protocols import SEEDED_RUNS\n"
-              "print(json.dumps({case: hashlib.sha256(run().session.log.serialize()"
-              ".encode()).hexdigest() for case, run in SEEDED_RUNS.items()}))")
+              "from test_benchmark_digests import BENCHMARK_PINS, seeded_digest\n"
+              "print(json.dumps([{case: hashlib.sha256(run().session.log.serialize()"
+              ".encode()).hexdigest() for case, run in SEEDED_RUNS.items()},"
+              " [seeded_digest(*key) for key in BENCHMARK_PINS]]))")
     tests = os.path.dirname(os.path.abspath(__file__))
     path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
     for hash_seed in ("0", "12345"):
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               timeout=60, check=True,
                               env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed))
-        assert json.loads(proc.stdout) == LOG_SHA256
+        assert json.loads(proc.stdout) == [LOG_SHA256, list(BENCHMARK_PINS.values())]
+
+
+# the nine pins re-taken when each blob share opened once and the equality
+# shares became a logged message, with their digests from before: without
+# the memo and the record, the compiler must give every one of them back
+ONE_OPENING_REPINS = {
+    "uccompiler-n8": "c11c6c1e6e4c7b610ba42f50bcfb79551996450b2147dc6293e7b44b3d647f3a",
+    "equalities-unequal-pair":
+        "6ba0eae21aeb30ba7bc82824313664000d0a5fc57e318ba6b93dc7b245360038",
+    "equalities-tampered-bit":
+        "9941e20bf08e445ad5b4f35f238720ecc0a1ed32bebc40652873b2de9309e99c",
+    "ideal-sender-corrupt": "66c71e6086a545353f8490f4b155f7266400a8f20f3630a09838c9d8ee7ca619",
+    "ideal-receiver-corrupt":
+        "03015151a70238a952b68df4a8233987bb098adc8770c671ac6aefe549e1c40c",
+    (23, 0, "uccompiler-n64"): "c94a40df4f3386a5fb742aa48d12e4b5bd6e63a788b3dab438cdd2b55558de53",
+    (23, 1, "uccompiler-n64"): "c2ccf4912c6a28d27e5d23316edd992e10580c673cf5eed52394e6fb5858b247",
+    (57, 0, "uccompiler-n64"): "6ea6a11c2e87910f7551f7443dc3eed39addaf3560b52f09663c5d1b95187535",
+    "costs-uccompiler": "53850daf865c4e988ce74257b26f5738dff57cede5e69046febb8d693264ed1e",
+}
+
+
+def test_without_the_share_memo_and_record_every_re_pinned_digest_comes_back(monkeypatch):
+    from test_benchmark_digests import seeded_digest
+    from test_harness import SEEDED_COMPILER_REPORTS
+
+    msg = Session.msg
+    monkeypatch.setattr(compiler, "cache", lambda open_share: open_share)
+    monkeypatch.setattr(Session, "msg", lambda self, frm, to, name, payload: (
+        payload if name == "equality-shares" else msg(self, frm, to, name, payload)))
+
+    def digest(case):
+        if isinstance(case, tuple):
+            return seeded_digest(*case)
+        if case in SEEDED_RUNS:
+            text = SEEDED_RUNS[case]().session.log.serialize()
+        else:
+            text = run_experiment(ExperimentConfig(**SEEDED_COMPILER_REPORTS[case])).to_json()
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert {case: digest(case) for case in ONE_OPENING_REPINS} == ONE_OPENING_REPINS
